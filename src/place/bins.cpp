@@ -67,6 +67,12 @@ double BinGrid::MaxDensity() const {
   return mx;
 }
 
+double BinGrid::OverflowArea() const {
+  double over = 0.0;
+  for (const double a : area_) over += std::max(0.0, a - cap_);
+  return over;
+}
+
 void BinGrid::MoveCell(std::int32_t cell, double cell_area, int from_flat,
                        int to_flat) {
   if (from_flat == to_flat) return;

@@ -73,6 +73,8 @@ class BinGrid {
   double Area(int flat) const { return area_[static_cast<std::size_t>(flat)]; }
   double Density(int flat) const { return area_[static_cast<std::size_t>(flat)] / cap_; }
   double MaxDensity() const;
+  /// Total area above capacity, summed over bins: sum_b max(0, Area(b) - cap).
+  double OverflowArea() const;
   const std::vector<std::int32_t>& Cells(int flat) const {
     return cells_[static_cast<std::size_t>(flat)];
   }

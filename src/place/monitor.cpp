@@ -122,6 +122,17 @@ void AnomalyMonitor::OnPhase(const char* phase, int round,
     Flag("fea_nonconverged", "anomaly/fea_nonconverged", phase, round,
          static_cast<double>(df));
   }
+
+  // Iteration cap: a cell-shifting run since the last boundary neither
+  // converged nor stalled but ran out of iterations (shift/stop_cap moved),
+  // so its stop rule never fired and the spreading was cut off.
+  const std::int64_t capped = CounterOrZero("shift/stop_cap");
+  const std::int64_t dc = capped - last_shift_capped_;
+  last_shift_capped_ = capped;
+  if (dc > 0) {
+    Flag("iteration_cap", "anomaly/iteration_cap", phase, round,
+         static_cast<double>(dc));
+  }
 }
 
 }  // namespace p3d::place

@@ -21,7 +21,10 @@
 //   * fea_nonconverged — one or more thermal solves since the previous
 //                    boundary hit their iteration cap (the deterministic
 //                    fea/nonconverged counter moved), so the reported
-//                    temperatures for that stretch are untrusted.
+//                    temperatures for that stretch are untrusted;
+//   * iteration_cap — a cell-shifting run since the previous boundary hit
+//                    its iteration cap instead of converging or stalling
+//                    (the shift/stop_cap counter moved).
 //
 // Detection is passive and deterministic: the monitor only reads the
 // evaluator and the thread's CurrentMetrics() counters, never steers the
@@ -81,6 +84,7 @@ class AnomalyMonitor : public PhaseObserver {
   std::int64_t last_proposals_ = 0;
   std::int64_t last_rejects_ = 0;
   std::int64_t last_fea_nonconverged_ = 0;
+  std::int64_t last_shift_capped_ = 0;
   std::vector<double> cg_deltas_;     // per-boundary CG iteration deltas
 };
 

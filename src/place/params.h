@@ -125,8 +125,14 @@ struct PlacerParams {
   int threads = 1;
 
   // ----- coarse legalization --------------------------------------------------
+  // Cell shifting stops when the densest bin is at or below
+  // shift_target_density, when the overflow ratio stalls, or after
+  // shift_max_iters iterations (place/shift.h). Bins are 2x2 average cells,
+  // so even a legal placement reads ~2.3: the default target is out of
+  // reach on a flow's placement, which ends on the stall. The target ends a
+  // run only when set above the density spreading reaches.
   int shift_max_iters = 40;
-  double shift_target_density = 1.05;  // stop when max bin density is below
+  double shift_target_density = 1.05;
   double shift_a_lower = 0.8;          // Eq. 16 curve parameters
   double shift_a_upper = 0.5;
   double shift_b = 1.0;

@@ -19,6 +19,17 @@ namespace {
 constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
     "shift.color0", "shift.color1", "shift.color2", "shift.color3"};
 
+// Stall stop: Run gives up after kStallWindow consecutive iterations that
+// each fail to bring the overflow ratio below (1 - kMinProgress) times the
+// best ratio seen so far (the entry value included).
+constexpr int kStallWindow = 5;
+constexpr double kMinProgress = 0.01;
+
+// Indexed by ShiftStop.
+constexpr const char* kStopName[] = {"converged", "stalled", "cap"};
+constexpr const char* kStopCounter[] = {
+    "shift/stop_converged", "shift/stop_stalled", "shift/stop_cap"};
+
 }  // namespace
 
 CellShifter::CellShifter(ObjectiveEvaluator& eval)
@@ -325,23 +336,52 @@ ShiftStats CellShifter::Run(int max_iters, double target_density) {
   const netlist::Netlist& nl = eval_.netlist();
   const Chip& chip = eval_.chip();
   BinGrid grid(chip, nl.AvgCellWidth(), nl.AvgCellHeight());
+  const double movable_area = nl.MovableArea();
+  auto overflow_ratio = [&] {
+    return movable_area > 0.0 ? grid.OverflowArea() / movable_area : 0.0;
+  };
+
   ShiftStats stats;
-  for (int it = 0; it < max_iters; ++it) {
-    grid.Rebuild(nl, eval_.placement());
-    stats.final_max_density = grid.MaxDensity();
-    if (stats.final_max_density <= target_density) break;
+  grid.Rebuild(nl, eval_.placement());
+  double overflow = overflow_ratio();
+  double best_overflow = overflow;
+  int stalled_iters = 0;
+  obs::MetricAppend("shift/overflow", overflow);
+  for (;;) {
+    if (grid.MaxDensity() <= target_density) {
+      stats.stop = ShiftStop::kConverged;
+      break;
+    }
+    if (stalled_iters >= kStallWindow) {
+      stats.stop = ShiftStop::kStalled;
+      break;
+    }
+    if (stats.iterations >= max_iters) {
+      stats.stop = ShiftStop::kCap;
+      break;
+    }
     ++stats.iterations;
     SweepAxis(grid, 2);  // balance layers first: z capacity is the scarcest
     SweepAxis(grid, 0);
     SweepAxis(grid, 1);
+    grid.Rebuild(nl, eval_.placement());
+    overflow = overflow_ratio();
+    obs::MetricAppend("shift/overflow", overflow);
+    stalled_iters =
+        overflow < (1.0 - kMinProgress) * best_overflow ? 0 : stalled_iters + 1;
+    best_overflow = std::min(best_overflow, overflow);
   }
-  grid.Rebuild(nl, eval_.placement());
   stats.final_max_density = grid.MaxDensity();
+  stats.final_overflow = overflow;
   obs::MetricAdd("shift/runs", 1);
   obs::MetricAdd("shift/iterations", stats.iterations);
+  const int stop = static_cast<int>(stats.stop);
+  obs::MetricAdd(kStopCounter[stop], 1);
   obs::MetricSet("shift/final_max_density", stats.final_max_density);
-  util::LogDebug("shift: %d iters, max density %.3f", stats.iterations,
-                 stats.final_max_density);
+  obs::MetricSet("shift/final_overflow", stats.final_overflow);
+  util::LogDebug("shift: %d iters (%s), max density %.3f, overflow %.4f",
+                 stats.iterations, kStopName[stop],
+                 stats.final_max_density, stats.final_overflow);
   return stats;
 }
 

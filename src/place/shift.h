@@ -7,6 +7,17 @@
 // (expansion for density > 1, contraction for density < 1) and cells are
 // mapped into the new bin extents with Eq. 17.
 //
+// Run stops at the first of three conditions, reported as ShiftStats::stop:
+//   * converged — the densest bin is at or below the target density. At the
+//     2x2-cell bin size even a legal placement reads ~2.3, so the default
+//     target (1.05) is out of reach on a flow's placement;
+//   * stalled   — five consecutive iterations each failed to lower the
+//     overflow ratio (ePlace-3D's tau: sum over bins of the area above
+//     capacity, over the movable area) by 1% below the best value seen,
+//     the entry value included. Sweeps past that point cost Eq. 3 without
+//     spreading further; the detailed legalizer removes what overlap is left;
+//   * cap       — the iteration limit was reached first.
+//
 // The two FastPlace [13] defects the paper fixes are handled the same way:
 //   * boundary cross-over: all boundaries in a row are recomputed together
 //     from positive widths and renormalized to the row extent, so ordering
@@ -33,18 +44,25 @@
 
 namespace p3d::place {
 
+enum class ShiftStop { kConverged, kStalled, kCap };
+
 struct ShiftStats {
   int iterations = 0;
   double final_max_density = 0.0;
+  double final_overflow = 0.0;  // overflow area / movable area at exit
+  ShiftStop stop = ShiftStop::kCap;
 };
 
 class CellShifter {
  public:
   explicit CellShifter(ObjectiveEvaluator& eval);
 
-  /// Iterates x/y/z shifting sweeps until the max bin density drops below
-  /// `target_density` or `max_iters` is reached. Mutates the evaluator's
-  /// placement.
+  /// Iterates x/y/z shifting sweeps until the max bin density is at most
+  /// `target_density` (converged), the overflow ratio stalls (stalled), or
+  /// `max_iters` sweeps ran (cap); see the header comment. Mutates the
+  /// evaluator's placement. Records the overflow ratio on entry and after
+  /// every iteration as the `shift/overflow` series, the exit ratio as the
+  /// `shift/final_overflow` gauge, and one `shift/stop_<reason>` counter.
   ShiftStats Run(int max_iters, double target_density);
 
  private:

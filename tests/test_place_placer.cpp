@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "io/synthetic.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "place/legalize.h"
+#include "place/monitor.h"
 #include "place/placer.h"
 #include "util/log.h"
 
@@ -56,6 +58,38 @@ TEST(Placer3D, MetricsConsistentWithEvaluate) {
   EXPECT_EQ(check.ilv_count, r.ilv_count);
   EXPECT_NEAR(check.objective, r.objective, r.objective * 1e-9);
   EXPECT_NEAR(check.total_power_w, r.total_power_w, r.total_power_w * 1e-12);
+}
+
+// A shifting run that hits shift_max_iters is an iteration_cap anomaly; a
+// default flow stops on its stall window and raises none.
+int IterationCapAnomalies(int shift_max_iters) {
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(400);
+  PlacerParams params = Params(4);
+  params.shift_max_iters = shift_max_iters;
+  Placer3D placer(nl, params);
+  AnomalyMonitor monitor;
+  placer.AddPhaseObserver(&monitor);
+  obs::MetricsRegistry registry;
+  obs::InstallMetrics(&registry);
+  const bool ok = placer.Run({.with_fea = false}).ok();
+  obs::InstallMetrics(nullptr);
+  EXPECT_TRUE(ok);
+  int flagged = 0;
+  for (const AnomalyMonitor::Anomaly& a : monitor.anomalies()) {
+    if (a.kind == "iteration_cap") {
+      EXPECT_EQ(a.phase, "coarse");
+      ++flagged;
+    }
+  }
+  EXPECT_EQ(registry.Counter("anomaly/iteration_cap"), flagged);
+  EXPECT_EQ(registry.Counter("shift/stop_cap"), flagged);
+  return flagged;
+}
+
+TEST(Placer3D, ShiftIterationCapIsAnAnomaly) {
+  EXPECT_EQ(IterationCapAnomalies(/*shift_max_iters=*/2), 1);
+  EXPECT_EQ(IterationCapAnomalies(PlacerParams{}.shift_max_iters), 0);
 }
 
 TEST(Placer3D, DeterministicForFixedSeed) {

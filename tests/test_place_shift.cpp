@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "io/synthetic.h"
+#include "obs/metrics.h"
 #include "place/bins.h"
 #include "place/shift.h"
 #include "util/rng.h"
@@ -283,6 +284,46 @@ TEST(CellShifter, StopsEarlyWhenTargetReached) {
   CellShifter shifter(eval);
   const ShiftStats stats = shifter.Run(40, /*target_density=*/1e9);
   EXPECT_EQ(stats.iterations, 0);  // target trivially met before any sweep
+  EXPECT_EQ(stats.stop, ShiftStop::kConverged);
+}
+
+TEST(CellShifter, StopsWhenOverflowStalls) {
+  // Uniformly random cells: no bin ever gets down to 1.05 at this bin size,
+  // but the overflow ratio flattens after a few sweeps, so Run stops on the
+  // stall window long before the cap.
+  Fixture f(400);
+  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
+  Placement p;
+  p.Resize(static_cast<std::size_t>(f.nl.NumCells()));
+  util::Rng rng(15);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p.x[i] = rng.NextDouble(0.0, f.chip.width());
+    p.y[i] = rng.NextDouble(0.0, f.chip.height());
+    p.layer[i] = rng.NextInt(0, 3);
+  }
+  eval.SetPlacement(p);
+
+  obs::MetricsRegistry registry;
+  obs::InstallMetrics(&registry);
+  CellShifter shifter(eval);
+  const ShiftStats stats = shifter.Run(40, /*target_density=*/1.05);
+  obs::InstallMetrics(nullptr);
+
+  EXPECT_EQ(stats.stop, ShiftStop::kStalled);
+  EXPECT_LT(stats.iterations, 40);
+  EXPECT_GT(stats.final_max_density, 1.05);
+  // The run report carries the curve (entry value + one per iteration), the
+  // exit ratio, and exactly one stop counter.
+  const std::vector<double>* series = registry.Series("shift/overflow");
+  ASSERT_NE(series, nullptr);
+  const std::vector<double>& curve = *series;
+  ASSERT_EQ(curve.size(), static_cast<std::size_t>(stats.iterations) + 1);
+  EXPECT_LT(curve.back(), curve.front());
+  EXPECT_EQ(registry.Gauge("shift/final_overflow"), stats.final_overflow);
+  EXPECT_EQ(curve.back(), stats.final_overflow);
+  EXPECT_EQ(registry.Counter("shift/stop_stalled"), 1);
+  EXPECT_EQ(registry.Counter("shift/stop_converged"), 0);
+  EXPECT_EQ(registry.Counter("shift/stop_cap"), 0);
 }
 
 }  // namespace
