@@ -4,7 +4,7 @@
 //
 // Models the per-pass thermal loop the multigrid work enables: K
 // power/position perturbation steps (placement-like drift, deterministic
-// LCG), each evaluated by four solver setups at the same relative
+// LCG), each evaluated by three solver setups at the same relative
 // tolerance:
 //
 //   oneshot — FeaSolver::Solve per step: fresh Jacobi preconditioner and a
@@ -13,14 +13,13 @@
 //             multigrid work, and the baseline the headline speedup is
 //             measured against.
 //   ic0     — FeaContext (cached assembly, warm starts), IC(0)-PCG. The
-//             temperature reference the multigrid paths must match.
+//             temperature reference the other setups must match.
 //   mg_pcg  — FeaContext, CG preconditioned by multigrid V-cycles.
-//   mg      — FeaContext, standalone multigrid V-cycle iteration.
 //
 // Reports cumulative FEA seconds and iteration counts per setup plus the
-// headline fea_mg_speedup = oneshot / mg_pcg, and verifies both multigrid
-// paths reproduce the IC(0) max/avg cell temperatures step by step —
-// exiting non-zero on disagreement, so the CI bench-smoke lane gates
+// headline fea_mg_speedup = oneshot / mg_pcg, and verifies the multigrid
+// and one-shot paths reproduce the IC(0) max/avg cell temperatures step by
+// step — exiting non-zero on disagreement, so the CI bench-smoke lane gates
 // correctness along with the fea_mg_speedup regression check
 // (bench/baselines/fea_multigrid.json).
 //
@@ -44,7 +43,6 @@ using p3d::thermal::FeaContext;
 using p3d::thermal::FeaContextOptions;
 using p3d::thermal::FeaResult;
 using p3d::thermal::FeaSolver;
-using p3d::thermal::FeaSolverKind;
 using p3d::thermal::ThermalStack;
 
 // Deterministic LCG (same constants as the synthetic netlist generator).
@@ -177,9 +175,6 @@ int main() {
   FeaContextOptions mg_pcg = base;
   mg_pcg.fea.cg.preconditioner = p3d::linalg::PreconditionerKind::kMultigrid;
 
-  FeaContextOptions mg = base;
-  mg.fea.solver = FeaSolverKind::kMultigrid;
-
   std::printf("# mesh %dx%d, %d tiers, %d cells, %d steps, tol %.0e\n",
               base.fea.nx, base.fea.ny, stack.num_layers, cells, steps,
               base.fea.cg.rel_tolerance);
@@ -190,7 +185,6 @@ int main() {
       RunOneshot(base, stack, chip, cells, steps),
       RunContext("ic0", ic0, stack, chip, cells, steps),
       RunContext("mg_pcg", mg_pcg, stack, chip, cells, steps),
-      RunContext("mg", mg, stack, chip, cells, steps),
   };
   for (const SetupRun& r : runs) {
     std::printf("%-10s %10.3f %8lld %6lld %8lld %10.3f\n", r.name, r.seconds,
@@ -207,22 +201,17 @@ int main() {
   const SetupRun& oneshot = runs[0];
   const SetupRun& ref = runs[1];
   const SetupRun& pcg = runs[2];
-  const SetupRun& vcyc = runs[3];
-  const bool temps_agree = Agrees(ref, pcg) && Agrees(ref, vcyc) &&
-                           Agrees(ref, oneshot);
-  const bool all_converged =
-      oneshot.nonconverged == 0 && ref.nonconverged == 0 &&
-      pcg.nonconverged == 0 && vcyc.nonconverged == 0;
+  const bool temps_agree = Agrees(ref, pcg) && Agrees(ref, oneshot);
+  const bool all_converged = oneshot.nonconverged == 0 &&
+                             ref.nonconverged == 0 && pcg.nonconverged == 0;
   const auto speedup = [&](const SetupRun& r) {
     return r.seconds > 0.0 ? oneshot.seconds / r.seconds : 0.0;
   };
 
-  std::printf("fea_mg_speedup: %.2fx  fea_mg_standalone_speedup: %.2fx  "
-              "fea_ic0_speedup: %.2fx  temps_agree: %s\n",
-              speedup(pcg), speedup(vcyc), speedup(ref),
-              temps_agree ? "yes" : "NO");
+  std::printf("fea_mg_speedup: %.2fx  fea_ic0_speedup: %.2fx  "
+              "temps_agree: %s\n",
+              speedup(pcg), speedup(ref), temps_agree ? "yes" : "NO");
   setup.Row({{"fea_mg_speedup", speedup(pcg)},
-             {"fea_mg_standalone_speedup", speedup(vcyc)},
              {"fea_ic0_speedup", speedup(ref)},
              {"mg_pcg_iters_per_solve",
               static_cast<double>(pcg.iters) / steps},
@@ -234,7 +223,7 @@ int main() {
   if (!temps_agree || !all_converged) {
     std::fprintf(stderr, "bench_fea_multigrid: FAIL: %s\n",
                  !temps_agree
-                     ? "multigrid temperatures disagree with IC(0)"
+                     ? "temperatures disagree with IC(0)"
                      : "solver(s) hit the iteration cap");
     return 1;
   }

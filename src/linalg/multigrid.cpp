@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "util/log.h"
@@ -13,29 +12,10 @@
 namespace p3d::linalg {
 namespace {
 
-// Fixed chunk sizes for the element-wise kernels and reductions; constants
+// Fixed chunk sizes for the element-wise kernels and smoother sweeps; constants
 // keep chunk boundaries independent of the thread count (determinism).
 constexpr std::int64_t kElemGrain = 4096;
-constexpr std::int64_t kDotGrain = 2048;
 constexpr std::int64_t kColGrain = 256;  // z columns per smoother chunk
-
-double Dot(runtime::ThreadPool* pool, const std::vector<double>& a,
-           const std::vector<double>& b) {
-  return runtime::ParallelReduce(
-      pool, 0, static_cast<std::int64_t>(a.size()), kDotGrain, 0.0,
-      [&](std::int64_t lo, std::int64_t hi) {
-        double acc = 0.0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          acc += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
-        }
-        return acc;
-      },
-      [](double acc, double partial) { return acc + partial; });
-}
-
-double Norm(runtime::ThreadPool* pool, const std::vector<double>& a) {
-  return std::sqrt(Dot(pool, a, a));
-}
 
 /// Dense Cholesky of a CSR matrix, lower triangle packed row-major.
 /// Returns an empty vector on breakdown (not SPD at this size).
@@ -425,66 +405,6 @@ void MultigridHierarchy::PrecondApply(const std::vector<double>& r,
   z->assign(r.size(), 0.0);
   Workspace ws = MakeWorkspace();
   VCycleLevel(0, r, z, &ws, pool);
-}
-
-CgResult MultigridHierarchy::Solve(const std::vector<double>& b,
-                                   std::vector<double>* x, int max_cycles,
-                                   double rel_tolerance,
-                                   runtime::ThreadPool* pool) const {
-  assert(!levels_.empty());
-  const std::size_t n = b.size();
-  assert(static_cast<std::int32_t>(n) == Dim());
-  if (x->size() != n) x->assign(n, 0.0);
-
-  obs::TraceScope trace_solve("mg.solve");
-  const auto record = [](const CgResult& res) {
-    obs::MetricAdd("mg/solves", 1);
-    obs::MetricAdd("mg/cycles", res.iters);
-    obs::MetricObserve("mg/cycles_per_solve", res.iters);
-    if (!res.converged) obs::MetricAdd("mg/unconverged", 1);
-  };
-
-  CgResult result;
-  const double bnorm = Norm(pool, b);
-  if (bnorm == 0.0) {
-    x->assign(n, 0.0);
-    result.converged = true;
-    record(result);
-    return result;
-  }
-
-  Workspace ws = MakeWorkspace();
-  std::vector<double> r(n);
-  const std::int64_t ni = static_cast<std::int64_t>(n);
-  const auto residual_norm = [&]() {
-    levels_[0].a.Multiply(*x, &r, pool);
-    runtime::ParallelFor(pool, 0, ni, kElemGrain, [&](std::int64_t i) {
-      const std::size_t u = static_cast<std::size_t>(i);
-      r[u] = b[u] - r[u];
-    });
-    return Norm(pool, r) / bnorm;
-  };
-
-  // Warm-started iterates can already satisfy the tolerance (mirrors the CG
-  // solver's early bail, so cache hits on a quiescent placement stay cheap).
-  result.residual_norm = residual_norm();
-  if (result.residual_norm < rel_tolerance) {
-    result.converged = true;
-    record(result);
-    return result;
-  }
-
-  for (int cycle = 0; cycle < max_cycles; ++cycle) {
-    VCycleLevel(0, b, x, &ws, pool);
-    result.iters = cycle + 1;
-    result.residual_norm = residual_norm();
-    if (result.residual_norm < rel_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  record(result);
-  return result;
 }
 
 }  // namespace p3d::linalg

@@ -34,8 +34,8 @@
 //     (the common case — a 24x24 lateral grid bottoms out at 3x3), else a
 //     tight-tolerance Jacobi-CG fallback.
 //
-// V-cycles run either standalone (Solve) or as a CG preconditioner
-// (PrecondApply via linalg::CgPreconditioner::kMultigrid).
+// V-cycles run as a CG preconditioner (PrecondApply via
+// linalg::CgPreconditioner::kMultigrid).
 //
 // Determinism and sharing: every kernel uses the deterministic parallel
 // runtime (fixed chunking, per-index writes, ordered reduction) — results
@@ -118,14 +118,6 @@ class MultigridHierarchy {
   void PrecondApply(const std::vector<double>& r, std::vector<double>* z,
                     runtime::ThreadPool* pool = nullptr) const;
 
-  /// Standalone solver: repeats V-cycles until the true residual satisfies
-  /// ||b - Ax|| / ||b|| < rel_tolerance or max_cycles is hit. `x` seeds the
-  /// iteration (warm starts work exactly like CG's). CgResult::iters counts
-  /// V-cycles.
-  CgResult Solve(const std::vector<double>& b, std::vector<double>* x,
-                 int max_cycles, double rel_tolerance,
-                 runtime::ThreadPool* pool = nullptr) const;
-
   bool empty() const { return levels_.empty(); }
   int NumLevels() const { return static_cast<int>(levels_.size()); }
   std::int32_t Dim() const { return levels_.empty() ? 0 : levels_[0].a.Dim(); }
@@ -154,7 +146,7 @@ class MultigridHierarchy {
   };
 
   /// Per-call scratch: one set of vectors per level, reused across the
-  /// levels of one V-cycle and across the cycles of one Solve.
+  /// levels of one V-cycle.
   struct Workspace {
     std::vector<std::vector<double>> x, b, tmp;
   };

@@ -54,24 +54,6 @@ struct GlobalPlaceStats {
 
   BisectionDetail bisection;   // populated when backend == "bisection"
   AnalyticDetail analytic;     // populated when backend == "analytic"
-
-  // Pre-multi-backend field adapters, kept one release so out-of-tree
-  // PhaseObserver implementations migrate without a flag day. In-tree code
-  // reads the detail payloads directly.
-  [[deprecated("use stats.bisection.levels")]] int levels() const {
-    return bisection.levels;
-  }
-  [[deprecated("use stats.bisection.partitions")]] int partitions() const {
-    return bisection.partitions;
-  }
-  [[deprecated("use stats.bisection.infeasible_partitions")]] int
-  infeasible_partitions() const {
-    return bisection.infeasible_partitions;
-  }
-  [[deprecated("use stats.bisection.partitioned_cells")]] long long
-  partitioned_cells() const {
-    return bisection.partitioned_cells;
-  }
 };
 
 /// One global-placement engine. Stateless across Run calls except for stats()

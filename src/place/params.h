@@ -181,12 +181,11 @@ struct PlacerParams {
   int fea_ny = 24;
   // Re-evaluate thermal FEA after every legalization pass — each move/swap
   // round and the shifting pass of coarse legalization, plus detailed and
-  // refine — instead of only at phase boundaries (RunOptions::fea_per_phase).
-  // Observational: temperatures feed telemetry and reporting, never placement
+  // refine — on top of the final report solve. The only observational-thermal
+  // knob: temperatures feed telemetry and reporting, never placement
   // decisions, so placements stay byte-identical with the knob on or off.
-  // Meant to be paired with the multigrid thermal solver
-  // (linalg::PreconditionerKind::kMultigrid via RunOptions::preconditioner,
-  // or thermal::FeaOptions::solver), which makes per-pass solves affordable.
+  // Affordable because every solve of a run shares one thermal::FeaContext
+  // (preconditioner built once, CG warm-started from the previous field).
   bool fea_per_pass = false;
 
   /// Copies num_layers into the thermal stack (kept in one place so callers

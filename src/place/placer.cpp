@@ -22,39 +22,28 @@ PlacerParams Synced(PlacerParams params) {
   return params;
 }
 
-/// Runs this flow's FEA thermal solves: through one cached FeaContext
-/// (assembly + preconditioner built once, warm-started CG) when the solver
-/// cache is on, or a fresh one-shot FeaSolver per solve when it is off (the
-/// pre-cache behavior, kept as a determinism cross-check). Accumulates the
-/// cumulative solve-time / iteration accounting for PlacementResult.
+/// Runs this flow's FEA thermal solves through one FeaContext: the caller's
+/// (RunOptions::fea_context) or one built here. Builds nothing when the run
+/// solves no FEA. The context's stats are cumulative and a caller-owned
+/// context can outlive this run, so Report() takes this run's deltas.
 class FeaRunner {
  public:
   FeaRunner(const netlist::Netlist& nl, const PlacerParams& params,
             const Chip& chip, const RunOptions& opts)
-      : nl_(nl), params_(params), chip_(chip) {
-    fopt_.nx = params.fea_nx;
-    fopt_.ny = params.fea_ny;
-    fopt_.cg.threads = params.threads;
-    fopt_.cg.preconditioner = opts.preconditioner;
-    // Use the cached context only when this run will actually solve. An
-    // externally owned context (serve engine, assembly shared across jobs)
-    // takes precedence over building one here.
-    if (opts.use_solver_cache &&
-        (opts.with_fea || opts.fea_per_phase || params.fea_per_pass)) {
-      if (opts.fea_context != nullptr) {
-        opts.fea_context->Refresh(
-            params.stack, thermal::ChipExtent{chip.width(), chip.height()});
-        active_ = opts.fea_context;
-      } else {
-        thermal::FeaContextOptions copt;
-        copt.fea = fopt_;
-        copt.warm_start = opts.warm_start;
-        ctx_ = std::make_unique<thermal::FeaContext>(
-            params.stack, thermal::ChipExtent{chip.width(), chip.height()},
-            copt);
-        active_ = ctx_.get();
-      }
+      : nl_(nl), params_(params) {
+    if (!RunSolvesFea(params, opts)) return;
+    const thermal::ChipExtent extent{chip.width(), chip.height()};
+    if (opts.fea_context != nullptr) {
+      opts.fea_context->Refresh(params.stack, extent);
+      ctx_ = opts.fea_context;
+    } else {
+      owned_ = std::make_unique<thermal::FeaContext>(
+          params.stack, extent,
+          thermal::FeaContextOptions{.fea = FeaOptionsFor(params, opts),
+                                     .warm_start = opts.warm_start});
+      ctx_ = owned_.get();
     }
+    before_ = ctx_->stats();
   }
 
   /// Full solve from a placement: per-net metrics -> powers -> temperature.
@@ -69,39 +58,25 @@ class FeaRunner {
   /// Solve with already-computed cell powers (final report path).
   thermal::FeaResult SolveWithPower(const Placement& p,
                                     const std::vector<double>& cell_power) {
-    util::Timer t;
-    thermal::FeaResult r;
-    if (active_ != nullptr) {
-      r = active_->Solve(p.x, p.y, p.layer, cell_power);
-    } else {
-      const thermal::FeaSolver solver(
-          params_.stack, thermal::ChipExtent{chip_.width(), chip_.height()},
-          fopt_);
-      r = solver.Solve(p.x, p.y, p.layer, cell_power);
-    }
-    ++solves_;
-    iters_ += r.cg_iters;
-    if (!r.converged) ++nonconverged_;
-    seconds_ += t.Seconds();
-    return r;
+    return ctx_->Solve(p.x, p.y, p.layer, cell_power);
   }
 
-  long long solves() const { return solves_; }
-  long long iters() const { return iters_; }
-  long long nonconverged() const { return nonconverged_; }
-  double seconds() const { return seconds_; }
+  /// Fills the FEA accounting of `r` with this run's solves.
+  void Report(PlacementResult* r) const {
+    if (ctx_ == nullptr) return;
+    const thermal::FeaContext::Stats& now = ctx_->stats();
+    r->t_fea = now.solve_seconds - before_.solve_seconds;
+    r->fea_solves = now.solves - before_.solves;
+    r->fea_cg_iters = now.iters_total - before_.iters_total;
+    r->fea_nonconverged = now.nonconverged - before_.nonconverged;
+  }
 
  private:
   const netlist::Netlist& nl_;
   const PlacerParams& params_;
-  const Chip& chip_;
-  thermal::FeaOptions fopt_;
-  std::unique_ptr<thermal::FeaContext> ctx_;    // owned (no external context)
-  thermal::FeaContext* active_ = nullptr;       // ctx_.get() or the external
-  long long solves_ = 0;
-  long long iters_ = 0;
-  long long nonconverged_ = 0;
-  double seconds_ = 0.0;
+  std::unique_ptr<thermal::FeaContext> owned_;  // no external context
+  thermal::FeaContext* ctx_ = nullptr;          // owned_ or the external one
+  thermal::FeaContext::Stats before_;
 };
 
 void FillMetrics(const netlist::Netlist& nl, const PlacerParams& params,
@@ -135,6 +110,20 @@ void FillMetrics(const netlist::Netlist& nl, const PlacerParams& params,
 }
 
 }  // namespace
+
+bool RunSolvesFea(const PlacerParams& params, const RunOptions& options) {
+  return options.with_fea || params.fea_per_pass;
+}
+
+thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
+                                  const RunOptions& options) {
+  thermal::FeaOptions fea;
+  fea.nx = params.fea_nx;
+  fea.ny = params.fea_ny;
+  fea.cg.threads = params.threads;
+  fea.cg.preconditioner = options.preconditioner;
+  return fea;
+}
 
 util::StatusOr<Placer3D> Placer3D::Create(const netlist::Netlist& nl,
                                           const PlacerParams& params) {
@@ -204,14 +193,11 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   if (util::Status s = cancelled_at("start"); !s.ok()) return s;
 
   FeaRunner fea(nl_, params_, chip_, options);
-  const auto phase_fea = [&] {
-    if (options.fea_per_phase) fea.Solve(eval_->placement());
-  };
   // Per-pass thermal (params_.fea_per_pass): one observational solve after
   // every legalization pass, at a finer grain than the phase boundaries.
   // Results feed telemetry and the reuse accounting, never the placement —
-  // the flow's bytes are identical with the knob on or off. Affordable when
-  // the solver-reuse layer runs multigrid (cheap, warm-started V-cycles).
+  // the flow's bytes are identical with the knob on or off. Affordable
+  // because the context reuses its preconditioner and warm-starts CG.
   const auto pass_fea = [&](const char* pass) {
     if (!params_.fea_per_pass) return;
     obs::TraceScope trace_pass("fea.pass");
@@ -235,7 +221,6 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   }
   result.t_global = t.Seconds();
   NotifyPhase("global", -1, &(*global)->stats());
-  phase_fea();
   if (util::Status s = cancelled_at("global"); !s.ok()) return s;
   util::LogInfo("global (%s) done: hpwl %.4g m, ilv %lld, obj %.4g (%.2fs)",
                 (*global)->name(), eval_->TotalHpwl(),
@@ -282,8 +267,7 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
     }
     result.t_coarse += t.Seconds();
     NotifyPhase("coarse", round);
-    phase_fea();
-    if (util::Status s = cancelled_at("coarse"); !s.ok()) return s;
+      if (util::Status s = cancelled_at("coarse"); !s.ok()) return s;
 
     // --- detailed legalization -----------------------------------------------
     t.Reset();
@@ -298,8 +282,7 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
                     static_cast<long long>(nl_.NumMovableCells() - ls.placed));
     }
     NotifyPhase("detailed", round);
-    phase_fea();
-    pass_fea("detailed");
+      pass_fea("detailed");
     if (util::Status s = cancelled_at("detailed"); !s.ok()) return s;
     // Legality-preserving post-optimization of detailed placement.
     if (ls.success) {
@@ -310,8 +293,7 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
       }
       result.t_detailed += t.Seconds();
       NotifyPhase("refine", round);
-      phase_fea();
-      pass_fea("refine");
+          pass_fea("refine");
       if (util::Status s = cancelled_at("refine"); !s.ok()) return s;
     }
     obs::MetricAdd("placer/rounds", 1);
@@ -332,10 +314,7 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   result.objective = eval_->Total();
   FillMetrics(nl_, params_, chip_, result.placement,
               options.with_fea ? &fea : nullptr, &result);
-  result.t_fea = fea.seconds();
-  result.fea_solves = fea.solves();
-  result.fea_cg_iters = fea.iters();
-  result.fea_nonconverged = fea.nonconverged();
+  fea.Report(&result);
   result.t_total = total.Seconds();
 
   // Evaluator-cache accounting for this run (deltas: the evaluator's
@@ -362,15 +341,9 @@ PlacementResult EvaluatePlacement(const netlist::Netlist& nl,
   const PlacerParams p = Synced(params);
   PlacementResult r;
   r.placement = placement;
-  RunOptions opts;
-  opts.with_fea = with_fea;
-  opts.use_solver_cache = false;  // a single solve has nothing to reuse
-  FeaRunner fea(nl, p, chip, opts);
+  FeaRunner fea(nl, p, chip, {.with_fea = with_fea});
   FillMetrics(nl, p, chip, placement, with_fea ? &fea : nullptr, &r);
-  r.t_fea = fea.seconds();
-  r.fea_solves = fea.solves();
-  r.fea_cg_iters = fea.iters();
-  r.fea_nonconverged = fea.nonconverged();
+  fea.Report(&r);
   ObjectiveEvaluator eval(nl, chip, p);
   eval.SetPlacement(placement);
   r.objective = eval.Total();

@@ -25,6 +25,7 @@
 
 namespace p3d::thermal {
 class FeaContext;
+struct FeaOptions;
 }  // namespace p3d::thermal
 
 namespace p3d::place {
@@ -71,12 +72,12 @@ struct PlacementResult {
   double t_global = 0.0;
   double t_coarse = 0.0;
   double t_detailed = 0.0;
-  double t_fea = 0.0;            // cumulative FEA (RHS + CG + readback) time
+  double t_fea = 0.0;            // FEA (RHS + CG + readback) time
   double t_total = 0.0;
 
-  // Cumulative FEA/CG solve accounting (solver reuse layer).
+  // This run's share of its thermal::FeaContext::Stats.
   long long fea_solves = 0;        // thermal solves run during the flow
-  long long fea_cg_iters = 0;      // CG iterations / V-cycles across them
+  long long fea_cg_iters = 0;      // CG iterations across them
   long long fea_nonconverged = 0;  // solves that hit the iteration cap
                                    // (also surfaced as fea/nonconverged in
                                    // the metrics registry and run-report QoR)
@@ -93,21 +94,12 @@ struct RunOptions {
   Placement initial;
 
   /// Run the report-only FEA temperature solve at the end of the flow.
+  /// PlacerParams::fea_per_pass adds observational solves after every
+  /// legalization pass; every solve of a run goes through one
+  /// thermal::FeaContext (assembly + preconditioner built once).
   bool with_fea = true;
 
-  /// Also run an observational FEA solve at every phase boundary (global,
-  /// coarse, detailed, refine, final). Purely diagnostic: results feed the
-  /// flight recorder and the cumulative solve-time accounting, never the
-  /// placement. This is the workload the solver cache accelerates.
-  bool fea_per_phase = false;
-
-  // ----- solver cache (thermal::FeaContext) -------------------------------
-  /// Reuse one stiffness-matrix assembly + preconditioner across every FEA
-  /// solve of this run. Off = a fresh solver and preconditioner per solve
-  /// (the pre-cache behavior, kept as a determinism cross-check).
-  bool use_solver_cache = true;
-  /// Seed each FEA solve from the previous temperature field (requires the
-  /// solver cache; ignored without it).
+  /// Seed each FEA solve from the previous temperature field.
   bool warm_start = true;
   /// CG preconditioner for the FEA solves.
   linalg::PreconditionerKind preconditioner = linalg::PreconditionerKind::kIc0;
@@ -119,12 +111,11 @@ struct RunOptions {
   /// cancelled. The pointee must outlive the Run call.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Externally owned solver-reuse context (non-owning). When set (and the
-  /// solver cache is enabled), the run Refresh()es and solves through this
-  /// context instead of building its own — the serve engine passes a
-  /// context whose assembly is shared across jobs with identical stack
-  /// geometry. Must outlive the Run call; ignored when use_solver_cache is
-  /// false.
+  /// Externally owned solver-reuse context (non-owning). When set, the run
+  /// Refresh()es and solves through this context instead of building its
+  /// own — the serve engine passes a context whose assembly is shared across
+  /// jobs with identical stack geometry. Must outlive the Run call. The
+  /// run's FEA fields in PlacementResult count only this run's solves.
   thermal::FeaContext* fea_context = nullptr;
 };
 
@@ -168,6 +159,16 @@ class Placer3D {
   std::unique_ptr<ObjectiveEvaluator> eval_;
   std::vector<PhaseObserver*> observers_;
 };
+
+/// True when a run with these parameters and options solves FEA at all
+/// (the final report solve or the per-pass solves). The serve engine asks
+/// this before leasing a shared FEA context for a job.
+bool RunSolvesFea(const PlacerParams& params, const RunOptions& options);
+
+/// The FEA mesh and CG options every solve of such a run uses. Equal
+/// options mean interchangeable FEA assemblies (serve::FeaKeyFor).
+thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
+                                  const RunOptions& options);
 
 /// Convenience: evaluates an existing placement (HPWL/ILV/power/FEA) without
 /// running the placer. Used by benches to compare initial vs final quality.

@@ -261,7 +261,6 @@ RowOptStats RowRefiner::Run(int passes) {
     DeltaView& view = views[static_cast<std::size_t>(slot)];
     std::vector<SwapProp>& props = swap_props[static_cast<std::size_t>(w)];
     props.clear();
-    const Placement& p = eval_.placement();
     // Swaps chain across layer pairs of the same row index, so the window's
     // whole row block is simulated at once.
     const int span = win.x1 - win.x0;

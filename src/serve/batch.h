@@ -30,7 +30,7 @@ struct SweepSpec {
   std::string circuit;        // reporting label
   double circuit_scale = 1.0;  // reporting label (netlist generation scale)
   place::PlacerParams base;   // every grid point starts from this
-  place::RunOptions options;  // with_fea / fea_per_phase for every point
+  place::RunOptions options;  // with_fea and FEA options for every point
 
   // Grid axes; an empty axis means "the base value only".
   std::vector<int> layers;

@@ -369,15 +369,11 @@ void JobEngine::RunJob(Job* job) {
   // job's deterministic dump. The lease outlives the scope below (declared
   // first => destroyed last), so its release also stays out of the dump.
   FeaContextLease lease;
-  if (options.use_solver_cache &&
-      (options.with_fea || options.fea_per_phase ||
-       job->spec.params.fea_per_pass)) {
+  if (place::RunSolvesFea(job->spec.params, options)) {
     lease = fea_cache_.Acquire(
         FeaKeyFor(job->spec.params, options, placer.chip()),
         options.warm_start);
     options.fea_context = lease.context();
-  } else {
-    options.fea_context = nullptr;
   }
 
   // Clamp the job's inner parallelism while it shares the machine with
@@ -455,10 +451,7 @@ FeaCacheKey FeaKeyFor(const place::PlacerParams& params,
   key.stack = params.stack;
   key.stack.num_layers = params.num_layers;  // what SyncStack() enforces
   key.chip = thermal::ChipExtent{chip.width(), chip.height()};
-  key.fea.nx = params.fea_nx;
-  key.fea.ny = params.fea_ny;
-  key.fea.cg.threads = params.threads;
-  key.fea.cg.preconditioner = options.preconditioner;
+  key.fea = place::FeaOptionsFor(params, options);
   return key;
 }
 

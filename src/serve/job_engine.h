@@ -221,10 +221,9 @@ class JobEngine {
   std::thread watchdog_;
 };
 
-/// The FeaContextCache key a run with these parameters/options uses —
-/// mirrors, field for field, the FeaOptions the placer's internal FEA
-/// runner builds, so an engine-leased context is interchangeable with one
-/// the placer would have built itself.
+/// The FeaContextCache key a run with these parameters/options uses. Its
+/// FeaOptions come from place::FeaOptionsFor, like the context the placer
+/// would build itself, so an engine-leased context is interchangeable.
 FeaCacheKey FeaKeyFor(const place::PlacerParams& params,
                       const place::RunOptions& options,
                       const place::Chip& chip);

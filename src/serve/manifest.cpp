@@ -1,7 +1,11 @@
 #include "serve/manifest.h"
 
+#include <algorithm>
+#include <cmath>
 #include <exception>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -29,6 +33,44 @@ util::Status FieldTypeError(std::size_t job_index, const std::string& key,
                           ": field '" + key + "' must be a " + want);
 }
 
+/// Every field a job object (or `defaults`) may carry; any other key is a
+/// manifest error, so a typo or a removed field never passes silently.
+constexpr const char* kJobFields[] = {
+    "name", "circuit", "scale", "layers", "alpha_ilv", "alpha_temp",
+    "global_backend", "seed", "threads", "priority", "with_fea",
+    "fea_per_pass", "fea_precond", "start_deadline_s"};
+
+/// Names the first key of `object` outside kJobFields; `where` is "job N"
+/// or "defaults".
+util::Status CheckJobFields(const obs::JsonValue& object,
+                            const std::string& where) {
+  for (const auto& [key, value] : object.AsObject()) {
+    const auto known = [&key](const char* f) { return key == f; };
+    if (std::none_of(std::begin(kJobFields), std::end(kJobFields), known)) {
+      return util::ParseError("jobs manifest: " + where + ": unknown field '" +
+                              key + "'");
+    }
+  }
+  return util::Status::Ok();
+}
+
+/// Converts a JSON number to the integer type T when it is finite, has no
+/// fractional part and lies in T's range; false otherwise (a static_cast
+/// of such a value would be undefined behaviour).
+template <typename T>
+bool ToIntegral(const obs::JsonValue& v, T* out) {
+  if (!v.is_number()) return false;
+  const double d = v.AsNumber();
+  // [lo, hi) with hi = 2^digits is exact in a double for int and uint64_t.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  if (!std::isfinite(d) || d != std::trunc(d) || d < lo || d >= hi) {
+    return false;
+  }
+  *out = static_cast<T>(d);
+  return true;
+}
+
 }  // namespace
 
 util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
@@ -47,22 +89,28 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
                             kJobsManifestSchema + "\"");
   }
   const obs::JsonValue* version = doc.Find("version");
-  if (version == nullptr || !version->is_number() ||
-      static_cast<int>(version->AsNumber()) != kJobsManifestVersion) {
+  int version_number = 0;
+  if (version == nullptr || !ToIntegral(*version, &version_number) ||
+      version_number != kJobsManifestVersion) {
     return util::ParseError("jobs manifest: unsupported version");
   }
 
   JobsManifest manifest;
   if (const obs::JsonValue* seed = doc.Find("seed")) {
-    if (!seed->is_number()) {
-      return util::ParseError("jobs manifest: 'seed' must be a number");
+    if (!ToIntegral(*seed, &manifest.base_seed)) {
+      return util::ParseError(
+          "jobs manifest: 'seed' must be a 64-bit unsigned integer");
     }
-    manifest.base_seed = static_cast<std::uint64_t>(seed->AsNumber());
   }
 
   const obs::JsonValue* defaults = doc.Find("defaults");
-  if (defaults != nullptr && !defaults->is_object()) {
-    return util::ParseError("jobs manifest: 'defaults' must be an object");
+  if (defaults != nullptr) {
+    if (!defaults->is_object()) {
+      return util::ParseError("jobs manifest: 'defaults' must be an object");
+    }
+    if (util::Status s = CheckJobFields(*defaults, "defaults"); !s.ok()) {
+      return s;
+    }
   }
 
   const obs::JsonValue* jobs = doc.Find("jobs");
@@ -79,6 +127,10 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
     if (!jv.is_object()) {
       return util::ParseError("jobs manifest: job " + std::to_string(i) +
                               " is not an object");
+    }
+    if (util::Status s = CheckJobFields(jv, "job " + std::to_string(i));
+        !s.ok()) {
+      return s;
     }
 
     std::string circuit = "ibm01";
@@ -101,8 +153,9 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       scale = v->AsNumber();
     }
     if (const auto* v = Lookup(jv, defaults, "layers")) {
-      if (!v->is_number()) return FieldTypeError(i, "layers", "number");
-      spec.params.num_layers = static_cast<int>(v->AsNumber());
+      if (!ToIntegral(*v, &spec.params.num_layers)) {
+        return FieldTypeError(i, "layers", "32-bit integer");
+      }
     }
     if (const auto* v = Lookup(jv, defaults, "alpha_ilv")) {
       if (!v->is_number()) return FieldTypeError(i, "alpha_ilv", "number");
@@ -122,24 +175,23 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       spec.params.global_backend = *backend;
     }
     if (const auto* v = Lookup(jv, defaults, "seed")) {
-      if (!v->is_number()) return FieldTypeError(i, "seed", "number");
-      spec.params.seed = static_cast<std::uint64_t>(v->AsNumber());
+      if (!ToIntegral(*v, &spec.params.seed)) {
+        return FieldTypeError(i, "seed", "64-bit unsigned integer");
+      }
     }
     if (const auto* v = Lookup(jv, defaults, "threads")) {
-      if (!v->is_number()) return FieldTypeError(i, "threads", "number");
-      spec.params.threads = static_cast<int>(v->AsNumber());
+      if (!ToIntegral(*v, &spec.params.threads)) {
+        return FieldTypeError(i, "threads", "32-bit integer");
+      }
     }
     if (const auto* v = Lookup(jv, defaults, "priority")) {
-      if (!v->is_number()) return FieldTypeError(i, "priority", "number");
-      spec.priority = static_cast<int>(v->AsNumber());
+      if (!ToIntegral(*v, &spec.priority)) {
+        return FieldTypeError(i, "priority", "32-bit integer");
+      }
     }
     if (const auto* v = Lookup(jv, defaults, "with_fea")) {
       if (!v->is_bool()) return FieldTypeError(i, "with_fea", "bool");
       spec.options.with_fea = v->AsBool();
-    }
-    if (const auto* v = Lookup(jv, defaults, "fea_per_phase")) {
-      if (!v->is_bool()) return FieldTypeError(i, "fea_per_phase", "bool");
-      spec.options.fea_per_phase = v->AsBool();
     }
     if (const auto* v = Lookup(jv, defaults, "fea_per_pass")) {
       if (!v->is_bool()) return FieldTypeError(i, "fea_per_pass", "bool");

@@ -11,7 +11,6 @@
 #include "linalg/multigrid.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/thread_pool.h"
 #include "util/log.h"
 
 namespace p3d::thermal {
@@ -80,14 +79,6 @@ std::array<std::array<double, 4>, 4> FaceConvection(double area, double h) {
 }
 
 }  // namespace
-
-const char* FeaSolverKindName(FeaSolverKind kind) {
-  switch (kind) {
-    case FeaSolverKind::kCg: return "cg";
-    case FeaSolverKind::kMultigrid: return "multigrid";
-  }
-  return "unknown";
-}
 
 FeaSolver::FeaSolver(const ThermalStack& stack, const ChipExtent& chip,
                      const FeaOptions& options)
@@ -313,8 +304,7 @@ double FeaSolver::SampleTemp(const std::vector<double>& node_temp, double x,
 namespace {
 
 bool WantsMultigrid(const FeaOptions& options) {
-  return options.solver == FeaSolverKind::kMultigrid ||
-         options.cg.preconditioner == linalg::PreconditionerKind::kMultigrid;
+  return options.cg.preconditioner == linalg::PreconditionerKind::kMultigrid;
 }
 
 /// Builds the mesh hierarchy for `fine` by re-assembling the stiffness
@@ -353,20 +343,18 @@ std::shared_ptr<const linalg::MultigridHierarchy> BuildHierarchy(
 }
 
 /// The preconditioner an assembly solves with: the multigrid V-cycle when a
-/// hierarchy exists and CG-with-multigrid was requested, the requested kind
-/// otherwise — except that an unsatisfiable multigrid request (no hierarchy)
-/// deterministically degrades to IC(0) rather than Jacobi.
+/// hierarchy exists, the requested kind otherwise — except that an
+/// unsatisfiable multigrid request (no hierarchy) deterministically degrades
+/// to IC(0) rather than Jacobi.
 linalg::CgPreconditioner BuildAssemblyPrecond(
     const FeaOptions& options, const FeaSolver& solver,
     const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy) {
-  linalg::PreconditionerKind kind = options.cg.preconditioner;
-  if (kind == linalg::PreconditionerKind::kMultigrid &&
-      hierarchy != nullptr) {
+  if (hierarchy != nullptr) {
     return linalg::CgPreconditioner::BuildMultigrid(hierarchy);
   }
-  if (hierarchy == nullptr && WantsMultigrid(options)) {
-    kind = linalg::PreconditionerKind::kIc0;
-  }
+  const linalg::PreconditionerKind kind =
+      WantsMultigrid(options) ? linalg::PreconditionerKind::kIc0
+                              : options.cg.preconditioner;
   return linalg::CgPreconditioner::Build(solver.matrix(), kind);
 }
 
@@ -441,19 +429,10 @@ FeaResult FeaContext::Solve(const std::vector<double>& x,
     temp.assign(n, 0.0);
   }
 
-  // Solver dispatch: standalone V-cycle iteration when the options ask for
-  // it and a hierarchy exists, preconditioned CG otherwise (where the
-  // preconditioner may itself be a V-cycle — see FeaAssembly). Either way
-  // the result is bit-identical for any thread count.
-  linalg::CgResult cg;
-  if (assembly_->UsesStandaloneMultigrid()) {
-    runtime::ThreadPool* pool = runtime::SharedPool(options_.fea.cg.threads);
-    cg = assembly_->hierarchy->Solve(rhs, &temp, options_.fea.cg.max_iters,
-                                     options_.fea.cg.rel_tolerance, pool);
-  } else {
-    cg = linalg::SolveCgPreconditioned(solver.matrix(), assembly_->precond,
-                                       rhs, &temp, options_.fea.cg);
-  }
+  // The preconditioner may itself be a V-cycle (see FeaAssembly); either
+  // way the result is bit-identical for any thread count.
+  const linalg::CgResult cg = linalg::SolveCgPreconditioned(
+      solver.matrix(), assembly_->precond, rhs, &temp, options_.fea.cg);
   if (!cg.converged) {
     util::LogWarn("fea: thermal solve did not converge (residual %.3g after "
                   "%d iters)",

@@ -12,7 +12,12 @@
 // cell heat loads land exactly in their device layer. Boundary conditions:
 // convective (Robin) on the bottom heat-sink face with h_sink, convective
 // with h_ambient on the top face, adiabatic sides. The assembled system is
-// symmetric positive definite and solved with Jacobi-preconditioned CG.
+// symmetric positive definite and solved with preconditioned CG, as set by
+// FeaOptions::cg.preconditioner: Jacobi (the CgOptions default), IC(0) (the
+// placer's default, place::RunOptions::preconditioner) or multigrid
+// V-cycles. Placement flows solve through FeaContext, which builds the
+// preconditioner once per geometry and can warm-start each solve from the
+// previous field.
 #pragma once
 
 #include <cstdint>
@@ -27,30 +32,14 @@
 
 namespace p3d::thermal {
 
-/// Linear-solver family for the repeated thermal solves.
-enum class FeaSolverKind {
-  /// Preconditioned CG; the preconditioner comes from cg.preconditioner
-  /// (Jacobi, IC(0), or multigrid V-cycles via kMultigrid).
-  kCg,
-  /// Standalone geometric-multigrid V-cycle iteration (no Krylov wrapper).
-  /// Engages through FeaContext/FeaAssembly, where the mesh hierarchy is
-  /// assembled and cached; one-shot FeaSolver::Solve calls fall back to CG.
-  kMultigrid,
-};
-
-/// Returns "cg" / "multigrid".
-const char* FeaSolverKindName(FeaSolverKind kind);
-
 struct FeaOptions {
   int nx = 24;         // lateral elements in x
   int ny = 24;         // lateral elements in y
   int bulk_elems = 4;  // vertical elements through the bulk substrate
+  /// cg.preconditioner = kMultigrid makes FeaAssembly build a mesh
+  /// hierarchy by repeated 2x lateral coarsening (z planes kept) and share it
+  /// like the IC(0) factorization.
   linalg::CgOptions cg{.max_iters = 4000, .rel_tolerance = 1e-8};
-  /// Solver family (see FeaSolverKind). Both multigrid modes — standalone
-  /// kMultigrid here, or kCg with cg.preconditioner = kMultigrid — make
-  /// FeaAssembly build a mesh hierarchy by repeated 2x lateral coarsening
-  /// (z planes kept) and share it like the IC(0) factorization.
-  FeaSolverKind solver = FeaSolverKind::kCg;
 
   /// Mesh-shape equality (CG knobs included: a tolerance change invalidates
   /// a FeaContext's warm-start baseline bookkeeping too).
@@ -169,17 +158,11 @@ struct FeaAssembly {
   /// coarsening per level, z planes kept; coarse operators re-assembled on
   /// the coarse meshes, which equals the Galerkin triple product here —
   /// conductivity varies only with z, so the coarse spaces are nested).
-  /// Built only when `options` selects multigrid; null otherwise, and null
-  /// when the lateral grid cannot be halved even once (odd nx/ny) — then
-  /// the solve falls back to IC(0)-preconditioned CG.
+  /// Built only when `options` selects the multigrid preconditioner; null
+  /// otherwise, and null when the lateral grid cannot be halved even once
+  /// (odd nx/ny) — then the solve falls back to IC(0)-preconditioned CG.
   const std::shared_ptr<const linalg::MultigridHierarchy> hierarchy;
   const linalg::CgPreconditioner precond;
-
-  /// True when Solve calls will run standalone multigrid instead of CG.
-  bool UsesStandaloneMultigrid() const {
-    return solver.options().solver == FeaSolverKind::kMultigrid &&
-           hierarchy != nullptr;
-  }
 };
 
 /// Solver reuse layer: holds a FeaAssembly (FeaSolver + prebuilt CG
@@ -236,7 +219,7 @@ class FeaContext {
     long long cache_hits = 0;    // solves that reused the cached assembly
     long long rebuilds = 0;      // geometry rebuilds (ctor counts as one)
     long long warm_starts = 0;   // solves seeded from a previous field
-    long long iters_total = 0;   // CG iterations / V-cycles across all solves
+    long long iters_total = 0;   // CG iterations across all solves
     long long iters_saved = 0;   // vs. the first (cold) solve's iterations
     long long nonconverged = 0;  // solves that hit the iteration cap
     double solve_seconds = 0.0;  // wall time in Solve() (reporting only —

@@ -338,14 +338,24 @@ CsrMatrix PoissonHex(const MgGrid& g, double hz) {
   return CsrMatrix::FromCoo(coo);
 }
 
-MultigridHierarchy BuildPoissonHierarchy(int nx, int ny, int nz_nodes,
-                                         const MultigridOptions& options = {}) {
+std::shared_ptr<const MultigridHierarchy> BuildPoissonHierarchy(
+    int nx, int ny, int nz_nodes, const MultigridOptions& options = {}) {
   const MgGrid fine{nx, ny, nz_nodes};
   const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine, options);
   std::vector<CsrMatrix> mats;
   mats.reserve(plan.size());
   for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
-  return MultigridHierarchy::Build(std::move(mats), plan, options);
+  return std::make_shared<const MultigridHierarchy>(
+      MultigridHierarchy::Build(std::move(mats), plan, options));
+}
+
+/// CG on the hierarchy's fine operator, preconditioned by its V-cycle.
+CgResult SolveMgPcg(const std::shared_ptr<const MultigridHierarchy>& mg,
+                    const std::vector<double>& b, std::vector<double>* x,
+                    int threads = 1) {
+  return SolveCgPreconditioned(
+      mg->Matrix(0), CgPreconditioner::BuildMultigrid(mg), b, x,
+      {.max_iters = 50, .rel_tolerance = 1e-10, .threads = threads});
 }
 
 TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
@@ -363,26 +373,26 @@ TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
   EXPECT_EQ(MultigridHierarchy::CoarsenPlan({24, 24, 12}, opt).size(), 3u);
 }
 
-TEST(Multigrid, StandaloneSolveConvergesFast) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(16, 16, 4);
-  ASSERT_EQ(mg.NumLevels(), 4);  // 16 -> 8 -> 4 -> 2
-  EXPECT_TRUE(mg.CoarseDirect());
+TEST(Multigrid, PreconditionedSolveConvergesFast) {
+  const auto mg = BuildPoissonHierarchy(16, 16, 4);
+  ASSERT_EQ(mg->NumLevels(), 4);  // 16 -> 8 -> 4 -> 2
+  EXPECT_TRUE(mg->CoarseDirect());
   util::Rng rng(17);
-  std::vector<double> truth(static_cast<std::size_t>(mg.Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
   std::vector<double> b;
-  mg.Matrix(0).Multiply(truth, &b);
+  mg->Matrix(0).Multiply(truth, &b);
   std::vector<double> x;
-  const CgResult r = mg.Solve(b, &x, /*max_cycles=*/50, 1e-10);
+  const CgResult r = SolveMgPcg(mg, b, &x);
   ASSERT_TRUE(r.converged);
-  // Mesh-independent convergence is the whole point: a handful of V-cycles,
-  // not the O(n) iterations an unpreconditioned Krylov method would need.
+  // Mesh-independent convergence is the whole point: a handful of
+  // iterations, not the O(n) an unpreconditioned Krylov method would need.
   EXPECT_LE(r.iters, 25);
   for (std::size_t i = 0; i < truth.size(); ++i) {
     EXPECT_NEAR(x[i], truth[i], 1e-6);
   }
-  // A warm start from the solution early-exits without cycling.
-  const CgResult warm = mg.Solve(b, &x, 50, 1e-10);
+  // A warm start from the solution early-exits without iterating.
+  const CgResult warm = SolveMgPcg(mg, b, &x);
   EXPECT_TRUE(warm.converged);
   EXPECT_EQ(warm.iters, 0);
 }
@@ -390,14 +400,14 @@ TEST(Multigrid, StandaloneSolveConvergesFast) {
 TEST(Multigrid, PreconditionerIsSymmetric) {
   // CG requires a symmetric preconditioner: check <B u, v> == <u, B v> for
   // random vectors (equal pre/post weighted-Jacobi sweeps keep it so).
-  const MultigridHierarchy mg = BuildPoissonHierarchy(8, 8, 3);
+  const auto mg = BuildPoissonHierarchy(8, 8, 3);
   util::Rng rng(23);
-  const std::size_t n = static_cast<std::size_t>(mg.Dim());
+  const std::size_t n = static_cast<std::size_t>(mg->Dim());
   std::vector<double> u(n), v(n), bu, bv;
   for (auto& e : u) e = rng.NextDouble(-1.0, 1.0);
   for (auto& e : v) e = rng.NextDouble(-1.0, 1.0);
-  mg.PrecondApply(u, &bu);
-  mg.PrecondApply(v, &bv);
+  mg->PrecondApply(u, &bu);
+  mg->PrecondApply(v, &bv);
   double buv = 0.0, ubv = 0.0, scale = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     buv += bu[i] * v[i];
@@ -408,8 +418,8 @@ TEST(Multigrid, PreconditionerIsSymmetric) {
 }
 
 TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(32, 32, 4);
-  const CsrMatrix& a = mg.Matrix(0);
+  const auto mg = BuildPoissonHierarchy(32, 32, 4);
+  const CsrMatrix& a = mg->Matrix(0);
   util::Rng rng(5);
   std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
   for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
@@ -422,9 +432,7 @@ TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
   opt.preconditioner = PreconditionerKind::kIc0;
   const CgResult ric = SolveCg(a, b, &x_ic, opt);
 
-  auto shared = std::make_shared<const MultigridHierarchy>(
-      BuildPoissonHierarchy(32, 32, 4));
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(shared);
+  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(mg);
   EXPECT_EQ(pmg.kind(), PreconditionerKind::kMultigrid);
   EXPECT_FALSE(pmg.empty());
   std::vector<double> x_mg;
@@ -439,57 +447,39 @@ TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
 }
 
 TEST(Multigrid, DeterministicAcrossThreadCounts) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(16, 16, 4);
+  const auto mg = BuildPoissonHierarchy(16, 16, 4);
   util::Rng rng(29);
-  std::vector<double> truth(static_cast<std::size_t>(mg.Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-3.0, 3.0);
   std::vector<double> b;
-  mg.Matrix(0).Multiply(truth, &b);
+  mg->Matrix(0).Multiply(truth, &b);
 
-  // Standalone V-cycle solve: bitwise-equal at 1 and 8 threads.
+  // Multigrid-preconditioned CG: bitwise-equal at 1 and 8 threads.
   std::vector<double> x1, x8;
-  const CgResult r1 =
-      mg.Solve(b, &x1, 50, 1e-10, runtime::SharedPool(1));
-  const CgResult r8 =
-      mg.Solve(b, &x8, 50, 1e-10, runtime::SharedPool(8));
+  const CgResult r1 = SolveMgPcg(mg, b, &x1, /*threads=*/1);
+  const CgResult r8 = SolveMgPcg(mg, b, &x8, /*threads=*/8);
   ASSERT_TRUE(r1.converged);
   EXPECT_EQ(r1.iters, r8.iters);
   for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_EQ(x1[i], x8[i]);
-
-  // Same contract through the CG preconditioner path.
-  auto shared =
-      std::make_shared<const MultigridHierarchy>(BuildPoissonHierarchy(16, 16, 4));
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(shared);
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  opt.threads = 1;
-  std::vector<double> y1;
-  const CgResult c1 = SolveCgPreconditioned(mg.Matrix(0), pmg, b, &y1, opt);
-  opt.threads = 8;
-  std::vector<double> y8;
-  const CgResult c8 = SolveCgPreconditioned(mg.Matrix(0), pmg, b, &y8, opt);
-  ASSERT_TRUE(c1.converged);
-  EXPECT_EQ(c1.iters, c8.iters);
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y8[i]);
 }
 
 TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
   MultigridOptions direct_opt;
-  const MultigridHierarchy direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
+  const auto direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
   MultigridOptions cg_opt;
   cg_opt.coarse_direct_max_dim = 0;  // force the CG coarse path
-  const MultigridHierarchy iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
-  EXPECT_TRUE(direct.CoarseDirect());
-  EXPECT_FALSE(iterative.CoarseDirect());
+  const auto iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
+  EXPECT_TRUE(direct->CoarseDirect());
+  EXPECT_FALSE(iterative->CoarseDirect());
 
   util::Rng rng(31);
-  std::vector<double> truth(static_cast<std::size_t>(direct.Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(direct->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
   std::vector<double> b;
-  direct.Matrix(0).Multiply(truth, &b);
+  direct->Matrix(0).Multiply(truth, &b);
   std::vector<double> xd, xi;
-  const CgResult rd = direct.Solve(b, &xd, 50, 1e-10);
-  const CgResult ri = iterative.Solve(b, &xi, 50, 1e-10);
+  const CgResult rd = SolveMgPcg(direct, b, &xd);
+  const CgResult ri = SolveMgPcg(iterative, b, &xi);
   ASSERT_TRUE(rd.converged);
   ASSERT_TRUE(ri.converged);
   for (std::size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xd[i], xi[i], 1e-8);

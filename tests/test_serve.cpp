@@ -439,6 +439,65 @@ TEST(JobsManifest, RejectsMalformedInput) {
   EXPECT_FALSE(LoadJobsManifest("/nonexistent/manifest.json").ok());
 }
 
+TEST(JobsManifest, RejectsUnknownFields) {
+  util::ScopedLogLevel quiet(util::LogLevel::kWarn);
+  // A typo in a job: the error names the job index and the key.
+  const auto typo = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "defaults": {"circuit": "ibm01", "scale": 0.01},
+      "jobs": [{"alpha_temp": 1e-6}, {"alpha_tmep": 1e-6}]})");
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(typo.status().message().find("job 1"), std::string::npos);
+  EXPECT_NE(typo.status().message().find("'alpha_tmep'"), std::string::npos);
+  // An unknown field in `defaults` is rejected the same way.
+  const auto unknown = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "defaults": {"scale": 0.01, "fea_solver": "multigrid"},
+      "jobs": [{"circuit": "ibm01"}]})");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(unknown.status().message().find("defaults"), std::string::npos);
+  EXPECT_NE(unknown.status().message().find("'fea_solver'"),
+            std::string::npos);
+  // The committed example manifest uses only known fields.
+  const auto sweep =
+      LoadJobsManifest(std::string(P3D_SOURCE_DIR) +
+                       "/examples/manifests/sweep6.json");
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_EQ(sweep->jobs.size(), 6u);
+}
+
+TEST(JobsManifest, RejectsIntegerFieldsOutsideTheirType) {
+  util::ScopedLogLevel quiet(util::LogLevel::kWarn);
+  const auto parse = [](const std::string& seed, const std::string& job) {
+    return ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
+        "seed": )" + seed + R"(, "defaults": {"circuit": "ibm01",
+        "scale": 0.01}, "jobs": [)" + job + "]}");
+  };
+  for (const char* job :
+       {R"({"layers": 1e300})", R"({"layers": 2.5})", R"({"threads": -1e10})",
+        R"({"priority": 2147483648})", R"({"seed": -1})",
+        R"({"seed": 1e300})", R"({"seed": 18446744073709551616})"}) {
+    const auto m = parse("42", job);
+    ASSERT_FALSE(m.ok()) << job;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kParseError) << job;
+    EXPECT_NE(m.status().message().find("job 0"), std::string::npos) << job;
+  }
+  for (const char* seed : {"-1", "1e300", "0.5"}) {
+    const auto m = parse(seed, "{}");
+    ASSERT_FALSE(m.ok()) << seed;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kParseError) << seed;
+  }
+  // Whole numbers in range parse, the extremes included.
+  const auto ok = parse(
+      "18446744073709549568",
+      R"({"priority": -2147483648, "threads": 2, "seed": 0, "layers": 3})");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->base_seed, 18446744073709549568ULL);
+  EXPECT_EQ(ok->jobs[0].priority, -2147483648LL);
+  EXPECT_EQ(ok->jobs[0].params.seed, 0u);
+  EXPECT_EQ(ok->jobs[0].params.num_layers, 3);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep + batch report
 // ---------------------------------------------------------------------------

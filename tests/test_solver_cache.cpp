@@ -1,9 +1,9 @@
 // The determinism contract of the solver reuse layer (DESIGN.md §8):
 // caching (FeaContext assembly reuse, CG warm starts, incremental net-box
 // kernels) is allowed to change how fast answers arrive, never which
-// placement comes out. Placements must be byte-identical with caching on
-// vs. off, at any thread count, and for either CG preconditioner; the
-// reuse itself must be visible as solver/* metrics.
+// placement comes out. Placements must be byte-identical with per-pass FEA
+// on vs. off, at any thread count, and for any CG preconditioner; the reuse
+// itself must be visible as solver/* metrics.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,6 +16,7 @@
 #include "place/monitor.h"
 #include "place/placer.h"
 #include "thermal/fea.h"
+#include "thermal/power.h"
 #include "util/log.h"
 
 namespace p3d {
@@ -41,8 +42,8 @@ place::PlacerParams ThermalParams() {
 }
 
 /// Drops metric lines keyed under cg/, solver/, and fea/ — the solver
-/// accounting legitimately differs with caching on vs. off; everything else
-/// (flow counters, audit counters, objective series) must not.
+/// accounting legitimately differs with per-pass FEA on vs. off; everything
+/// else (flow counters, audit counters, objective series) must not.
 std::string FilterSolverMetrics(const std::string& dump) {
   std::istringstream in(dump);
   std::string out, line;
@@ -85,42 +86,102 @@ void ExpectSamePlacement(const place::PlacementResult& a,
   EXPECT_EQ(a.legal, b.legal);
 }
 
-TEST(SolverCache, PlacementByteIdenticalCacheOnVsOff) {
+TEST(SolverCache, PlacementByteIdenticalFeaPerPassOnVsOff) {
+  // FEA never steers: re-solving thermal after every legalization pass must
+  // leave the placement, its quality metrics and every flow counter alone.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(300, 21);
-  const place::PlacerParams params = ThermalParams();
+  place::PlacerParams params = ThermalParams();
 
-  // Per-phase FEA on, so the cached path actually solves repeatedly.
-  const RunOutput cached = RunWith(
-      nl, params,
-      {.with_fea = true, .fea_per_phase = true, .use_solver_cache = true});
-  const RunOutput uncached = RunWith(
-      nl, params,
-      {.with_fea = true, .fea_per_phase = true, .use_solver_cache = false});
+  params.fea_per_pass = true;
+  const RunOutput per_pass = RunWith(nl, params, {.with_fea = true});
+  params.fea_per_pass = false;
+  const RunOutput final_only = RunWith(nl, params, {.with_fea = true});
 
-  ExpectSamePlacement(cached.result, uncached.result);
-  // Final-solve temperatures agree to solver tolerance (the cached run's
-  // final solve is warm-started, so the CG iterates differ).
-  EXPECT_NEAR(cached.result.avg_temp_c, uncached.result.avg_temp_c, 1e-4);
-  EXPECT_NEAR(cached.result.max_temp_c, uncached.result.max_temp_c, 1e-4);
-  // Everything outside the solver-accounting namespaces is identical.
-  EXPECT_EQ(cached.filtered_dump, uncached.filtered_dump);
-  EXPECT_FALSE(cached.filtered_dump.empty());
+  ExpectSamePlacement(per_pass.result, final_only.result);
+  EXPECT_GT(per_pass.result.fea_solves, final_only.result.fea_solves);
+  EXPECT_EQ(final_only.result.fea_solves, 1);
+  // The per-pass run's final solve is warm-started, so the CG iterates (and
+  // the last bits of the temperatures) may differ; the answers agree to
+  // solver tolerance.
+  EXPECT_NEAR(per_pass.result.avg_temp_c, final_only.result.avg_temp_c, 1e-4);
+  EXPECT_NEAR(per_pass.result.max_temp_c, final_only.result.max_temp_c, 1e-4);
+  EXPECT_EQ(per_pass.filtered_dump, final_only.filtered_dump);
+  EXPECT_FALSE(per_pass.filtered_dump.empty());
+}
+
+TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
+  // EvaluatePlacement solves through a fresh FeaContext; its one cold IC(0)
+  // solve runs the same CG as a one-shot FeaSolver::Solve, so the reported
+  // temperatures are the one-shot ones bit for bit.
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(200, 28);
+  place::PlacerParams params = ThermalParams();
+  params.SyncStack();
+  place::Placer3D placer(nl, params);
+  const place::PlacementResult placed = *placer.Run({.with_fea = false});
+
+  const place::PlacementResult r = place::EvaluatePlacement(
+      nl, params, placer.chip(), placed.placement, /*with_fea=*/true);
+  ASSERT_TRUE(r.fea_valid);
+  EXPECT_EQ(r.fea_solves, 1);
+
+  const thermal::NetMetrics metrics = thermal::ComputeNetMetrics(
+      nl, placed.placement.x, placed.placement.y, placed.placement.layer);
+  const thermal::PowerReport power =
+      thermal::ComputePower(nl, metrics, params.electrical);
+  thermal::FeaOptions fopt;
+  fopt.nx = params.fea_nx;
+  fopt.ny = params.fea_ny;
+  fopt.cg.threads = params.threads;
+  fopt.cg.preconditioner = linalg::PreconditionerKind::kIc0;
+  const thermal::FeaSolver oneshot(
+      params.stack,
+      thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
+      fopt);
+  const thermal::FeaResult want =
+      oneshot.Solve(placed.placement.x, placed.placement.y,
+                    placed.placement.layer, power.cell_power);
+  EXPECT_EQ(r.avg_temp_c, want.avg_cell_temp);
+  EXPECT_EQ(r.max_temp_c, want.max_cell_temp);
+  EXPECT_EQ(r.fea_cg_iters, want.cg_iters);
+}
+
+TEST(SolverCache, SharedContextReportsPerRunDeltas) {
+  // A caller-owned context outlives one Run; each run's FEA fields count
+  // only its own solves, not the context's history.
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(150, 29);
+  place::PlacerParams params = ThermalParams();
+  params.SyncStack();
+  place::Placer3D first(nl, params);
+  const place::Chip& chip = first.chip();
+  thermal::FeaContext ctx(
+      params.stack, thermal::ChipExtent{chip.width(), chip.height()},
+      {.fea = place::FeaOptionsFor(params, {})});
+
+  const place::PlacementResult r1 =
+      *first.Run({.with_fea = true, .fea_context = &ctx});
+  place::Placer3D second(nl, params);
+  const place::PlacementResult r2 =
+      *second.Run({.with_fea = true, .fea_context = &ctx});
+  EXPECT_EQ(r1.fea_solves, 1);
+  EXPECT_EQ(r2.fea_solves, 1);
+  EXPECT_EQ(ctx.stats().solves, 2);
+  EXPECT_EQ(r1.fea_cg_iters + r2.fea_cg_iters, ctx.stats().iters_total);
+  EXPECT_EQ(r1.placement.x, r2.placement.x);
 }
 
 TEST(SolverCache, PlacementByteIdenticalThreads1Vs4WithCache) {
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(300, 22);
   place::PlacerParams params = ThermalParams();
+  params.fea_per_pass = true;
 
   params.threads = 1;
-  const RunOutput r1 = RunWith(
-      nl, params,
-      {.with_fea = true, .fea_per_phase = true, .use_solver_cache = true});
+  const RunOutput r1 = RunWith(nl, params, {.with_fea = true});
   params.threads = 4;
-  const RunOutput r4 = RunWith(
-      nl, params,
-      {.with_fea = true, .fea_per_phase = true, .use_solver_cache = true});
+  const RunOutput r4 = RunWith(nl, params, {.with_fea = true});
 
   ExpectSamePlacement(r1.result, r4.result);
   // The deterministic runtime makes CG bit-identical across thread counts,
@@ -158,13 +219,13 @@ TEST(SolverCache, PreconditionerChoiceDoesNotAffectPlacement) {
 TEST(SolverCache, ReuseIsVisibleInSolverMetrics) {
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(200, 24);
-  const place::PlacerParams params = ThermalParams();
+  place::PlacerParams params = ThermalParams();
+  params.fea_per_pass = true;
 
   obs::MetricsRegistry registry;
   obs::InstallMetrics(&registry);
   place::Placer3D placer(nl, params);
-  const place::PlacementResult r = *placer.Run(
-      {.with_fea = true, .fea_per_phase = true, .use_solver_cache = true});
+  const place::PlacementResult r = *placer.Run({.with_fea = true});
   obs::InstallMetrics(nullptr);
 
   ASSERT_TRUE(r.fea_valid);
@@ -315,9 +376,9 @@ TEST(SolverCache, AnomalyMonitorFlagsFeaNonconvergence) {
 }
 
 TEST(SolverCache, MultigridMatchesIc0AtEqualTolerance) {
-  // Same FEA system, same 1e-8 relative tolerance: standalone multigrid
-  // V-cycles, multigrid-preconditioned CG, and IC(0)-preconditioned CG must
-  // agree on the temperatures they report.
+  // Same FEA system, same 1e-8 relative tolerance: multigrid-preconditioned
+  // CG and IC(0)-preconditioned CG must agree on the temperatures they
+  // report.
   thermal::ThermalStack stack;
   stack.num_layers = 4;
   const thermal::ChipExtent chip{1e-3, 1e-3};
@@ -337,31 +398,20 @@ TEST(SolverCache, MultigridMatchesIc0AtEqualTolerance) {
   const thermal::FeaResult want = ctx_ic0.Solve(x, y, layer, power);
   ASSERT_TRUE(want.converged);
 
-  thermal::FeaContextOptions mg = base;
-  mg.fea.solver = thermal::FeaSolverKind::kMultigrid;
-  thermal::FeaContext ctx_mg(stack, chip, mg);
-  ASSERT_NE(ctx_mg.assembly()->hierarchy, nullptr);
-  EXPECT_EQ(ctx_mg.assembly()->hierarchy->NumLevels(), 4);
-  EXPECT_TRUE(ctx_mg.assembly()->UsesStandaloneMultigrid());
-  const thermal::FeaResult standalone = ctx_mg.Solve(x, y, layer, power);
-  ASSERT_TRUE(standalone.converged);
-  // V-cycles converge in far fewer iterations than Krylov sweeps.
-  EXPECT_LT(standalone.cg_iters, want.cg_iters);
-
   thermal::FeaContextOptions mgpc = base;
   mgpc.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
   thermal::FeaContext ctx_mgpc(stack, chip, mgpc);
   ASSERT_NE(ctx_mgpc.assembly()->hierarchy, nullptr);
-  EXPECT_FALSE(ctx_mgpc.assembly()->UsesStandaloneMultigrid());
+  EXPECT_EQ(ctx_mgpc.assembly()->hierarchy->NumLevels(), 4);
   const thermal::FeaResult precond = ctx_mgpc.Solve(x, y, layer, power);
   ASSERT_TRUE(precond.converged);
+  // V-cycle preconditioning converges in fewer iterations than IC(0).
+  EXPECT_LT(precond.cg_iters, want.cg_iters);
 
-  for (const thermal::FeaResult* r : {&standalone, &precond}) {
-    EXPECT_NEAR(r->avg_cell_temp, want.avg_cell_temp,
-                std::abs(want.avg_cell_temp) * 1e-4 + 1e-6);
-    EXPECT_NEAR(r->max_cell_temp, want.max_cell_temp,
-                std::abs(want.max_cell_temp) * 1e-4 + 1e-6);
-  }
+  EXPECT_NEAR(precond.avg_cell_temp, want.avg_cell_temp,
+              std::abs(want.avg_cell_temp) * 1e-4 + 1e-6);
+  EXPECT_NEAR(precond.max_cell_temp, want.max_cell_temp,
+              std::abs(want.max_cell_temp) * 1e-4 + 1e-6);
 }
 
 TEST(SolverCache, MultigridFallsBackWhenGridCannotCoarsen) {
@@ -374,12 +424,11 @@ TEST(SolverCache, MultigridFallsBackWhenGridCannotCoarsen) {
   opt.fea.nx = 11;
   opt.fea.ny = 11;
   opt.fea.bulk_elems = 2;
-  opt.fea.solver = thermal::FeaSolverKind::kMultigrid;
+  opt.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
 
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   thermal::FeaContext ctx(stack, chip, opt);
   EXPECT_EQ(ctx.assembly()->hierarchy, nullptr);
-  EXPECT_FALSE(ctx.assembly()->UsesStandaloneMultigrid());
   EXPECT_EQ(ctx.preconditioner().kind(), linalg::PreconditionerKind::kIc0);
   const thermal::FeaResult r =
       ctx.Solve({0.3e-3}, {0.4e-3}, {1}, {0.05});
@@ -396,7 +445,7 @@ TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
   opt.fea.nx = 12;  // coarsens 12 -> 6 -> 3
   opt.fea.ny = 12;
   opt.fea.bulk_elems = 3;
-  opt.fea.solver = thermal::FeaSolverKind::kMultigrid;
+  opt.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
   thermal::FeaContext ctx(stack, chip, opt);
 
   const auto h1 = ctx.assembly()->hierarchy;
@@ -422,9 +471,9 @@ TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
 }
 
 TEST(SolverCache, MultigridPerPassByteIdenticalThreads1Vs8) {
-  // The whole point of per-pass thermal + multigrid: placements stay
+  // Per-pass thermal through multigrid-preconditioned CG: placements stay
   // byte-identical at any thread count, and so does every deterministic
-  // counter (V-cycles included).
+  // counter (CG iterations included).
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(300, 26);
   place::PlacerParams params = ThermalParams();
@@ -434,15 +483,11 @@ TEST(SolverCache, MultigridPerPassByteIdenticalThreads1Vs8) {
   const RunOutput r1 = RunWith(
       nl, params,
       {.with_fea = true,
-       .fea_per_phase = true,
-       .use_solver_cache = true,
        .preconditioner = linalg::PreconditionerKind::kMultigrid});
   params.threads = 8;
   const RunOutput r8 = RunWith(
       nl, params,
       {.with_fea = true,
-       .fea_per_phase = true,
-       .use_solver_cache = true,
        .preconditioner = linalg::PreconditionerKind::kMultigrid});
 
   ExpectSamePlacement(r1.result, r8.result);

@@ -41,8 +41,8 @@
 //                             on audit violations and fatal signals
 //     --no-fea                skip the FEA temperature solve
 //     --fea-per-pass          re-solve thermal FEA after every legalization
-//                             pass (observational; pair with
-//                             --fea-precond multigrid to keep it cheap)
+//                             pass (observational; every solve reuses the
+//                             run's cached FEA assembly)
 //     --fea-precond NAME      FEA preconditioner: jacobi|ic0|multigrid
 //                             (default ic0)
 //     --quiet                 errors only
@@ -466,12 +466,10 @@ int main(int argc, char** argv) {
         p3d::thermal::ComputePower(netlist, metrics, params.electrical);
     p3d::place::PlacerParams synced = params;
     synced.SyncStack();
-    p3d::thermal::FeaOptions fopt;
-    fopt.cg.threads = synced.threads;
     const p3d::thermal::FeaSolver fea(
         synced.stack,
         p3d::thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
-        fopt);
+        p3d::place::FeaOptionsFor(synced, run_opts));
     const auto ft = fea.Solve(r.placement.x, r.placement.y, r.placement.layer,
                               power.cell_power);
     p3d::io::SvgOptions opt;
