@@ -8,22 +8,17 @@
 //                   a quick smoke run
 //   BENCH_JSON_DIR  directory for the BENCH_<name>.json row dumps
 //                   (default: current directory)
-//   REPRO_BACKENDS  global backends the figure harnesses sweep:
-//                   "bisection" (default), "analytic", or "all" for a
-//                   head-to-head comparison (rows gain a backend column)
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "io/synthetic.h"
 #include "obs/json.h"
-#include "place/global_backend.h"
 #include "place/placer.h"
 #include "util/log.h"
 
@@ -51,18 +46,6 @@ inline std::vector<io::SyntheticSpec> Circuits() {
 }
 
 inline io::SyntheticSpec Ibm01() { return io::Table1Spec("ibm01", Scale()); }
-
-/// Global backends the figure harnesses sweep. Defaults to bisection alone —
-/// the paper's engine, and what the committed reference numbers were taken
-/// with. REPRO_BACKENDS=analytic swaps in the analytic backend; any other
-/// non-empty value (e.g. "all") runs both for a head-to-head comparison.
-inline std::vector<place::GlobalBackend> Backends() {
-  const char* env = std::getenv("REPRO_BACKENDS");
-  const std::string_view v = env == nullptr ? "" : env;
-  if (v.empty() || v == "bisection") return {place::GlobalBackend::kBisection};
-  if (v == "analytic") return {place::GlobalBackend::kAnalytic};
-  return {place::GlobalBackend::kBisection, place::GlobalBackend::kAnalytic};
-}
 
 /// Table 2 defaults with the wire-capacitance compensation for scaled
 /// circuits (DESIGN.md substitution notes).

@@ -5,10 +5,6 @@
 // point per coefficient — the full tradeoff curves of the paper's Figure 3.
 // Expected shape: each curve is monotone (via density falls as wirelength
 // rises), and larger circuits sit up-right of smaller ones.
-//
-// REPRO_BACKENDS=all repeats the sweep per global backend (bisection vs
-// analytic) for a head-to-head curve comparison; default is bisection, the
-// paper's engine.
 #include "bench_common.h"
 
 int main() {
@@ -17,28 +13,22 @@ int main() {
       "Figure 3: WL vs interlayer-via-density tradeoff curves, ibm01-ibm18");
   const auto sweep = p3d::bench::IlvSweep();
 
-  std::printf("%-10s %-8s %-12s %-12s %-14s %-10s\n", "backend", "circuit",
-              "alpha_ilv", "hpwl_m", "ilv_density", "ilv");
-  for (const p3d::place::GlobalBackend backend : p3d::bench::Backends()) {
-    const char* bname = p3d::place::GlobalBackendName(backend);
-    for (const auto& spec : p3d::bench::Circuits()) {
-      const p3d::netlist::Netlist nl = p3d::io::Generate(spec);
-      for (const double alpha : sweep) {
-        p3d::place::PlacerParams params = p3d::bench::BaseParams();
-        params.alpha_ilv = alpha;
-        params.global_backend = backend;
-        const auto r = p3d::bench::RunPlacer(nl, params, /*with_fea=*/false);
-        std::printf("%-10s %-8s %-12.3g %-12.5g %-14.4g %-10lld\n", bname,
-                    spec.name.c_str(), alpha, r.hpwl_m, r.ilv_density,
-                    r.ilv_count);
-        setup.Row({{"backend", bname},
-                   {"circuit", spec.name},
-                   {"alpha_ilv", alpha},
-                   {"hpwl_m", r.hpwl_m},
-                   {"ilv_density", r.ilv_density},
-                   {"ilv", r.ilv_count}});
-        std::fflush(stdout);
-      }
+  std::printf("%-8s %-12s %-12s %-14s %-10s\n", "circuit", "alpha_ilv",
+              "hpwl_m", "ilv_density", "ilv");
+  for (const auto& spec : p3d::bench::Circuits()) {
+    const p3d::netlist::Netlist nl = p3d::io::Generate(spec);
+    for (const double alpha : sweep) {
+      p3d::place::PlacerParams params = p3d::bench::BaseParams();
+      params.alpha_ilv = alpha;
+      const auto r = p3d::bench::RunPlacer(nl, params, /*with_fea=*/false);
+      std::printf("%-8s %-12.3g %-12.5g %-14.4g %-10lld\n", spec.name.c_str(),
+                  alpha, r.hpwl_m, r.ilv_density, r.ilv_count);
+      setup.Row({{"circuit", spec.name},
+                 {"alpha_ilv", alpha},
+                 {"hpwl_m", r.hpwl_m},
+                 {"ilv_density", r.ilv_density},
+                 {"ilv", r.ilv_count}});
+      std::fflush(stdout);
     }
   }
   return 0;

@@ -5,10 +5,6 @@
 // Reproduces the paper's headline: "When the average temperatures are
 // reduced by 19%, wirelengths are increased by only 1%" — the harness prints
 // the best temperature reduction and the wirelength/via cost at that point.
-//
-// REPRO_BACKENDS=all repeats the sweep (deltas are always relative to the
-// same backend's own alpha_TEMP = 0 run) per global backend; default is
-// bisection, the paper's engine.
 #include <vector>
 
 #include "bench_common.h"
@@ -30,61 +26,52 @@ int main() {
     netlists.push_back(p3d::io::Generate(circuits[c]));
   }
 
-  for (const p3d::place::GlobalBackend backend : p3d::bench::Backends()) {
-    const char* bname = p3d::place::GlobalBackendName(backend);
+  struct Base {
+    double ilv, wl, power, avg_t, max_t;
+  };
+  std::vector<Base> base(circuits.size());
 
-    struct Base {
-      double ilv, wl, power, avg_t, max_t;
-    };
-    std::vector<Base> base(circuits.size());
-
-    std::printf("%-10s %-12s %-10s %-10s %-10s %-10s %-10s\n", "backend",
-                "alpha_temp", "d_ilv_%", "d_wl_%", "d_power_%", "d_avgT_%",
-                "d_maxT_%");
-    double best_temp_red = 0.0, wl_at_best = 0.0, ilv_at_best = 0.0;
-    for (const double at : temp_vals) {
-      double d_ilv = 0, d_wl = 0, d_p = 0, d_at = 0, d_mt = 0;
-      for (std::size_t c = 0; c < circuits.size(); ++c) {
-        p3d::place::PlacerParams params = p3d::bench::BaseParams();
-        params.alpha_temp = at;
-        params.global_backend = backend;
-        const auto r = p3d::bench::RunPlacer(netlists[c], params, true);
-        if (at == 0.0) {
-          base[c] = {static_cast<double>(r.ilv_count), r.hpwl_m,
-                     r.total_power_w, r.avg_temp_c, r.max_temp_c};
-        }
-        const Base& b = base[c];
-        const double n = static_cast<double>(circuits.size());
-        d_ilv += 100.0 * (r.ilv_count - b.ilv) / b.ilv / n;
-        d_wl += 100.0 * (r.hpwl_m - b.wl) / b.wl / n;
-        d_p += 100.0 * (r.total_power_w - b.power) / b.power / n;
-        d_at += 100.0 * (r.avg_temp_c - b.avg_t) / b.avg_t / n;
-        d_mt += 100.0 * (r.max_temp_c - b.max_t) / b.max_t / n;
+  std::printf("%-12s %-10s %-10s %-10s %-10s %-10s\n", "alpha_temp", "d_ilv_%",
+              "d_wl_%", "d_power_%", "d_avgT_%", "d_maxT_%");
+  double best_temp_red = 0.0, wl_at_best = 0.0, ilv_at_best = 0.0;
+  for (const double at : temp_vals) {
+    double d_ilv = 0, d_wl = 0, d_p = 0, d_at = 0, d_mt = 0;
+    for (std::size_t c = 0; c < circuits.size(); ++c) {
+      p3d::place::PlacerParams params = p3d::bench::BaseParams();
+      params.alpha_temp = at;
+      const auto r = p3d::bench::RunPlacer(netlists[c], params, true);
+      if (at == 0.0) {
+        base[c] = {static_cast<double>(r.ilv_count), r.hpwl_m,
+                   r.total_power_w, r.avg_temp_c, r.max_temp_c};
       }
-      std::printf("%-10s %-12.3g %-10.1f %-10.1f %-10.1f %-10.1f %-10.1f\n",
-                  bname, at, d_ilv, d_wl, d_p, d_at, d_mt);
-      setup.Row({{"backend", bname},
-                 {"alpha_temp", at},
-                 {"d_ilv_pct", d_ilv},
-                 {"d_wl_pct", d_wl},
-                 {"d_power_pct", d_p},
-                 {"d_avg_temp_pct", d_at},
-                 {"d_max_temp_pct", d_mt}});
-      std::fflush(stdout);
-      if (-d_at > best_temp_red) {
-        best_temp_red = -d_at;
-        wl_at_best = d_wl;
-        ilv_at_best = d_ilv;
-      }
+      const Base& b = base[c];
+      const double n = static_cast<double>(circuits.size());
+      d_ilv += 100.0 * (r.ilv_count - b.ilv) / b.ilv / n;
+      d_wl += 100.0 * (r.hpwl_m - b.wl) / b.wl / n;
+      d_p += 100.0 * (r.total_power_w - b.power) / b.power / n;
+      d_at += 100.0 * (r.avg_temp_c - b.avg_t) / b.avg_t / n;
+      d_mt += 100.0 * (r.max_temp_c - b.max_t) / b.max_t / n;
     }
-    std::printf("\n# headline (%s): best avg-temperature reduction %.0f%% at "
-                "%+.1f%% wirelength, %+.0f%% vias "
-                "(paper: 19%% at +1%% WL, +10%% vias)\n",
-                bname, best_temp_red, wl_at_best, ilv_at_best);
-    setup.Row({{"backend", bname},
-               {"headline_temp_reduction_pct", best_temp_red},
-               {"headline_wl_change_pct", wl_at_best},
-               {"headline_ilv_change_pct", ilv_at_best}});
+    std::printf("%-12.3g %-10.1f %-10.1f %-10.1f %-10.1f %-10.1f\n", at, d_ilv,
+                d_wl, d_p, d_at, d_mt);
+    setup.Row({{"alpha_temp", at},
+               {"d_ilv_pct", d_ilv},
+               {"d_wl_pct", d_wl},
+               {"d_power_pct", d_p},
+               {"d_avg_temp_pct", d_at},
+               {"d_max_temp_pct", d_mt}});
+    std::fflush(stdout);
+    if (-d_at > best_temp_red) {
+      best_temp_red = -d_at;
+      wl_at_best = d_wl;
+      ilv_at_best = d_ilv;
+    }
   }
+  std::printf("\n# headline: best avg-temperature reduction %.0f%% at %+.1f%% "
+              "wirelength, %+.0f%% vias (paper: 19%% at +1%% WL, +10%% vias)\n",
+              best_temp_red, wl_at_best, ilv_at_best);
+  setup.Row({{"headline_temp_reduction_pct", best_temp_red},
+             {"headline_wl_change_pct", wl_at_best},
+             {"headline_ilv_change_pct", ilv_at_best}});
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "io/bookshelf.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -61,6 +62,15 @@ std::unordered_map<std::string, std::int32_t> BuildNameIndex(
   return index;
 }
 
+/// Parses the whole of `tok` as a finite double (std::atof would accept
+/// "abc" as 0 and "1e400" as inf).
+bool ParseFiniteDouble(const std::string& tok, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(tok.c_str(), &end);
+  return !tok.empty() && end == tok.c_str() + tok.size() &&
+         std::isfinite(*out);
+}
+
 std::string DirName(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
@@ -92,8 +102,21 @@ util::Status ParseNodesFile(const std::string& path, double unit_m,
                               line);
     }
     const bool terminal = tokens.size() >= 4 && tokens[3] == "terminal";
-    nl->AddCell(tokens[0], std::atof(tokens[1].c_str()) * unit_m,
-                std::atof(tokens[2].c_str()) * unit_m, terminal);
+    const auto bad_size = [&](const std::string& tok, double* out) {
+      double v = 0.0;
+      if (!ParseFiniteDouble(tok, &v)) return true;
+      *out = v * unit_m;
+      return !std::isfinite(*out) || (terminal ? *out < 0.0 : *out <= 0.0);
+    };
+    double width = 0.0, height = 0.0;
+    if (bad_size(tokens[1], &width) || bad_size(tokens[2], &height)) {
+      return util::ParseError(
+          "bookshelf: node " + tokens[0] + " in " + path + " has size '" +
+          tokens[1] + " " + tokens[2] + "'; " +
+          (terminal ? "terminals need finite sizes >= 0"
+                    : "movable nodes need finite sizes > 0"));
+    }
+    nl->AddCell(tokens[0], width, height, terminal);
   }
   if (num_nodes >= 0 && nl->NumCells() != num_nodes) {
     util::LogWarn("bookshelf: NumNodes=%lld but parsed %d cells",

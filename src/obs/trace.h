@@ -113,7 +113,7 @@ class TraceScope {
   explicit TraceScope(const char*) {}
 };
 inline void TraceCounter(const char*, std::int64_t) {}
-inline void TraceInstant(const char*) {}
+inline void TraceInstant(const char*, std::int64_t = 0) {}
 
 #else
 
@@ -156,9 +156,13 @@ inline void TraceCounter(const char* name, std::int64_t value) {
   }
 }
 
-inline void TraceInstant(const char* name) {
+/// Instant marker into the trace and the black-box ring; `value` (e.g. a
+/// round or job id) is kept by the ring only.
+inline void TraceInstant(const char* name, std::int64_t value = 0) {
   if (TraceSink* sink = CurrentTraceSink()) sink->RecordInstant(name);
-  if (RingRecorder* ring = CurrentRingRecorder()) ring->RecordInstant(name);
+  if (RingRecorder* ring = CurrentRingRecorder()) {
+    ring->RecordInstant(name, value);
+  }
 }
 
 #endif  // P3D_OBS_DISABLED

@@ -26,6 +26,19 @@ util::StatusOr<Chip> Chip::Build(const netlist::Netlist& nl, int num_layers,
         "Chip::Build: inter_row_space must be >= 0, got " +
         std::to_string(inter_row_space));
   }
+  // The die is sized from movable area and average cell height; a zero,
+  // negative or non-finite movable cell would make those meaningless.
+  for (std::int32_t c = 0; c < nl.NumCells(); ++c) {
+    if (nl.CellFixed(c)) continue;
+    const double w = nl.CellWidth(c);
+    const double h = nl.CellHeight(c);
+    if (!(w > 0.0 && h > 0.0 && std::isfinite(w) && std::isfinite(h))) {
+      return util::InvalidArgumentError(
+          "Chip::Build: movable cell '" + nl.cell(c).name +
+          "' needs a finite, positive size, got " + std::to_string(w) +
+          " x " + std::to_string(h));
+    }
+  }
 
   Chip chip;
   chip.num_layers_ = num_layers;

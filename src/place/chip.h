@@ -17,9 +17,10 @@ class Chip {
  public:
   /// Builds a square die large enough for `nl`'s movable cells spread over
   /// `num_layers` layers with the given whitespace and inter-row spacing.
-  /// Errors (rather than asserting) on an unfinalized netlist or
-  /// out-of-range floorplan parameters; dereference directly (`*Chip::Build(
-  /// ...)`) at call sites with known-good inputs.
+  /// Errors (rather than asserting) on an unfinalized netlist, a movable
+  /// cell without a finite positive width and height, or out-of-range
+  /// floorplan parameters; dereference directly (`*Chip::Build(...)`) at
+  /// call sites with known-good inputs.
   static util::StatusOr<Chip> Build(const netlist::Netlist& nl, int num_layers,
                                     double whitespace, double inter_row_space);
 

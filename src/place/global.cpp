@@ -303,7 +303,6 @@ util::StatusOr<Placement> GlobalPlacer::Run(const Placement& initial) {
     pos_.Resize(static_cast<std::size_t>(nl_.NumCells()));
   }
   stats_ = {};
-  stats_.backend = name();
   pool_ = runtime::SharedPool(params_.threads);
   const int slots = pool_ != nullptr ? pool_->NumThreads() : 1;
   std::vector<Scratch> scratch(static_cast<std::size_t>(slots));
@@ -374,8 +373,6 @@ util::StatusOr<Placement> GlobalPlacer::Run(const Placement& initial) {
     stats_.bisection.infeasible_partitions += s.stats.infeasible_partitions;
     stats_.bisection.partitioned_cells += s.stats.partitioned_cells;
   }
-  stats_.iterations = stats_.bisection.levels;
-  stats_.cells_placed = static_cast<long long>(nl_.NumMovableCells());
   obs::MetricAdd("global/levels", stats_.bisection.levels);
   obs::MetricAdd("global/partitions", stats_.bisection.partitions);
   obs::MetricAdd("global/infeasible_partitions",

@@ -30,26 +30,41 @@
 #include <cstdint>
 #include <vector>
 
-#include "place/global_backend.h"
 #include "place/netweight.h"
 #include "place/objective.h"
 #include "runtime/thread_pool.h"
+#include "util/status.h"
 
 namespace p3d::place {
 
-class GlobalPlacer final : public GlobalPlacerBackend {
+/// Partition counters of one recursive-bisection run.
+struct BisectionDetail {
+  int levels = 0;
+  int partitions = 0;
+  int infeasible_partitions = 0;  // balance bounds missed (diagnostic)
+  long long partitioned_cells = 0;
+};
+
+/// Global-placement statistics, handed to PhaseObserver::OnPhase at the
+/// "global" boundary.
+struct GlobalPlaceStats {
+  BisectionDetail bisection;
+};
+
+class GlobalPlacer {
  public:
   /// The evaluator supplies netlist, chip, params, and the Eq. 8 power-rate
   /// coefficients; its placement state is not modified.
   explicit GlobalPlacer(const ObjectiveEvaluator& eval);
 
-  const char* name() const override { return "bisection"; }
-
   /// Runs recursive bisection. `initial` provides positions for fixed cells
-  /// (movable cells are re-initialized to the chip center, as in the paper).
-  util::StatusOr<Placement> Run(const Placement& initial) override;
+  /// (movable cells are re-initialized to the chip center, as in the paper);
+  /// size 0 means an all-zero initial. Errors with kInvalidArgument when a
+  /// non-empty initial does not match the netlist.
+  util::StatusOr<Placement> Run(const Placement& initial);
 
-  const GlobalPlaceStats& stats() const override { return stats_; }
+  /// Statistics of the most recent Run (zeroed before it).
+  const GlobalPlaceStats& stats() const { return stats_; }
 
  private:
   struct Task {

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/ring.h"
 #include "obs/trace.h"
 #include "place/objective.h"
 #include "util/log.h"
@@ -29,8 +28,7 @@ void AnomalyMonitor::Flag(const char* kind, const char* counter,
                           const char* phase, int round, double detail) {
   anomalies_.push_back(Anomaly{kind, phase, round, detail});
   obs::MetricAdd(counter, 1);
-  obs::TraceInstant(counter);
-  obs::RingNote(counter, round);
+  obs::TraceInstant(counter, round);
   util::LogWarn("anomaly: %s at phase %s round %d (%.4g)", kind, phase, round,
                 detail);
 }

@@ -4,7 +4,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "place/global_backend.h"
+#include "place/global.h"
 #include "place/legalize.h"
 #include "place/moveswap.h"
 #include "place/rowopt.h"
@@ -210,20 +210,18 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
 
   // --- global placement ---------------------------------------------------
   util::Timer t;
-  util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> global =
-      MakeGlobalPlacerBackend(params_.global_backend, *eval_);
-  if (!global.ok()) return global.status();
+  GlobalPlacer global(*eval_);
   {
     obs::TraceScope trace_global("placer.global");
-    util::StatusOr<Placement> gp = (*global)->Run(initial);
+    util::StatusOr<Placement> gp = global.Run(initial);
     if (!gp.ok()) return gp.status();
     eval_->SetPlacement(*gp);
   }
   result.t_global = t.Seconds();
-  NotifyPhase("global", -1, &(*global)->stats());
+  NotifyPhase("global", -1, &global.stats());
   if (util::Status s = cancelled_at("global"); !s.ok()) return s;
-  util::LogInfo("global (%s) done: hpwl %.4g m, ilv %lld, obj %.4g (%.2fs)",
-                (*global)->name(), eval_->TotalHpwl(),
+  util::LogInfo("global done: hpwl %.4g m, ilv %lld, obj %.4g (%.2fs)",
+                eval_->TotalHpwl(),
                 static_cast<long long>(eval_->TotalIlv()), eval_->Total(),
                 result.t_global);
 

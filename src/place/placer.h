@@ -36,10 +36,8 @@ struct GlobalPlaceStats;
 /// least one observer is attached. `phase` is one of "global", "coarse",
 /// "detailed", "refine", "final"; `round` is the legalization-repeat index
 /// (0-based; -1 for "global"/"final"). `global_stats` is non-null only for
-/// the "global" phase and carries the backend-agnostic stats of whichever
-/// global backend ran (place/global_backend.h) — observers that need
-/// engine-specific counters read the detail payload matching
-/// `global_stats->backend`. The evaluator is const: observers verify or
+/// the "global" phase and carries the recursive-bisection partition counters
+/// (place/global.h). The evaluator is const: observers verify or
 /// record, they never steer. The audit subsystem (check::PlacementAuditor),
 /// the metrics sampler (place::PhaseMetricsSampler), the anomaly monitor,
 /// and the serve heartbeats all implement this one signature.

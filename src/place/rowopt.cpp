@@ -21,6 +21,17 @@ namespace {
 constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
     "rowopt.color0", "rowopt.color1", "rowopt.color2", "rowopt.color3"};
 
+// Clamps a cell centre into the centre range [lo, hi] of its free span.
+// When the cell exactly fills the span, float rounding of span_lo + w/2 and
+// span_hi - w/2 can cross the bounds by ~1e-20 m, which std::clamp forbids
+// (a precondition violation, and an abort under _GLIBCXX_ASSERTIONS). This
+// is libstdc++'s std::clamp body without its check: crossed bounds give
+// `hi`, so placements stay byte-identical to the std::clamp calls it
+// replaces.
+double ClampToSpan(double v, double lo, double hi) {
+  return std::min(std::max(v, lo), hi);
+}
+
 }  // namespace
 
 RowRefiner::RowRefiner(ObjectiveEvaluator& eval, std::uint64_t seed)
@@ -130,7 +141,7 @@ RowOptStats RowRefiner::Run(int passes) {
           double ox = 0.0, oy = 0.0;
           OptimalLateralPosition(eval_, e.cell, &ox, &oy);
           const double target =
-              std::clamp(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
+              ClampToSpan(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
           const double cur = (e.lo + e.hi) / 2.0;
           if (std::abs(target - cur) < kGeomEps) continue;
           const std::size_t ci = static_cast<std::size_t>(e.cell);
@@ -160,7 +171,7 @@ RowOptStats RowRefiner::Run(int passes) {
       double ox = 0.0, oy = 0.0;
       OptimalLateralPosition(eval_, e.cell, &ox, &oy);
       const double target =
-          std::clamp(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
+          ClampToSpan(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
       const Placement& p = eval_.placement();
       const std::size_t ci = static_cast<std::size_t>(e.cell);
       if (std::abs(target - p.x[ci]) < kGeomEps) continue;
@@ -311,9 +322,9 @@ RowOptStats RowRefiner::Run(int passes) {
           }
           const double bx = (b.lo + b.hi) / 2.0;
           const double b_new_c =
-              std::clamp(ax, a_span_lo + wb / 2.0, a_span_hi - wb / 2.0);
+              ClampToSpan(ax, a_span_lo + wb / 2.0, a_span_hi - wb / 2.0);
           const double a_new_c =
-              std::clamp(bx, b_span_lo + wa / 2.0, b_span_hi - wa / 2.0);
+              ClampToSpan(bx, b_span_lo + wa / 2.0, b_span_hi - wa / 2.0);
           const double row_y = chip_.RowCenterY(r);
           const double d1 = view.MoveDelta(a.cell, a_new_c, row_y, layer + 1);
           const double d2 = view.MoveDelta(b.cell, b_new_c, row_y, layer);
@@ -355,9 +366,9 @@ RowOptStats RowRefiner::Run(int passes) {
       const double ax = (a.lo + a.hi) / 2.0;
       const double bx = (b.lo + b.hi) / 2.0;
       const double b_new_c =
-          std::clamp(ax, a_span_lo + wb / 2.0, a_span_hi - wb / 2.0);
+          ClampToSpan(ax, a_span_lo + wb / 2.0, a_span_hi - wb / 2.0);
       const double a_new_c =
-          std::clamp(bx, b_span_lo + wa / 2.0, b_span_hi - wa / 2.0);
+          ClampToSpan(bx, b_span_lo + wa / 2.0, b_span_hi - wa / 2.0);
 
       const Placement& p = eval_.placement();
       const std::size_t aidx = static_cast<std::size_t>(a.cell);

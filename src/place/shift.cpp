@@ -332,6 +332,9 @@ void CellShifter::SweepAxis(BinGrid& grid, int axis) {
 }
 
 ShiftStats CellShifter::Run(int max_iters, double target_density) {
+  // A zero budget disables shifting: that is configuration, not a loop that
+  // hit its cap, so no shift/stop_* counter is recorded.
+  if (max_iters <= 0) return ShiftStats{};
   obs::TraceScope trace_shift("shift.run");
   const netlist::Netlist& nl = eval_.netlist();
   const Chip& chip = eval_.chip();

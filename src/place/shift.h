@@ -63,6 +63,8 @@ class CellShifter {
   /// evaluator's placement. Records the overflow ratio on entry and after
   /// every iteration as the `shift/overflow` series, the exit ratio as the
   /// `shift/final_overflow` gauge, and one `shift/stop_<reason>` counter.
+  /// `max_iters <= 0` disables shifting: Run returns zeroed stats at once,
+  /// leaving the placement and every metric untouched.
   ShiftStats Run(int max_iters, double target_density);
 
  private:

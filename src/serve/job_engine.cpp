@@ -304,9 +304,8 @@ void JobEngine::WatchdogLoop() {
     // Report outside the lock: the black-box dump does real I/O.
     for (const Stall& s : fresh) {
       obs::MetricAdd("serve/watchdog_stalls", 1);
-      obs::TraceInstant("serve.watchdog_stall");
-      obs::RingNote("serve.watchdog_stall",
-                    static_cast<std::int64_t>(s.id));
+      obs::TraceInstant("serve.watchdog_stall",
+                        static_cast<std::int64_t>(s.id));
       util::LogWarn(
           "watchdog: job %llu (%s) stalled %.1fs past phase '%s' "
           "(timeout %.1fs)",

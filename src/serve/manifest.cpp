@@ -11,7 +11,6 @@
 
 #include "io/synthetic.h"
 #include "obs/json.h"
-#include "place/global_backend.h"
 #include "place/params.h"
 #include "runtime/stream.h"
 
@@ -37,8 +36,8 @@ util::Status FieldTypeError(std::size_t job_index, const std::string& key,
 /// manifest error, so a typo or a removed field never passes silently.
 constexpr const char* kJobFields[] = {
     "name", "circuit", "scale", "layers", "alpha_ilv", "alpha_temp",
-    "global_backend", "seed", "threads", "priority", "with_fea",
-    "fea_per_pass", "fea_precond", "start_deadline_s"};
+    "seed", "threads", "priority", "with_fea", "fea_per_pass",
+    "fea_precond", "start_deadline_s"};
 
 /// Names the first key of `object` outside kJobFields; `where` is "job N"
 /// or "defaults".
@@ -164,15 +163,6 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
     if (const auto* v = Lookup(jv, defaults, "alpha_temp")) {
       if (!v->is_number()) return FieldTypeError(i, "alpha_temp", "number");
       spec.params.alpha_temp = v->AsNumber();
-    }
-    if (const auto* v = Lookup(jv, defaults, "global_backend")) {
-      if (!v->is_string()) return FieldTypeError(i, "global_backend", "string");
-      const auto backend = place::ParseGlobalBackend(v->AsString());
-      if (!backend.ok()) {
-        return util::ParseError("jobs manifest: job " + std::to_string(i) +
-                                ": " + backend.status().message());
-      }
-      spec.params.global_backend = *backend;
     }
     if (const auto* v = Lookup(jv, defaults, "seed")) {
       if (!ToIntegral(*v, &spec.params.seed)) {

@@ -214,7 +214,7 @@ TEST_F(BookshelfTest, MalformedInputsDoNotCrash) {
       "NumNodes : -5\n",
       "garbage line\n",
       "a 1\n",                       // too few columns
-      "NumNodes : 1\n a width h\n",  // non-numeric dims -> atof 0
+      "NumNodes : 1\n a width h\n",  // non-numeric dims (rejected)
   };
   for (const char* content : bad_nodes) {
     WriteFile("bad.nodes", content);
@@ -249,6 +249,33 @@ TEST_F(BookshelfTest, MalformedInputsDoNotCrash) {
   std::vector<BookshelfRow> rows;
   EXPECT_TRUE(ParseSclFile(dir_ + "/bad.scl", &rows).ok());
   EXPECT_TRUE(rows.empty());
+}
+
+TEST_F(BookshelfTest, RejectsInvalidNodeSizes) {
+  // Each size must be a whole finite number: > 0 for a movable node, >= 0
+  // for a terminal. The error names the file and the node.
+  const char* bad_lines[] = {
+      "a abc 1\n",  "a 1 abc\n",  "a 2x 1\n",   "a -3 1\n",
+      "a 1 -3\n",   "a 0 1\n",    "a 1 0\n",    "a nan 1\n",
+      "a 1 inf\n",  "a 1e400 1\n", "a 1e-320 1\n",
+      "a -1 1 terminal\n", "a nan 1 terminal\n", "a 1e400 1 terminal\n",
+  };
+  for (const char* line : bad_lines) {
+    WriteFile("bad.nodes", std::string("NumNodes : 1\n") + line);
+    netlist::Netlist nl;
+    const util::Status s = ParseNodesFile(dir_ + "/bad.nodes", 1e-6, &nl);
+    EXPECT_EQ(s.code(), util::StatusCode::kParseError) << line;
+    EXPECT_NE(s.message().find("bad.nodes"), std::string::npos) << line;
+    EXPECT_NE(s.message().find("node a "), std::string::npos) << line;
+  }
+  // Zero-size terminals and plain decimal or exponent sizes are fine.
+  WriteFile("ok.nodes", "NumNodes : 3\na 1.5 2e0\nb 3 1\np 0 0 terminal\n");
+  netlist::Netlist nl;
+  ASSERT_TRUE(ParseNodesFile(dir_ + "/ok.nodes", 1e-6, &nl).ok());
+  ASSERT_EQ(nl.NumCells(), 3);
+  EXPECT_DOUBLE_EQ(nl.cell(0).width, 1.5e-6);
+  EXPECT_DOUBLE_EQ(nl.cell(0).height, 2e-6);
+  EXPECT_DOUBLE_EQ(nl.cell(2).width, 0.0);
 }
 
 TEST_F(BookshelfTest, FullDesignExportRoundTrip) {

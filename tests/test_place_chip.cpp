@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "io/synthetic.h"
 #include "place/chip.h"
+#include "place/placer.h"
 
 namespace p3d::place {
 namespace {
@@ -79,6 +84,32 @@ TEST(Chip, FullRegionSpansEverything) {
   EXPECT_EQ(r.layer_lo, 0);
   EXPECT_EQ(r.layer_hi, 5);
   EXPECT_DOUBLE_EQ(r.rect.Width(), chip.width());
+}
+
+TEST(Chip, RejectsMovableCellWithoutFinitePositiveSize) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad[] = {
+      {0.0, 1e-6}, {1e-6, 0.0}, {-1e-6, 1e-6}, {nan, 1e-6}, {1e-6, inf}};
+  for (const auto& [w, h] : bad) {
+    netlist::Netlist nl;
+    nl.AddCell("ok", 1e-6, 1e-6);
+    nl.AddCell("bad", w, h);
+    nl.AddCell("pad", 0.0, 0.0, /*fixed=*/true);  // terminals may be empty
+    ASSERT_TRUE(nl.Finalize());
+    const auto chip = Chip::Build(nl, 2, 0.05, 0.25);
+    ASSERT_FALSE(chip.ok()) << w << " x " << h;
+    EXPECT_EQ(chip.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(chip.status().message().find("'bad'"), std::string::npos);
+  }
+  // A programmatic netlist of zero-size cells fails Placer3D::Create rather
+  // than running to a NaN wirelength.
+  netlist::Netlist zeros;
+  for (int i = 0; i < 20; ++i) zeros.AddCell("z" + std::to_string(i), 0.0, 0.0);
+  ASSERT_TRUE(zeros.Finalize());
+  const auto placer = Placer3D::Create(zeros, PlacerParams{});
+  ASSERT_FALSE(placer.ok());
+  EXPECT_EQ(placer.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(Placement, Resize) {

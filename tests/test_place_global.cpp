@@ -5,8 +5,6 @@
 #include "check/audit.h"
 #include "io/synthetic.h"
 #include "place/global.h"
-#include "place/global_analytic.h"
-#include "place/global_backend.h"
 #include "place/placer.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -40,16 +38,6 @@ struct Fixture {
     Placement init;
     init.Resize(static_cast<std::size_t>(nl.NumCells()));
     return *gp.Run(init);
-  }
-
-  /// Runs whichever backend `params.global_backend` selects via the factory.
-  Placement RunBackend() {
-    ObjectiveEvaluator eval(nl, chip, params);
-    auto backend = MakeGlobalPlacerBackend(eval);
-    EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-    Placement init;
-    init.Resize(static_cast<std::size_t>(nl.NumCells()));
-    return *(*backend)->Run(init);
   }
 };
 
@@ -182,12 +170,9 @@ TEST(GlobalPlacer, StatsPopulated) {
   Placement init;
   init.Resize(static_cast<std::size_t>(f.nl.NumCells()));
   ASSERT_TRUE(gp.Run(init).ok());
-  EXPECT_STREQ(gp.stats().backend, "bisection");
   EXPECT_GT(gp.stats().bisection.levels, 3);
   EXPECT_GT(gp.stats().bisection.partitions, 50);
   EXPECT_GT(gp.stats().bisection.partitioned_cells, 300);
-  EXPECT_EQ(gp.stats().iterations, gp.stats().bisection.levels);
-  EXPECT_EQ(gp.stats().cells_placed, f.nl.NumMovableCells());
 }
 
 TEST(GlobalPlacer, PartitionsAlmostAlwaysFeasible) {
@@ -255,8 +240,16 @@ TEST(GlobalPlacer, FixedCellsUntouched) {
   EXPECT_EQ(p.layer[static_cast<std::size_t>(pad)], 2);
 }
 
-// ---------------------------------------------------------------------------
-// Multi-backend interface + analytic backend (place/global_backend.h).
+TEST(GlobalPlacer, MismatchedInitialIsInvalidArgument) {
+  Fixture f(100, 2, 1e-5, 0.0);
+  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
+  GlobalPlacer gp(eval);
+  Placement init;
+  init.Resize(static_cast<std::size_t>(f.nl.NumCells()) + 7);
+  const auto r = gp.Run(init);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+}
 
 bool BytesEqual(const Placement& a, const Placement& b) {
   return a.size() == b.size() &&
@@ -266,105 +259,10 @@ bool BytesEqual(const Placement& a, const Placement& b) {
                      a.size() * sizeof(int)) == 0;
 }
 
-TEST(GlobalBackendFactory, ParsesKnownNames) {
-  const auto bis = ParseGlobalBackend("bisection");
-  ASSERT_TRUE(bis.ok());
-  EXPECT_EQ(*bis, GlobalBackend::kBisection);
-  const auto ana = ParseGlobalBackend("analytic");
-  ASSERT_TRUE(ana.ok());
-  EXPECT_EQ(*ana, GlobalBackend::kAnalytic);
-  EXPECT_STREQ(GlobalBackendName(GlobalBackend::kBisection), "bisection");
-  EXPECT_STREQ(GlobalBackendName(GlobalBackend::kAnalytic), "analytic");
-}
-
-TEST(GlobalBackendFactory, UnknownNameIsInvalidArgument) {
-  const auto r = ParseGlobalBackend("simulated-annealing");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(GlobalBackendFactory, OutOfRangeEnumIsInvalidArgument) {
-  Fixture f(60, 2, 1e-5, 0.0);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  const auto r = MakeGlobalPlacerBackend(static_cast<GlobalBackend>(99), eval);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(GlobalBackendFactory, BuildsSelectedBackend) {
-  Fixture f(60, 2, 1e-5, 0.0);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  for (const GlobalBackend kind :
-       {GlobalBackend::kBisection, GlobalBackend::kAnalytic}) {
-    const auto backend = MakeGlobalPlacerBackend(kind, eval);
-    ASSERT_TRUE(backend.ok());
-    EXPECT_STREQ((*backend)->name(), GlobalBackendName(kind));
-  }
-}
-
-TEST(AnalyticPlacer, AllCellsInsideChipAndOnAllLayers) {
-  Fixture f(800, 4, 1e-5, 0.0);
-  f.params.global_backend = GlobalBackend::kAnalytic;
-  const Placement p = f.RunBackend();
-  std::vector<int> count(4, 0);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    ASSERT_GE(p.x[i], 0.0);
-    ASSERT_LE(p.x[i], f.chip.width());
-    ASSERT_GE(p.y[i], 0.0);
-    ASSERT_LE(p.y[i], f.chip.height());
-    ASSERT_GE(p.layer[i], 0);
-    ASSERT_LT(p.layer[i], 4);
-    count[static_cast<std::size_t>(p.layer[i])] += 1;
-  }
-  for (int l = 0; l < 4; ++l) {
-    EXPECT_GT(count[static_cast<std::size_t>(l)], 800 / 16) << "layer " << l;
-  }
-}
-
-TEST(AnalyticPlacer, StatsPopulated) {
-  Fixture f(400, 4, 1e-5, 0.0);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  AnalyticPlacer gp(eval);
-  Placement init;
-  init.Resize(static_cast<std::size_t>(f.nl.NumCells()));
-  ASSERT_TRUE(gp.Run(init).ok());
-  EXPECT_STREQ(gp.stats().backend, "analytic");
-  // The overflow early-stop usually ends the loop before the iteration cap.
-  EXPECT_GT(gp.stats().analytic.iterations, 0);
-  EXPECT_LE(gp.stats().analytic.iterations, f.params.analytic_iterations);
-  EXPECT_GT(gp.stats().analytic.solves, 0);
-  EXPECT_GT(gp.stats().analytic.cg_iters, 0);
-  EXPECT_EQ(gp.stats().iterations, gp.stats().analytic.iterations);
-  EXPECT_EQ(gp.stats().cells_placed, f.nl.NumMovableCells());
-}
-
-TEST(AnalyticPlacer, ByteIdenticalAtOneVsEightThreads) {
-  Fixture f(600, 4, 1e-5, 1e-6);
-  f.params.global_backend = GlobalBackend::kAnalytic;
-  f.params.threads = 1;
-  const Placement p1 = f.RunBackend();
-  f.params.threads = 8;
-  const Placement p8 = f.RunBackend();
-  EXPECT_TRUE(BytesEqual(p1, p8));
-}
-
-TEST(AnalyticPlacer, MismatchedInitialIsInvalidArgument) {
-  Fixture f(100, 2, 1e-5, 0.0);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  AnalyticPlacer gp(eval);
-  Placement init;
-  init.Resize(static_cast<std::size_t>(f.nl.NumCells()) + 7);
-  const auto r = gp.Run(init);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-/// Runs the full flow with `backend` at `threads` under a paranoid audit;
-/// fails the test on any audit violation.
-Placement RunAuditedFlow(const Fixture& f, GlobalBackend backend,
-                         int threads) {
+/// Runs the full flow at `threads` under a paranoid audit; fails the test on
+/// any audit violation.
+Placement RunAuditedFlow(const Fixture& f, int threads) {
   PlacerParams params = f.params;
-  params.global_backend = backend;
   params.threads = threads;
   params.audit_level = AuditLevel::kParanoid;
   auto placer = Placer3D::Create(f.nl, params);
@@ -380,46 +278,12 @@ Placement RunAuditedFlow(const Fixture& f, GlobalBackend backend,
   return r->placement;
 }
 
-TEST(GlobalBackends, FullFlowByteIdenticalUnderParanoidAudit) {
+TEST(GlobalPlacer, FullFlowByteIdenticalUnderParanoidAudit) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   Fixture f(500, 4, 1e-5, 1e-6);
-  for (const GlobalBackend kind :
-       {GlobalBackend::kBisection, GlobalBackend::kAnalytic}) {
-    const Placement p1 = RunAuditedFlow(f, kind, 1);
-    const Placement p8 = RunAuditedFlow(f, kind, 8);
-    EXPECT_TRUE(BytesEqual(p1, p8))
-        << "backend " << GlobalBackendName(kind)
-        << " is thread-count sensitive";
-  }
-}
-
-TEST(GlobalBackends, AnalyticQualityWithin35PctOfBisection) {
-  // The fig3-sized quality gate: at an equal alpha_ILV budget on the small
-  // harness, the analytic backend's end-of-flow wirelength must stay within
-  // 35% of bisection's. Measured today it lands at ~1.3x: the flow's move
-  // engines are co-tuned with bisection handoffs, and the quadratic model's
-  // fine-scale structure still loses ~30% through legalization. The bound is
-  // a regression gate at the achievable level; tightening it toward the 10%
-  // target is tracked in ROADMAP.md.
-  util::ScopedLogLevel quiet(util::LogLevel::kWarn);
-  Fixture f(800, 4, 1e-5, 0.0);
-  double hpwl[2] = {0.0, 0.0};
-  int i = 0;
-  for (const GlobalBackend kind :
-       {GlobalBackend::kBisection, GlobalBackend::kAnalytic}) {
-    PlacerParams params = f.params;
-    params.global_backend = kind;
-    auto placer = Placer3D::Create(f.nl, params);
-    ASSERT_TRUE(placer.ok());
-    RunOptions opts;
-    opts.with_fea = false;
-    const auto r = placer->Run(opts);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r->legal);
-    hpwl[i++] = r->hpwl_m;
-  }
-  EXPECT_LE(hpwl[1], 1.35 * hpwl[0])
-      << "analytic hpwl " << hpwl[1] << " vs bisection " << hpwl[0];
+  const Placement p1 = RunAuditedFlow(f, 1);
+  const Placement p8 = RunAuditedFlow(f, 8);
+  EXPECT_TRUE(BytesEqual(p1, p8)) << "the flow is thread-count sensitive";
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Integration tests: the full Placer3D flow end to end.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "io/synthetic.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 #include "util/rng.h"
 #include "place/legalize.h"
 #include "place/monitor.h"
@@ -61,7 +64,8 @@ TEST(Placer3D, MetricsConsistentWithEvaluate) {
 }
 
 // A shifting run that hits shift_max_iters is an iteration_cap anomaly; a
-// default flow stops on its stall window and raises none.
+// default flow stops on its stall window and raises none, and a zero budget
+// turns shifting off, which is configuration, not a capped loop.
 int IterationCapAnomalies(int shift_max_iters) {
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(400);
@@ -90,6 +94,36 @@ int IterationCapAnomalies(int shift_max_iters) {
 TEST(Placer3D, ShiftIterationCapIsAnAnomaly) {
   EXPECT_EQ(IterationCapAnomalies(/*shift_max_iters=*/2), 1);
   EXPECT_EQ(IterationCapAnomalies(PlacerParams{}.shift_max_iters), 0);
+  EXPECT_EQ(IterationCapAnomalies(/*shift_max_iters=*/0), 0);
+}
+
+TEST(Placer3D, AnomalyReachesTheBlackBoxOnce) {
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(400);
+  PlacerParams params = Params(4);
+  params.shift_max_iters = 2;
+  Placer3D placer(nl, params);
+  AnomalyMonitor monitor;
+  placer.AddPhaseObserver(&monitor);
+  obs::MetricsRegistry registry;  // the monitor reads shift/stop_cap here
+  obs::InstallMetrics(&registry);
+  // Large enough that the rest of the flow never wraps the ring.
+  obs::RingRecorder ring(obs::RingOptions{.capacity_per_thread = 1 << 16});
+  obs::InstallRingRecorder(&ring);
+  const bool ok = placer.Run({.with_fea = false}).ok();
+  obs::InstallRingRecorder(nullptr);
+  obs::InstallMetrics(nullptr);
+  ASSERT_TRUE(ok);
+  int instants = 0;
+  for (const obs::RingRecorder::EventView& e : ring.Snapshot()) {
+    if (e.kind != obs::RingRecorder::Kind::kInstant ||
+        std::strcmp(e.name, "anomaly/iteration_cap") != 0) {
+      continue;
+    }
+    ++instants;
+    EXPECT_EQ(e.value, 0);  // the round the cap fired in
+  }
+  EXPECT_EQ(instants, 1);
 }
 
 TEST(Placer3D, DeterministicForFixedSeed) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "io/synthetic.h"
-#include "place/global_backend.h"
 #include "place/instrument.h"
 #include "runtime/stream.h"
 #include "serve/batch.h"
@@ -381,8 +380,7 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
     "jobs": [
       {"name": "a", "alpha_ilv": 5e-9},
       {"alpha_ilv": 1e-5, "priority": 2, "seed": 7},
-      {"name": "c", "circuit": "ibm02", "scale": 0.01, "layers": 2,
-       "global_backend": "analytic"}
+      {"name": "c", "circuit": "ibm02", "scale": 0.01, "layers": 2}
     ]
   })";
   auto m = ParseJobsManifest(text);
@@ -398,10 +396,6 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
   EXPECT_EQ(m->jobs[1].name, "ibm01-job2");  // generated name
   EXPECT_EQ(m->jobs[1].priority, 2);
   EXPECT_EQ(m->jobs[1].params.seed, 7u);  // explicit seed wins
-
-  // Backend defaults to bisection; per-job override parses.
-  EXPECT_EQ(m->jobs[0].params.global_backend, place::GlobalBackend::kBisection);
-  EXPECT_EQ(m->jobs[2].params.global_backend, place::GlobalBackend::kAnalytic);
 
   EXPECT_EQ(m->jobs[2].params.num_layers, 2);
   // Netlists dedupe by (circuit, scale): ibm01 shared, ibm02 separate.
@@ -431,11 +425,6 @@ TEST(JobsManifest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
       "jobs": [{"circuit": "ibm01", "scale": "wide"}]})")
                    .ok());
-  // Unknown global backend name is a manifest error.
-  EXPECT_FALSE(ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
-      "jobs": [{"circuit": "ibm01", "scale": 0.01,
-                "global_backend": "simulated-annealing"}]})")
-                   .ok());
   EXPECT_FALSE(LoadJobsManifest("/nonexistent/manifest.json").ok());
 }
 
@@ -457,6 +446,14 @@ TEST(JobsManifest, RejectsUnknownFields) {
   EXPECT_EQ(unknown.status().code(), util::StatusCode::kParseError);
   EXPECT_NE(unknown.status().message().find("defaults"), std::string::npos);
   EXPECT_NE(unknown.status().message().find("'fea_solver'"),
+            std::string::npos);
+  // A removed field is unknown like any other.
+  const auto removed = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "defaults": {"circuit": "ibm01", "scale": 0.01},
+      "jobs": [{"global_backend": "bisection"}]})");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(removed.status().message().find("'global_backend'"),
             std::string::npos);
   // The committed example manifest uses only known fields.
   const auto sweep =

@@ -20,8 +20,6 @@
 //                         every S seconds (off when omitted)
 //     --blackbox PATH     flight-recorder dump file for audit violations,
 //                         stalls, cancellations, and fatal signals
-//     --global-backend NAME  override the global-placement backend of every
-//                         job in the manifest (bisection | analytic)
 //     --quiet             errors only
 //
 // Every --flag also accepts the --flag=value spelling. Progress (per-job
@@ -40,7 +38,6 @@
 
 #include "obs/metrics.h"
 #include "obs/ring.h"
-#include "place/global_backend.h"
 #include "serve/batch.h"
 #include "serve/job_engine.h"
 #include "serve/manifest.h"
@@ -61,9 +58,6 @@ struct Args {
   double stall_timeout_s = 0.0;   // 0: no watchdog
   double heartbeat_interval_s = 0.0;  // 0: no heartbeat stream
   bool quiet = false;
-  bool override_backend = false;  // --global-backend given
-  p3d::place::GlobalBackend global_backend =
-      p3d::place::GlobalBackend::kBisection;
 };
 
 void PrintUsage() {
@@ -71,8 +65,7 @@ void PrintUsage() {
       "usage: placed --manifest jobs.json [--workers N] [--thread-budget N]\n"
       "              [--report batch_report.json] [--telemetry-port N]\n"
       "              [--stall-timeout S] [--heartbeat-interval S]\n"
-      "              [--blackbox trace.json] [--global-backend NAME]\n"
-      "              [--quiet]");
+      "              [--blackbox trace.json] [--quiet]");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -131,16 +124,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--blackbox");
       if (!v) return false;
       args->blackbox = v;
-    } else if (a == "--global-backend") {
-      const char* v = next("--global-backend");
-      if (!v) return false;
-      const auto backend = p3d::place::ParseGlobalBackend(v);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "%s\n", backend.status().message().c_str());
-        return false;
-      }
-      args->override_backend = true;
-      args->global_backend = *backend;
     } else if (a == "--quiet") {
       args->quiet = true;
     } else {
@@ -199,11 +182,6 @@ int main(int argc, char** argv) {
   if (manifest.jobs.empty()) {
     std::fprintf(stderr, "manifest has no jobs\n");
     return 2;
-  }
-  if (args.override_backend) {
-    for (p3d::serve::JobSpec& spec : manifest.jobs) {
-      spec.params.global_backend = args.global_backend;
-    }
   }
 
   p3d::serve::JobEngineOptions engine_opts;

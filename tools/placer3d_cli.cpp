@@ -12,9 +12,6 @@
 //     --layers N              active layers (default 4)
 //     --alpha-ilv V           interlayer via coefficient (default 1e-5)
 //     --alpha-temp V          thermal coefficient (default 0)
-//     --global-backend NAME   global-placement engine: bisection (paper
-//                             Section 3 recursive bisection, default) or
-//                             analytic (quadratic B2B + 3D density)
 //     --seed N                placer seed
 //     --threads N             worker threads (0 = all hardware threads);
 //                             results are identical for any thread count
@@ -62,7 +59,6 @@
 #include "obs/report.h"
 #include "obs/ring.h"
 #include "obs/trace.h"
-#include "place/global_backend.h"
 #include "place/instrument.h"
 #include "place/monitor.h"
 #include "place/placer.h"
@@ -81,8 +77,6 @@ struct Args {
   int layers = 4;
   double alpha_ilv = 1e-5;
   double alpha_temp = 0.0;
-  p3d::place::GlobalBackend global_backend =
-      p3d::place::GlobalBackend::kBisection;
   std::uint64_t seed = 12345;
   int threads = 1;
   int legalize_threads = 0;
@@ -107,7 +101,6 @@ void PrintUsage() {
   std::puts(
       "usage: placer3d_cli [--circuit ibmXX | --aux design.aux] [--scale S]\n"
       "                    [--layers N] [--alpha-ilv V] [--alpha-temp V]\n"
-      "                    [--global-backend bisection|analytic]\n"
       "                    [--seed N] [--threads N] [--legalize-threads N]\n"
       "                    [--legalize-window N] [--out-pl F] [--out-svg F]\n"
       "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
@@ -165,15 +158,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--alpha-temp");
       if (!v) return false;
       args->alpha_temp = std::atof(v);
-    } else if (a == "--global-backend") {
-      const char* v = next("--global-backend");
-      if (!v) return false;
-      const auto backend = p3d::place::ParseGlobalBackend(v);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "%s\n", backend.status().ToString().c_str());
-        return false;
-      }
-      args->global_backend = *backend;
     } else if (a == "--seed") {
       const char* v = next("--seed");
       if (!v) return false;
@@ -301,7 +285,6 @@ int main(int argc, char** argv) {
   params.num_layers = args.layers;
   params.alpha_ilv = args.alpha_ilv;
   params.alpha_temp = args.alpha_temp;
-  params.global_backend = args.global_backend;
   params.seed = args.seed;
   params.threads = args.threads;
   params.legalize_threads = args.legalize_threads;
