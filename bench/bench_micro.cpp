@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// substrates: hypergraph bipartitioning, FEA thermal solves, incremental
-// objective evaluation, cell shifting, synthetic generation, and the
-// parallel-runtime scaling of multi-start partitioning and CG/SpMV
-// (threads = 1/2/4/8; wall-clock speedup requires matching hardware cores).
+// substrates: hypergraph bipartitioning and FM refinement, FEA thermal
+// solves, incremental objective evaluation, cell shifting, synthetic
+// generation, and the parallel-runtime scaling of multi-start partitioning
+// and CG/SpMV (threads = 1/2/4/8; wall-clock speedup requires matching
+// hardware cores).
 #include <benchmark/benchmark.h>
 
 #include "io/synthetic.h"
 #include "linalg/cg.h"
 #include "linalg/csr.h"
 #include "obs/ring.h"
+#include "partition/fm.h"
 #include "partition/partitioner.h"
 #include "place/objective.h"
 #include "place/shift.h"
+#include "region_hypergraph.h"
 #include "thermal/fea.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -64,6 +67,42 @@ void BM_Bipartition(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cells);
 }
 BENCHMARK(BM_Bipartition)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// One FM refinement of the shape the flow runs most often: a region of ~25
+// cells, ~34 nets and ~100 pins, with two fixed terminals on most nets
+// (fixture shared with test_partition). A flow makes tens of thousands of
+// these calls, so this measures FM's fixed cost per call, which the large
+// terminal-free BM_Bipartition graphs hide.
+void BM_RefineFmRegion(benchmark::State& state) {
+  const partition::Hypergraph hg = partition::fixtures::RegionHypergraph(1);
+  std::vector<std::int8_t> start(static_cast<std::size_t>(hg.NumVerts()));
+  util::Rng start_rng(1);
+  for (std::int32_t v = 0; v < hg.NumVerts(); ++v) {
+    const partition::FixedSide f = hg.Fixed(v);
+    start[static_cast<std::size_t>(v)] =
+        f == partition::FixedSide::kFree
+            ? static_cast<std::int8_t>(start_rng.NextBounded(2))
+            : static_cast<std::int8_t>(f);
+  }
+  partition::FmOptions opt;
+  opt.min_part0_weight_q = hg.TotalVertWeightQ() * 4 / 10;
+  opt.max_part0_weight_q = hg.TotalVertWeightQ() * 6 / 10;
+  opt.max_passes = partition::PartitionOptions{}.fm_passes;
+  std::vector<std::int8_t> side;
+  for (auto _ : state) {
+    side = start;
+    util::Rng rng(1);
+    benchmark::DoNotOptimize(partition::RefineFm(hg, &side, opt, rng));
+  }
+  std::int64_t pins = 0;
+  for (std::int32_t n = 0; n < hg.NumNets(); ++n) {
+    pins += static_cast<std::int64_t>(hg.NetVerts(n).size());
+  }
+  state.counters["verts"] = hg.NumVerts();
+  state.counters["nets"] = hg.NumNets();
+  state.counters["pins"] = static_cast<double>(pins);
+}
+BENCHMARK(BM_RefineFmRegion);
 
 // Multi-start partitioning with the runtime fanning the 8 independent
 // starts over N threads. The result is identical for every N (determinism

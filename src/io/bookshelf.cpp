@@ -1,6 +1,7 @@
 #include "io/bookshelf.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -30,10 +31,13 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Reads the next non-empty, non-comment, non-header line.
-bool NextDataLine(std::istream& in, std::string* out) {
+/// Reads the next non-empty, non-comment, non-header line. `line_no`, when
+/// given, counts the physical lines read so far (so it ends on the line
+/// returned).
+bool NextDataLine(std::istream& in, std::string* out, int* line_no = nullptr) {
   std::string line;
   while (std::getline(in, line)) {
+    if (line_no != nullptr) ++*line_no;
     line = CleanLine(line);
     if (line.empty()) continue;
     if (line.rfind("UCLA", 0) == 0) continue;  // format header
@@ -69,6 +73,22 @@ bool ParseFiniteDouble(const std::string& tok, double* out) {
   *out = std::strtod(tok.c_str(), &end);
   return !tok.empty() && end == tok.c_str() + tok.size() &&
          std::isfinite(*out);
+}
+
+/// Parses the whole of `tok` as a base-10 int (std::atoi would accept "abc"
+/// as 0 and "3x" as 3, and overflow silently).
+bool ParseInt(const std::string& tok, int* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return !tok.empty() && ec == std::errc() && ptr == end;
+}
+
+/// The error for a malformed numeric field, naming the file and line.
+util::Status BadField(const std::string& path, int line_no,
+                      const std::string& field, const std::string& tok) {
+  return util::ParseError("bookshelf: " + path + ":" +
+                          std::to_string(line_no) + ": bad " + field + " '" +
+                          tok + "'");
 }
 
 std::string DirName(const std::string& path) {
@@ -137,7 +157,8 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
   std::int64_t expected_nets = -1, expected_pins = -1;
   std::int64_t pins_parsed = 0;
   std::int32_t pins_remaining = 0;
-  while (NextDataLine(in, &line)) {
+  int line_no = 0;
+  while (NextDataLine(in, &line, &line_no)) {
     std::int64_t v;
     if (ParseKeyCountLine(line, "NumNets", &v)) {
       expected_nets = v;
@@ -154,7 +175,9 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
         return util::ParseError("bookshelf: bad NetDegree line in " + path +
                                 ": " + line);
       }
-      pins_remaining = std::atoi(tokens[2].c_str());
+      if (!ParseInt(tokens[2], &pins_remaining) || pins_remaining < 0) {
+        return BadField(path, line_no, "NetDegree count", tokens[2]);
+      }
       const std::string net_name =
           tokens.size() >= 4 ? tokens[3]
                              : "net" + std::to_string(nl->NumNets());
@@ -181,8 +204,14 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
     double dx = 0.0, dy = 0.0;
     if (tokens.size() > next && tokens[next] == ":") {
       if (tokens.size() >= next + 3) {
-        dx = std::atof(tokens[next + 1].c_str()) * unit_m;
-        dy = std::atof(tokens[next + 2].c_str()) * unit_m;
+        if (!ParseFiniteDouble(tokens[next + 1], &dx)) {
+          return BadField(path, line_no, "pin x offset", tokens[next + 1]);
+        }
+        if (!ParseFiniteDouble(tokens[next + 2], &dy)) {
+          return BadField(path, line_no, "pin y offset", tokens[next + 2]);
+        }
+        dx *= unit_m;
+        dy *= unit_m;
       }
     }
     nl->AddPin(it->second, dir, dx, dy);
@@ -213,7 +242,8 @@ util::Status ParsePlFile(const std::string& path, double unit_m,
   y->assign(static_cast<std::size_t>(nl.NumCells()), 0.0);
   layer->assign(static_cast<std::size_t>(nl.NumCells()), 0);
   std::string line;
-  while (NextDataLine(in, &line)) {
+  int line_no = 0;
+  while (NextDataLine(in, &line, &line_no)) {
     const auto tokens = Tokenize(line);
     if (tokens.size() < 3) continue;
     const auto it = name_index.find(tokens[0]);
@@ -223,12 +253,23 @@ util::Status ParsePlFile(const std::string& path, double unit_m,
       continue;
     }
     const std::size_t c = static_cast<std::size_t>(it->second);
-    (*x)[c] = std::atof(tokens[1].c_str()) * unit_m;
-    (*y)[c] = std::atof(tokens[2].c_str()) * unit_m;
-    // Optional ": orientation [layer]" suffix.
+    double cx = 0.0, cy = 0.0;
+    if (!ParseFiniteDouble(tokens[1], &cx)) {
+      return BadField(path, line_no, "x coordinate", tokens[1]);
+    }
+    if (!ParseFiniteDouble(tokens[2], &cy)) {
+      return BadField(path, line_no, "y coordinate", tokens[2]);
+    }
+    (*x)[c] = cx * unit_m;
+    (*y)[c] = cy * unit_m;
+    // Optional ": orientation [layer] [/FIXED]" suffix.
     for (std::size_t i = 3; i + 1 < tokens.size(); ++i) {
       if (tokens[i] == ":" && i + 2 < tokens.size()) {
-        (*layer)[c] = std::atoi(tokens[i + 2].c_str());
+        const std::string& tok = tokens[i + 2];
+        if (tok.starts_with('/')) break;  // a flag, no layer column
+        if (!ParseInt(tok, &(*layer)[c])) {
+          return BadField(path, line_no, "layer", tok);
+        }
         break;
       }
     }
@@ -246,7 +287,8 @@ util::Status ParseSclFile(const std::string& path,
   BookshelfRow row;
   bool in_row = false;
   double sitewidth = 1.0;
-  while (NextDataLine(in, &line)) {
+  int line_no = 0;
+  while (NextDataLine(in, &line, &line_no)) {
     auto tokens = Tokenize(line);
     if (tokens.empty()) continue;
     if (tokens[0] == "CoreRow") {
@@ -262,17 +304,25 @@ util::Status ParseSclFile(const std::string& path,
       continue;
     }
     if (tokens.size() >= 3 && tokens[1] == ":") {
-      const double v = std::atof(tokens[2].c_str());
-      if (tokens[0] == "Coordinate") row.y = v;
-      else if (tokens[0] == "Height") row.height = v;
-      else if (tokens[0] == "Sitewidth") sitewidth = v;
-      else if (tokens[0] == "SubrowOrigin") {
-        row.x = v;
-        // "SubrowOrigin : x NumSites : n"
-        for (std::size_t i = 3; i + 2 < tokens.size(); ++i) {
-          if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
-            row.width = std::atof(tokens[i + 2].c_str()) * sitewidth;
+      const std::string& key = tokens[0];
+      double* field = key == "Coordinate"     ? &row.y
+                      : key == "Height"       ? &row.height
+                      : key == "Sitewidth"    ? &sitewidth
+                      : key == "SubrowOrigin" ? &row.x
+                                              : nullptr;
+      if (field == nullptr) continue;  // Sitespacing, Siteorient, ...
+      if (!ParseFiniteDouble(tokens[2], field)) {
+        return BadField(path, line_no, key, tokens[2]);
+      }
+      if (key != "SubrowOrigin") continue;
+      // "SubrowOrigin : x NumSites : n"
+      for (std::size_t i = 3; i + 2 < tokens.size(); ++i) {
+        if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
+          double sites = 0.0;
+          if (!ParseFiniteDouble(tokens[i + 2], &sites)) {
+            return BadField(path, line_no, "NumSites", tokens[i + 2]);
           }
+          row.width = sites * sitewidth;
         }
       }
     }

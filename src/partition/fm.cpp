@@ -7,77 +7,148 @@
 namespace p3d::partition {
 namespace {
 
-/// Doubly-linked gain bucket array over vertex ids, one instance per side.
-/// Gains are bounded by +-pmax (sum of incident quantized net weights).
-class GainBuckets {
+/// Indexed binary max-heap of one side's free vertices, keyed by
+/// (gain, stamp). The stamp grows on every Insert and every AddGain, zero
+/// deltas included, so among equal gains the most recently inserted or
+/// updated vertex is on top: the head of the classic FM bucket list, so the
+/// move order matches a bucket implementation's. Unlike a bucket array, its
+/// size follows the vertex count, not the gain range (region hypergraphs
+/// have ~25 free vertices but gains up to ~1e5).
+class GainHeap {
  public:
-  GainBuckets(std::int32_t num_verts, std::int64_t pmax)
-      : offset_(pmax),
-        head_(static_cast<std::size_t>(2 * pmax + 1), -1),
-        next_(static_cast<std::size_t>(num_verts), -1),
-        prev_(static_cast<std::size_t>(num_verts), -1),
-        in_(static_cast<std::size_t>(num_verts), false),
-        max_idx_(-1) {}
+  explicit GainHeap(std::int32_t num_verts)
+      : key_(static_cast<std::size_t>(num_verts)),
+        pos_(static_cast<std::size_t>(num_verts), -1) {
+    heap_.reserve(static_cast<std::size_t>(num_verts));
+  }
 
-  bool Contains(std::int32_t v) const { return in_[static_cast<std::size_t>(v)]; }
+  /// Empties the heap and restarts the stamp.
+  void Clear() {
+    for (const std::int32_t v : heap_) pos_[static_cast<std::size_t>(v)] = -1;
+    heap_.clear();
+    stamp_ = 0;
+  }
 
   void Insert(std::int32_t v, std::int64_t gain) {
-    assert(!in_[static_cast<std::size_t>(v)]);
-    const std::int64_t idx = gain + offset_;
-    assert(idx >= 0 && idx < static_cast<std::int64_t>(head_.size()));
-    next_[static_cast<std::size_t>(v)] = head_[static_cast<std::size_t>(idx)];
-    prev_[static_cast<std::size_t>(v)] = -1;
-    if (head_[static_cast<std::size_t>(idx)] >= 0) {
-      prev_[static_cast<std::size_t>(head_[static_cast<std::size_t>(idx)])] = v;
-    }
-    head_[static_cast<std::size_t>(idx)] = v;
-    in_[static_cast<std::size_t>(v)] = true;
-    max_idx_ = std::max(max_idx_, idx);
+    assert(pos_[static_cast<std::size_t>(v)] < 0);
+    key_[static_cast<std::size_t>(v)] = NextKey(gain);
+    heap_.push_back(v);
+    SiftUp(static_cast<std::int32_t>(heap_.size()) - 1);
   }
 
-  void Remove(std::int32_t v, std::int64_t gain) {
-    assert(in_[static_cast<std::size_t>(v)]);
-    const std::int64_t idx = gain + offset_;
-    const std::int32_t nx = next_[static_cast<std::size_t>(v)];
-    const std::int32_t pv = prev_[static_cast<std::size_t>(v)];
-    if (nx >= 0) prev_[static_cast<std::size_t>(nx)] = pv;
-    if (pv >= 0) {
-      next_[static_cast<std::size_t>(pv)] = nx;
+  void Remove(std::int32_t v) {
+    const std::int32_t i = pos_[static_cast<std::size_t>(v)];
+    assert(i >= 0);
+    pos_[static_cast<std::size_t>(v)] = -1;
+    const std::int32_t last = heap_.back();
+    heap_.pop_back();
+    if (last == v) return;
+    Place(last, i);
+    SiftUp(i);
+    SiftDown(pos_[static_cast<std::size_t>(last)]);
+  }
+
+  void AddGain(std::int32_t v, std::int64_t delta) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    // The fresh stamp makes the key grow unless the gain drops.
+    key_[vi] = NextKey(Gain(v) + delta);
+    if (delta >= 0) {
+      SiftUp(pos_[vi]);
     } else {
-      head_[static_cast<std::size_t>(idx)] = nx;
+      SiftDown(pos_[vi]);
     }
-    in_[static_cast<std::size_t>(v)] = false;
   }
 
-  void UpdateGain(std::int32_t v, std::int64_t old_gain, std::int64_t new_gain) {
-    Remove(v, old_gain);
-    Insert(v, new_gain);
-  }
-
-  /// Highest-gain vertex, or -1 if empty. max gain returned via out param.
-  std::int32_t Top(std::int64_t* gain) {
-    while (max_idx_ >= 0 && head_[static_cast<std::size_t>(max_idx_)] < 0) {
-      --max_idx_;
-    }
-    if (max_idx_ < 0) return -1;
-    *gain = max_idx_ - offset_;
-    return head_[static_cast<std::size_t>(max_idx_)];
+  /// Highest-gain vertex, or -1 if empty; its gain goes to `*gain`.
+  std::int32_t Top(std::int64_t* gain) const {
+    if (heap_.empty()) return -1;
+    *gain = Gain(heap_.front());
+    return heap_.front();
   }
 
  private:
-  std::int64_t offset_;
-  std::vector<std::int32_t> head_;
-  std::vector<std::int32_t> next_;
-  std::vector<std::int32_t> prev_;
-  std::vector<bool> in_;
-  std::int64_t max_idx_;
+  std::int64_t Gain(std::int32_t v) const {
+    return key_[static_cast<std::size_t>(v)] >> 32;
+  }
+
+  // Per pass there are at most a few stamps per pin, far below 2^32.
+  std::int64_t NextKey(std::int64_t gain) {
+    assert(gain >= std::numeric_limits<std::int32_t>::min() &&
+           gain <= std::numeric_limits<std::int32_t>::max());
+    assert(stamp_ < std::numeric_limits<std::uint32_t>::max());
+    return gain * (std::int64_t{1} << 32) + static_cast<std::int64_t>(stamp_++);
+  }
+
+  std::int64_t KeyAt(std::int32_t i) const {
+    return key_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(i)])];
+  }
+
+  void Place(std::int32_t v, std::int32_t i) {
+    heap_[static_cast<std::size_t>(i)] = v;
+    pos_[static_cast<std::size_t>(v)] = i;
+  }
+
+  void SiftUp(std::int32_t i) {
+    const std::int32_t v = heap_[static_cast<std::size_t>(i)];
+    const std::int64_t k = key_[static_cast<std::size_t>(v)];
+    while (i > 0) {
+      const std::int32_t parent = (i - 1) / 2;
+      if (KeyAt(parent) >= k) break;
+      Place(heap_[static_cast<std::size_t>(parent)], i);
+      i = parent;
+    }
+    Place(v, i);
+  }
+
+  void SiftDown(std::int32_t i) {
+    const auto n = static_cast<std::int32_t>(heap_.size());
+    const std::int32_t v = heap_[static_cast<std::size_t>(i)];
+    const std::int64_t k = key_[static_cast<std::size_t>(v)];
+    while (true) {
+      std::int32_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && KeyAt(child + 1) > KeyAt(child)) ++child;
+      if (KeyAt(child) <= k) break;
+      Place(heap_[static_cast<std::size_t>(child)], i);
+      i = child;
+    }
+    Place(v, i);
+  }
+
+  std::vector<std::int64_t> key_;   // (gain << 32) | stamp, per vertex
+  std::vector<std::int32_t> pos_;   // heap slot per vertex, -1 if absent
+  std::vector<std::int32_t> heap_;  // vertex per heap slot
+  std::uint32_t stamp_ = 0;
 };
 
+/// FM workspace, allocated once per RefineFm call and cleared per pass.
 struct PassState {
-  std::vector<std::int64_t> gain;
+  PassState(std::int32_t num_verts, std::int32_t num_nets)
+      : locked(static_cast<std::size_t>(num_verts)),
+        cnt0(static_cast<std::size_t>(num_nets)),
+        cnt1(static_cast<std::size_t>(num_nets)),
+        heap0(num_verts),
+        heap1(num_verts) {
+    moves.reserve(static_cast<std::size_t>(num_verts));
+  }
+
+  void Clear() {
+    std::fill(locked.begin(), locked.end(), false);
+    std::fill(cnt0.begin(), cnt0.end(), 0);
+    std::fill(cnt1.begin(), cnt1.end(), 0);
+    heap0.Clear();
+    heap1.Clear();
+    moves.clear();
+  }
+
+  GainHeap& Heap(int s) { return s == 0 ? heap0 : heap1; }
+
   std::vector<bool> locked;
   std::vector<std::int32_t> cnt0;  // free+fixed vertices per net on side 0
   std::vector<std::int32_t> cnt1;
+  GainHeap heap0;  // unlocked free vertices currently on side 0
+  GainHeap heap1;
+  std::vector<std::int32_t> moves;  // moved vertices in order, for rollback
 };
 
 }  // namespace
@@ -94,14 +165,6 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     return stats;
   }
 
-  // Max possible |gain| per vertex = sum of incident quantized net weights.
-  std::int64_t pmax = 1;
-  for (std::int32_t v = 0; v < nv; ++v) {
-    std::int64_t s = 0;
-    for (const std::int32_t n : hg.VertNets(v)) s += hg.NetWeightQ(n);
-    pmax = std::max(pmax, s);
-  }
-
   std::int64_t pw0 = hg.PartWeightQ(side, 0);
   const std::int64_t min0 = options.min_part0_weight_q;
   const std::int64_t max0 = options.max_part0_weight_q;
@@ -113,24 +176,20 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     return 0;
   };
 
-  PassState st;
-  st.gain.resize(static_cast<std::size_t>(nv));
-  st.locked.resize(static_cast<std::size_t>(nv));
-  st.cnt0.resize(static_cast<std::size_t>(hg.NumNets()));
-  st.cnt1.resize(static_cast<std::size_t>(hg.NumNets()));
+  PassState st(nv, hg.NumNets());
 
   // Visit order randomization decorrelates repeated runs.
   std::vector<std::int32_t> order(static_cast<std::size_t>(nv));
   for (std::int32_t v = 0; v < nv; ++v) order[static_cast<std::size_t>(v)] = v;
 
   std::int64_t cur_cut = stats.initial_cut_q;
+  stats.stop = FmStop::kCap;
 
   for (int pass = 0; pass < options.max_passes; ++pass) {
     stats.passes = pass + 1;
 
     // --- initialize pass state -------------------------------------------
-    std::fill(st.cnt0.begin(), st.cnt0.end(), 0);
-    std::fill(st.cnt1.begin(), st.cnt1.end(), 0);
+    st.Clear();
     for (std::int32_t n = 0; n < hg.NumNets(); ++n) {
       for (const std::int32_t v : hg.NetVerts(n)) {
         if (side[static_cast<std::size_t>(v)] == 0) {
@@ -140,10 +199,7 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
         }
       }
     }
-    std::fill(st.locked.begin(), st.locked.end(), false);
 
-    GainBuckets buckets0(nv, pmax);  // movable vertices currently on side 0
-    GainBuckets buckets1(nv, pmax);
     rng.Shuffle(order);
     for (const std::int32_t v : order) {
       if (hg.Fixed(v) != FixedSide::kFree) continue;
@@ -157,16 +213,10 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
         if (cf == 1) g += hg.NetWeightQ(n);
         if (ct == 0) g -= hg.NetWeightQ(n);
       }
-      st.gain[static_cast<std::size_t>(v)] = g;
-      (from == 0 ? buckets0 : buckets1).Insert(v, g);
+      st.Heap(from).Insert(v, g);
     }
 
     // --- move loop -----------------------------------------------------------
-    struct Undo {
-      std::int32_t vertex;
-    };
-    std::vector<Undo> moves;
-    moves.reserve(static_cast<std::size_t>(nv));
     std::int64_t best_cut = cur_cut;
     std::int64_t best_infeas = infeas(pw0);
     std::size_t best_prefix = 0;
@@ -175,8 +225,8 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     while (true) {
       std::int64_t g0 = std::numeric_limits<std::int64_t>::min();
       std::int64_t g1 = std::numeric_limits<std::int64_t>::min();
-      const std::int32_t v0 = buckets0.Top(&g0);
-      const std::int32_t v1 = buckets1.Top(&g1);
+      const std::int32_t v0 = st.heap0.Top(&g0);
+      const std::int32_t v1 = st.heap1.Top(&g1);
       if (v0 < 0 && v1 < 0) break;
 
       // A move is admissible if the balance after it is feasible, or strictly
@@ -189,7 +239,6 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
       };
 
       int from = -1;
-      std::int32_t v = -1;
       const bool ok0 = v0 >= 0 && admissible(v0, 0);
       const bool ok1 = v1 >= 0 && admissible(v1, 1);
       if (ok0 && ok1) {
@@ -206,18 +255,18 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
       } else {
         break;  // no admissible move
       }
-      v = from == 0 ? v0 : v1;
+      const std::int32_t v = from == 0 ? v0 : v1;
       const std::int64_t g = from == 0 ? g0 : g1;
       const int to = 1 - from;
 
       // Execute the move.
-      (from == 0 ? buckets0 : buckets1).Remove(v, g);
+      st.Heap(from).Remove(v);
       st.locked[static_cast<std::size_t>(v)] = true;
       const std::int64_t wv = hg.VertWeightQ(v);
       pw0 += from == 0 ? -wv : wv;
       cur_cut -= g;
       side[static_cast<std::size_t>(v)] = static_cast<std::int8_t>(to);
-      moves.push_back({v});
+      st.moves.push_back(v);
 
       // Standard FM incremental gain updates.
       for (const std::int32_t n : hg.VertNets(v)) {
@@ -226,13 +275,13 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
         auto& ct = from == 0 ? st.cnt1[static_cast<std::size_t>(n)]
                              : st.cnt0[static_cast<std::size_t>(n)];
         const std::int32_t w = hg.NetWeightQ(n);
+        // Every bump counts as an update, even with w == 0: it makes u the
+        // most recent vertex of its gain, as re-linking it into the head of
+        // its bucket would.
         auto bump = [&](std::int32_t u, std::int64_t delta) {
           if (st.locked[static_cast<std::size_t>(u)]) return;
           if (hg.Fixed(u) != FixedSide::kFree) return;
-          auto& bk = side[static_cast<std::size_t>(u)] == 0 ? buckets0 : buckets1;
-          const std::int64_t old = st.gain[static_cast<std::size_t>(u)];
-          st.gain[static_cast<std::size_t>(u)] = old + delta;
-          bk.UpdateGain(u, old, old + delta);
+          st.Heap(side[static_cast<std::size_t>(u)]).AddGain(u, delta);
         };
         // Before-move bookkeeping (counts still reflect pre-move state).
         if (ct == 0) {
@@ -264,7 +313,7 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
       if (better) {
         best_cut = cur_cut;
         best_infeas = inf_now;
-        best_prefix = moves.size();
+        best_prefix = st.moves.size();
         non_improving = 0;
       } else {
         ++non_improving;
@@ -276,8 +325,8 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     }
 
     // --- roll back to the best prefix --------------------------------------
-    for (std::size_t i = moves.size(); i > best_prefix; --i) {
-      const std::int32_t v = moves[i - 1].vertex;
+    for (std::size_t i = st.moves.size(); i > best_prefix; --i) {
+      const std::int32_t v = st.moves[i - 1];
       const int cur = side[static_cast<std::size_t>(v)];
       // The vertex leaves side `cur` and returns to side `1 - cur`.
       side[static_cast<std::size_t>(v)] = static_cast<std::int8_t>(1 - cur);
@@ -285,7 +334,10 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     }
     cur_cut = best_cut;
 
-    if (best_prefix == 0) break;  // pass made no improvement
+    if (best_prefix == 0) {  // pass made no improvement
+      stats.stop = FmStop::kConverged;
+      break;
+    }
   }
 
   stats.final_cut_q = cur_cut;

@@ -1,6 +1,10 @@
-// Fiduccia–Mattheyses bipartition refinement with gain buckets.
+// Fiduccia–Mattheyses bipartition refinement.
 //
-// Operates on quantized weights so gains are integers (bucket-indexable).
+// Operates on quantized weights so gains are integers. Each side keeps its
+// free vertices in a max-heap on (gain, stamp): among equal gains the vertex
+// inserted or updated last moves first, the LIFO order of the classic FM
+// gain-bucket list, in memory proportional to the vertex count.
+//
 // Balance is expressed as an allowed interval for part 0's quantized weight;
 // the refiner also repairs infeasible starting partitions by preferring
 // balance-restoring moves while infeasible.
@@ -23,8 +27,15 @@ struct FmOptions {
   int early_exit_moves = 300;
 };
 
+/// Why RefineFm stopped.
+enum class FmStop : std::int8_t {
+  kConverged,  // a pass found no improving prefix
+  kCap,        // ran FmOptions::max_passes passes
+};
+
 struct FmStats {
   int passes = 0;
+  FmStop stop = FmStop::kConverged;
   std::int64_t initial_cut_q = 0;
   std::int64_t final_cut_q = 0;
   bool feasible = false;  // final balance within bounds

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace p3d::partition {
 namespace {
 
-// Quantization caps. Net gains are sums of incident net weights, so keeping
-// individual weights small keeps the FM bucket arrays compact.
+// Quantization caps. FM keys a free vertex's gain, at most the sum of its
+// incident net weights, in 32 bits; capping each net weight keeps that sum
+// in range for any vertex on fewer than ~1M nets (Finalize shrinks the rest).
 constexpr std::int32_t kMaxNetWeightQ = 4096;
+constexpr std::int64_t kMaxGainQ = std::numeric_limits<std::int32_t>::max();
 constexpr std::int64_t kMaxVertWeightQ = 1'000'000'000LL;
 
 }  // namespace
@@ -74,6 +77,30 @@ void Hypergraph::Finalize() {
       const double q = net_weight_[i] * scale;
       net_weight_q_[i] = static_cast<std::int32_t>(
           std::clamp(std::lround(q), 0L, static_cast<long>(kMaxNetWeightQ)));
+    }
+  }
+  // The total net weight bounds every vertex's gain, so the per-vertex check
+  // runs only on hypergraphs with over a million nets.
+  std::int64_t total_net_q = 0;
+  for (const std::int32_t q : net_weight_q_) total_net_q += q;
+  if (total_net_q > kMaxGainQ) {
+    std::int64_t max_gain_q = 0;
+    for (std::int32_t v = 0; v < NumVerts(); ++v) {
+      if (Fixed(v) != FixedSide::kFree) continue;  // FM never moves these
+      std::int64_t sum = 0;
+      for (const std::int32_t n : VertNets(v)) {
+        sum += net_weight_q_[static_cast<std::size_t>(n)];
+      }
+      max_gain_q = std::max(max_gain_q, sum);
+    }
+    if (max_gain_q > kMaxGainQ) {
+      // Only a vertex on ~1M max-weight nets gets here. Scaling to half the
+      // bound leaves ample headroom for floating-point rounding.
+      const double shrink =
+          0.5 * static_cast<double>(kMaxGainQ) / static_cast<double>(max_gain_q);
+      for (std::int32_t& q : net_weight_q_) {
+        q = static_cast<std::int32_t>(std::floor(q * shrink));
+      }
     }
   }
 

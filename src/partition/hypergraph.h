@@ -5,11 +5,11 @@
 // cells (plus zero-weight fixed terminals from terminal propagation), nets
 // are the induced hypernets with direction-dependent weights.
 //
-// Weights are quantized to integers on construction: the FM refiner uses
-// gain-bucket arrays, which require integer gains (as in the original FM and
-// hMetis implementations). Quantization resolution is 1/64 of the smallest
-// positive net weight, capped so gains stay small; partitioning quality is
-// insensitive to this rounding.
+// Weights are quantized to integers on construction so FM gains are exact
+// integers (as in the original FM and hMetis implementations). The heaviest
+// net maps to 2048 and the others scale with it, down to 0 for nets below
+// that resolution; the cap keeps every free vertex's gain within the 32 bits
+// FM keys it in. Partitioning quality is insensitive to this rounding.
 #pragma once
 
 #include <cstdint>

@@ -154,10 +154,13 @@ PartitionResult RunOneStart(const Hypergraph& hg,
   long long fm_calls = 0;
   long long fm_passes = 0;
   long long fm_gain_q = 0;
+  long long fm_stop_converged = 0;
+  long long fm_stop_cap = 0;
   const auto tally_fm = [&](const FmStats& fs) {
     ++fm_calls;
     fm_passes += fs.passes;
     fm_gain_q += fs.initial_cut_q - fs.final_cut_q;
+    ++(fs.stop == FmStop::kCap ? fm_stop_cap : fm_stop_converged);
   };
 
   // --- coarsen -------------------------------------------------------------
@@ -252,6 +255,8 @@ PartitionResult RunOneStart(const Hypergraph& hg,
   obs::MetricAdd("fm/refinements", fm_calls);
   obs::MetricAdd("fm/passes", fm_passes);
   obs::MetricAdd("fm/gain_q", fm_gain_q);
+  obs::MetricAdd("fm/stop_converged", fm_stop_converged);
+  obs::MetricAdd("fm/stop_cap", fm_stop_cap);
   obs::MetricObserve("partition/coarsen_levels",
                      static_cast<std::int64_t>(levels.size()));
 

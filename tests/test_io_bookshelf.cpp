@@ -278,6 +278,102 @@ TEST_F(BookshelfTest, RejectsInvalidNodeSizes) {
   EXPECT_DOUBLE_EQ(nl.cell(2).width, 0.0);
 }
 
+// Malformed numeric fields: each parser returns kParseError naming the file,
+// the physical line (comments and blank lines count) and the bad token.
+void ExpectFieldError(const util::Status& s, const std::string& where,
+                      const std::string& token) {
+  EXPECT_EQ(s.code(), util::StatusCode::kParseError) << s.ToString();
+  EXPECT_NE(s.message().find(where), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("'" + token + "'"), std::string::npos)
+      << s.message();
+}
+
+constexpr char kTwoNodes[] = "NumNodes : 2\na 1 1\nb 1 1\n";
+
+TEST_F(BookshelfTest, RejectsMalformedNetDegree) {
+  for (const char* degree : {"two", "2x", "-1", "99999999999", "1.5"}) {
+    WriteFile("d.nodes", kTwoNodes);
+    WriteFile("bad.nets", std::string("# nets\nNumNets : 1\nNetDegree : ") +
+                              degree + " n0\n  a I\n  b I\n");
+    netlist::Netlist nl;
+    ASSERT_TRUE(ParseNodesFile(dir_ + "/d.nodes", 1e-6, &nl).ok());
+    ExpectFieldError(ParseNetsFile(dir_ + "/bad.nets", 1e-6, &nl),
+                     "bad.nets:3:", degree);
+  }
+}
+
+TEST_F(BookshelfTest, RejectsMalformedPinOffsets) {
+  const char* pins[][2] = {
+      {"  a I : abc 0\n", "abc"}, {"  a I : 0.5 nan\n", "nan"},
+      {"  a O : 1e999 0\n", "1e999"}, {"  a : 0 2y\n", "2y"}};
+  for (const auto& [pin, token] : pins) {
+    WriteFile("d.nodes", kTwoNodes);
+    WriteFile("bad.nets",
+              std::string("NetDegree : 2 n0\n  b I : 0 0\n") + pin);
+    netlist::Netlist nl;
+    ASSERT_TRUE(ParseNodesFile(dir_ + "/d.nodes", 1e-6, &nl).ok());
+    ExpectFieldError(ParseNetsFile(dir_ + "/bad.nets", 1e-6, &nl),
+                     "bad.nets:3:", token);
+  }
+}
+
+TEST_F(BookshelfTest, RejectsMalformedPlCoordinates) {
+  const char* rows[][2] = {{"b x1 2 : N\n", "x1"},
+                           {"b 1 inf : N\n", "inf"},
+                           {"b 1,5 2 : N\n", "1,5"},
+                           {"b 1 -2e400 : N\n", "-2e400"}};
+  for (const auto& [row, token] : rows) {
+    netlist::Netlist nl;
+    nl.AddCell("a", 1e-6, 1e-6);
+    nl.AddCell("b", 1e-6, 1e-6);
+    ASSERT_TRUE(nl.Finalize());
+    WriteFile("bad.pl", std::string("UCLA pl 1.0\n\na 1 2 : N\n") + row);
+    std::vector<double> x, y;
+    std::vector<int> layer;
+    ExpectFieldError(ParsePlFile(dir_ + "/bad.pl", 1e-6, nl, &x, &y, &layer),
+                     "bad.pl:4:", token);
+  }
+}
+
+TEST_F(BookshelfTest, RejectsMalformedPlLayer) {
+  for (const char* token : {"top", "2.5", "1e1", "3x", "99999999999"}) {
+    netlist::Netlist nl;
+    nl.AddCell("a", 1e-6, 1e-6);
+    ASSERT_TRUE(nl.Finalize());
+    WriteFile("bad.pl", std::string("a 1 2 : N ") + token + "\n");
+    std::vector<double> x, y;
+    std::vector<int> layer;
+    ExpectFieldError(ParsePlFile(dir_ + "/bad.pl", 1e-6, nl, &x, &y, &layer),
+                     "bad.pl:1:", token);
+  }
+  // A flag in the layer's place is the plain Bookshelf form, not an error.
+  netlist::Netlist nl;
+  nl.AddCell("a", 1e-6, 1e-6);
+  ASSERT_TRUE(nl.Finalize());
+  WriteFile("ok.pl", "a 1 2 : N /FIXED\n");
+  std::vector<double> x, y;
+  std::vector<int> layer;
+  ASSERT_TRUE(ParsePlFile(dir_ + "/ok.pl", 1e-6, nl, &x, &y, &layer).ok());
+  EXPECT_EQ(layer[0], 0);
+}
+
+TEST_F(BookshelfTest, RejectsMalformedSclFields) {
+  // Each field of a row in turn; Siteorient and friends stay ignored.
+  const char* fields[][2] = {{"  Coordinate : zero\n", "zero"},
+                             {"  Height : 12px\n", "12px"},
+                             {"  Sitewidth : nan\n", "nan"},
+                             {"  SubrowOrigin : ? NumSites : 10\n", "?"},
+                             {"  SubrowOrigin : 0 NumSites : many\n", "many"}};
+  for (const auto& [field, token] : fields) {
+    WriteFile("bad.scl", std::string("NumRows : 1\nCoreRow Horizontal\n"
+                                     "  Siteorient : N\n") +
+                             field + "End\n");
+    std::vector<BookshelfRow> rows;
+    ExpectFieldError(ParseSclFile(dir_ + "/bad.scl", &rows), "bad.scl:4:",
+                     token);
+  }
+}
+
 TEST_F(BookshelfTest, FullDesignExportRoundTrip) {
   // Generate a synthetic circuit, export it as a complete Bookshelf design,
   // re-load it, and check the netlist and placement survive.
