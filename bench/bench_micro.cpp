@@ -243,7 +243,7 @@ void BM_RingRecord(benchmark::State& state) {
   obs::RingRecorder* previous = obs::InstallRingRecorder(&ring);
   std::int64_t i = 0;
   for (auto _ : state) {
-    obs::RingNote("bench.note", i++);
+    obs::TraceInstant("bench.note", i++);
   }
   obs::InstallRingRecorder(previous);
   state.SetItemsProcessed(state.iterations());
@@ -254,7 +254,7 @@ void BM_RingRecordDisabled(benchmark::State& state) {
   obs::RingRecorder* previous = obs::InstallRingRecorder(nullptr);
   std::int64_t i = 0;
   for (auto _ : state) {
-    obs::RingNote("bench.note", i++);
+    obs::TraceInstant("bench.note", i++);
   }
   obs::InstallRingRecorder(previous);
   state.SetItemsProcessed(state.iterations());

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -47,14 +48,6 @@ bool NextDataLine(std::istream& in, std::string* out, int* line_no = nullptr) {
   return false;
 }
 
-bool ParseKeyCountLine(const std::string& line, const char* key,
-                       std::int64_t* value) {
-  const auto tokens = Tokenize(line);
-  if (tokens.size() < 3 || tokens[0] != key || tokens[1] != ":") return false;
-  *value = std::atoll(tokens[2].c_str());
-  return true;
-}
-
 // Maps cell names to ids while parsing .nets / .pl.
 std::unordered_map<std::string, std::int32_t> BuildNameIndex(
     const netlist::Netlist& nl) {
@@ -91,6 +84,23 @@ util::Status BadField(const std::string& path, int line_no,
                           tok + "'");
 }
 
+/// Parses a "KEY : COUNT" header line. Returns nullopt when `line` is not
+/// that header; otherwise OK with `*value` set, or the error for a count
+/// that is not a whole number >= 0.
+std::optional<util::Status> ParseKeyCountLine(const std::string& line,
+                                              const char* key,
+                                              const std::string& path,
+                                              int line_no, int* value) {
+  const auto tokens = Tokenize(line);
+  if (tokens.size() < 3 || tokens[0] != key || tokens[1] != ":") {
+    return std::nullopt;
+  }
+  if (!ParseInt(tokens[2], value) || *value < 0) {
+    return BadField(path, line_no, key, tokens[2]);
+  }
+  return util::Status::Ok();
+}
+
 std::string DirName(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
@@ -105,15 +115,17 @@ util::Status ParseNodesFile(const std::string& path, double unit_m,
     return util::IoError("bookshelf: cannot open nodes file " + path);
   }
   std::string line;
-  std::int64_t num_nodes = -1, num_terminals = 0;
-  while (NextDataLine(in, &line)) {
-    std::int64_t v;
-    if (ParseKeyCountLine(line, "NumNodes", &v)) {
-      num_nodes = v;
+  int num_nodes = -1, num_terminals = 0;
+  int line_no = 0;
+  while (NextDataLine(in, &line, &line_no)) {
+    if (auto st = ParseKeyCountLine(line, "NumNodes", path, line_no,
+                                    &num_nodes)) {
+      if (!st->ok()) return *st;
       continue;
     }
-    if (ParseKeyCountLine(line, "NumTerminals", &v)) {
-      num_terminals = v;
+    if (auto st = ParseKeyCountLine(line, "NumTerminals", path, line_no,
+                                    &num_terminals)) {
+      if (!st->ok()) return *st;
       continue;
     }
     const auto tokens = Tokenize(line);
@@ -139,8 +151,8 @@ util::Status ParseNodesFile(const std::string& path, double unit_m,
     nl->AddCell(tokens[0], width, height, terminal);
   }
   if (num_nodes >= 0 && nl->NumCells() != num_nodes) {
-    util::LogWarn("bookshelf: NumNodes=%lld but parsed %d cells",
-                  static_cast<long long>(num_nodes), nl->NumCells());
+    util::LogWarn("bookshelf: NumNodes=%d but parsed %d cells", num_nodes,
+                  nl->NumCells());
   }
   (void)num_terminals;
   return util::Status::Ok();
@@ -154,18 +166,19 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
   }
   const auto name_index = BuildNameIndex(*nl);
   std::string line;
-  std::int64_t expected_nets = -1, expected_pins = -1;
+  int expected_nets = -1, expected_pins = -1;
   std::int64_t pins_parsed = 0;
   std::int32_t pins_remaining = 0;
   int line_no = 0;
   while (NextDataLine(in, &line, &line_no)) {
-    std::int64_t v;
-    if (ParseKeyCountLine(line, "NumNets", &v)) {
-      expected_nets = v;
+    if (auto st = ParseKeyCountLine(line, "NumNets", path, line_no,
+                                    &expected_nets)) {
+      if (!st->ok()) return *st;
       continue;
     }
-    if (ParseKeyCountLine(line, "NumPins", &v)) {
-      expected_pins = v;
+    if (auto st = ParseKeyCountLine(line, "NumPins", path, line_no,
+                                    &expected_pins)) {
+      if (!st->ok()) return *st;
       continue;
     }
     auto tokens = Tokenize(line);
@@ -287,8 +300,14 @@ util::Status ParseSclFile(const std::string& path,
   BookshelfRow row;
   bool in_row = false;
   double sitewidth = 1.0;
+  int num_rows = -1;
   int line_no = 0;
   while (NextDataLine(in, &line, &line_no)) {
+    if (auto st = ParseKeyCountLine(line, "NumRows", path, line_no,
+                                    &num_rows)) {
+      if (!st->ok()) return *st;
+      continue;
+    }
     auto tokens = Tokenize(line);
     if (tokens.empty()) continue;
     if (tokens[0] == "CoreRow") {
@@ -326,6 +345,10 @@ util::Status ParseSclFile(const std::string& path,
         }
       }
     }
+  }
+  if (num_rows >= 0 && rows->size() != static_cast<std::size_t>(num_rows)) {
+    util::LogWarn("bookshelf: NumRows=%d but parsed %zu rows", num_rows,
+                  rows->size());
   }
   return util::Status::Ok();
 }

@@ -6,7 +6,7 @@
 
 #include "linalg/multigrid.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 

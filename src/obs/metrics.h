@@ -114,7 +114,7 @@ double HistogramQuantile(const MetricsRegistry::Histogram& h, double q);
 std::string RenderPrometheus(const MetricsRegistry& registry);
 
 /// Installs `registry` as the process-wide metrics destination (nullptr
-/// disables recording). Returns the previous registry. Like the trace sink:
+/// disables recording). Returns the previous registry. Like the recorder:
 /// swap between parallel regions, not during one.
 MetricsRegistry* InstallMetrics(MetricsRegistry* registry);
 

@@ -29,6 +29,7 @@ std::atomic<std::int64_t> g_dumps{0};
 std::atomic<bool> g_crash_handler_installed{false};
 
 std::size_t RoundUpPow2(std::size_t v) {
+  if (v == 0) return 0;  // unbounded
   std::size_t p = 64;
   while (p < v) p <<= 1;
   return p;
@@ -121,6 +122,7 @@ RingRecorder* CurrentRingRecorder() {
 RingRecorder::RingRecorder(const Options& options)
     : id_(g_next_ring_id.fetch_add(1, std::memory_order_relaxed)),
       capacity_(RoundUpPow2(options.capacity_per_thread)),
+      block_events_(capacity_ != 0 ? capacity_ : kBlockEvents),
       epoch_(std::chrono::steady_clock::now()) {}
 
 RingRecorder::~RingRecorder() {
@@ -130,6 +132,12 @@ RingRecorder::~RingRecorder() {
                                  std::memory_order_acq_rel);
   Ring* ring = rings_.load(std::memory_order_acquire);
   while (ring != nullptr) {
+    Block* block = ring->first.next;
+    while (block != nullptr) {
+      Block* next = block->next;
+      delete block;
+      block = next;
+    }
     Ring* next = ring->next;
     delete ring;
     ring = next;
@@ -140,7 +148,7 @@ RingRecorder::Ring* RingRecorder::ThreadRing() {
   if (t_cache.ring_id == id_) {
     return static_cast<Ring*>(t_cache.ring);
   }
-  Ring* ring = new Ring(capacity_);
+  Ring* ring = new Ring(block_events_);
   ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
   // Lock-free push onto the list; publication (release) makes the ring's
   // immutable fields visible to dumpers.
@@ -169,47 +177,64 @@ std::size_t RingRecorder::NumEvents() const {
   for (Ring* r = rings_.load(std::memory_order_acquire); r != nullptr;
        r = r->next) {
     const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    n += static_cast<std::size_t>(head < capacity_ ? head : capacity_);
+    n += static_cast<std::size_t>(
+        capacity_ != 0 && head > capacity_ ? capacity_ : head);
   }
   return n;
 }
 
+template <typename Fn>
+void RingRecorder::ForEachSlot(const Ring& ring, Fn fn) const {
+  const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+  const std::uint64_t start =
+      capacity_ != 0 && head > capacity_ ? head - capacity_ : 0;
+  const Block* block = &ring.first;
+  for (std::uint64_t seq = start; seq < head; ++seq) {
+    const std::size_t offset =
+        static_cast<std::size_t>(seq & (block_events_ - 1));
+    if (capacity_ == 0 && offset == 0 && seq != 0) block = block->next;
+    fn(block->slots[offset], seq);
+  }
+}
+
 std::vector<RingRecorder::EventView> RingRecorder::Snapshot() const {
   std::vector<EventView> out;
+  const std::uint64_t now = NowNs();
   for (Ring* r = rings_.load(std::memory_order_acquire); r != nullptr;
        r = r->next) {
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    const std::uint64_t start = head > capacity_ ? head - capacity_ : 0;
-    for (std::uint64_t seq = start; seq < head; ++seq) {
-      const Slot& slot = r->slots[seq & (capacity_ - 1)];
+    ForEachSlot(*r, [&](const Slot& slot, std::uint64_t seq) {
       EventView v;
       v.name = slot.name.load(std::memory_order_relaxed);
-      if (v.name == nullptr) continue;  // raced a writer mid-first-store
+      if (v.name == nullptr) return;  // raced a writer mid-first-store
       v.kind = static_cast<Kind>(slot.kind.load(std::memory_order_relaxed));
       v.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
       v.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
+      if (v.dur_ns == kOpenDuration) {
+        v.dur_ns = now > v.ts_ns ? now - v.ts_ns : 0;
+      }
       v.value = slot.value.load(std::memory_order_relaxed);
       v.seq = seq;
       v.tid = r->tid;
       out.push_back(v);
-    }
+    });
   }
   return out;
 }
 
 bool RingRecorder::DumpToFd(int fd, const char* reason) const {
+  // Chrome trace format, the subset Perfetto's JSON importer reads: "X"
+  // (complete) spans with ts/dur, "C" counters, "i" instants and "M"
+  // metadata naming the process.
+  const std::uint64_t now = NowNs();
   FdWriter w{fd};
   w.Raw("{\"traceEvents\":[\n");
   w.Raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"placer3d-blackbox\"}}");
+        "\"args\":{\"name\":\"placer3d\"}}");
   for (Ring* r = rings_.load(std::memory_order_acquire); r != nullptr;
        r = r->next) {
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    const std::uint64_t start = head > capacity_ ? head - capacity_ : 0;
-    for (std::uint64_t seq = start; seq < head; ++seq) {
-      const Slot& slot = r->slots[seq & (capacity_ - 1)];
+    ForEachSlot(*r, [&](const Slot& slot, std::uint64_t seq) {
       const char* name = slot.name.load(std::memory_order_relaxed);
-      if (name == nullptr) continue;
+      if (name == nullptr) return;
       const auto kind =
           static_cast<Kind>(slot.kind.load(std::memory_order_relaxed));
       const std::uint64_t ts = slot.ts_ns.load(std::memory_order_relaxed);
@@ -222,28 +247,26 @@ bool RingRecorder::DumpToFd(int fd, const char* reason) const {
       w.Raw(",\"seq\":");
       w.U64(seq);
       w.Raw(",\"ts\":");
+      w.NsAsUs(ts);
       switch (kind) {
         case Kind::kSpan:
-          // Slots store the end time; trace ts is the start.
-          w.NsAsUs(ts >= dur ? ts - dur : 0);
+          // A span still open at the dump lasts up to the dump.
           w.Raw(",\"ph\":\"X\",\"dur\":");
-          w.NsAsUs(dur);
+          w.NsAsUs(dur != kOpenDuration ? dur : now > ts ? now - ts : 0);
           break;
         case Kind::kCounter:
-          w.NsAsUs(ts);
           w.Raw(",\"ph\":\"C\",\"args\":{\"value\":");
           w.I64(value);
           w.Char('}');
           break;
         case Kind::kInstant:
-          w.NsAsUs(ts);
           w.Raw(",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"value\":");
           w.I64(value);
           w.Char('}');
           break;
       }
       w.Char('}');
-    }
+    });
   }
   // The dump itself is the last event: a zero-length span stamped "now"
   // carrying the trigger, so every snapshot is a valid Chrome trace (the
@@ -251,7 +274,7 @@ bool RingRecorder::DumpToFd(int fd, const char* reason) const {
   // Perfetto without a side channel.
   w.Raw(",\n{\"name\":\"blackbox.dump\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
         "\"ts\":");
-  w.NsAsUs(NowNs());
+  w.NsAsUs(now);
   w.Raw(",\"dur\":0.001,\"args\":{\"reason\":");
   w.Str(reason != nullptr ? reason : "unspecified");
   w.Raw("}}\n],\"displayTimeUnit\":\"ms\"}\n");

@@ -1,19 +1,35 @@
-// RingRecorder — the always-on black box of the flight recorder (DESIGN.md
-// §7, "obs v2").
+// RingRecorder — the flight recorder's one event recorder (DESIGN.md §7,
+// "Observability"), and the TraceScope / TraceCounter / TraceInstant
+// instrumentation points that feed it.
 //
-// Where the TraceSink (trace.h) records *everything* and is installed only
-// on request, the ring recorder is meant to run for the whole life of the
-// process: each thread appends into a fixed-capacity ring of the last N
-// events, so when something goes wrong — an audit violation, a fatal
-// signal, a cancelled job, a watchdog-detected stall — the final moments of
-// every thread can be dumped as a Chrome-trace snapshot with zero setup
-// beforehand.
+// Each thread appends spans, counter samples and instant markers to its own
+// buffer. Two modes, chosen by RingOptions::capacity_per_thread:
+//   * bounded (the default, 4096): a fixed ring of the last N events per
+//     thread. Meant to run for the whole life of the process as the black
+//     box: when something goes wrong — an audit violation, a fatal signal, a
+//     cancelled job, a watchdog-detected stall — the final moments of every
+//     thread are dumped as a Chrome-trace snapshot with zero setup.
+//   * unbounded (0): every event is kept, in per-thread blocks of
+//     kBlockEvents. This is the full trace `placer3d_cli --trace` writes; it
+//     is that run's black box at the same time.
+// DumpToFd is the one Chrome trace-event serializer for both; the file loads
+// directly in Perfetto / chrome://tracing.
+//
+// A span takes its slot when its scope opens and gets its duration when the
+// scope closes. A dump therefore lists a parent span before its children
+// without sorting, and a span still open at the dump is written with its
+// duration up to the dump — the black box shows the phase a crash happened
+// in. A bounded ring drops a span whose slot was reused before it closed.
 //
 // Guarantees:
 //   * lock-free recording: one relaxed load of the installed-recorder
-//     pointer, one relaxed fetch_add, and four relaxed stores per event.
-//     No allocation after a thread's first event, no lock ever on the
-//     record path, no clock read beyond the one steady_clock sample.
+//     pointer, a TLS lookup and five relaxed stores per event. No lock ever
+//     on the record path, no clock read beyond one steady_clock sample per
+//     event or scope edge. A bounded ring allocates only on a thread's first
+//     event; unbounded mode allocates one block per kBlockEvents events.
+//   * disabled (no recorder installed): every entry point is one relaxed
+//     load and a branch. Compiling with -DP3D_OBS_DISABLED removes even that
+//     (TraceScope becomes an empty literal type).
 //   * observation only: recording never draws RNG and never touches
 //     placement state — placements are byte-identical with the recorder
 //     installed or not (tests/test_obs pins this).
@@ -40,9 +56,10 @@ namespace p3d::obs {
 
 class RingRecorder;
 
-/// Installs `recorder` as the process-wide black box (nullptr disables).
-/// Returns the previously installed recorder. Like the trace sink: swap
-/// outside parallel regions; recording threads cache per-recorder state.
+/// Installs `recorder` as the process-wide recorder (nullptr disables).
+/// Returns the previously installed recorder. Swap outside parallel regions
+/// (e.g. around a whole placer run); recording threads cache per-recorder
+/// state.
 RingRecorder* InstallRingRecorder(RingRecorder* recorder);
 
 /// The currently installed recorder, or nullptr when none.
@@ -50,14 +67,45 @@ RingRecorder* CurrentRingRecorder();
 
 struct RingOptions {
   /// Events retained per thread; rounded up to a power of two, min 64.
+  /// 0 keeps every event.
   std::size_t capacity_per_thread = 4096;
 };
 
 class RingRecorder {
+  // One event. Fields are relaxed atomics so a dump racing a writer reads
+  // torn rings, never torn values (and stays TSan-clean).
+  struct Slot {
+    std::atomic<const char*> name{nullptr};
+    std::atomic<std::uint64_t> ts_ns{0};
+    std::atomic<std::uint64_t> dur_ns{0};
+    std::atomic<std::int64_t> value{0};
+    std::atomic<std::uint8_t> kind{0};
+  };
+  // A run of slots: the whole ring when bounded, one link of the chain when
+  // unbounded.
+  struct Block {
+    explicit Block(std::size_t n) : slots(n) {}
+    std::vector<Slot> slots;
+    Block* next = nullptr;  // written before `head` publishes its slots
+  };
+  // Per-thread buffer, linked into a lock-free list (push-only; nodes live
+  // until the recorder dies, so the dump path never touches a lock).
+  struct Ring {
+    explicit Ring(std::size_t block_events) : first(block_events) {}
+    Block first;
+    Block* tail = &first;                // owner-only: the block being filled
+    std::atomic<std::uint64_t> head{0};  // events ever recorded
+    int tid = 0;
+    Ring* next = nullptr;  // immutable after publication
+  };
+
  public:
   enum class Kind : std::uint8_t { kSpan = 0, kCounter = 1, kInstant = 2 };
 
   using Options = RingOptions;
+
+  /// Slots per block in unbounded mode.
+  static constexpr std::size_t kBlockEvents = 4096;
 
   explicit RingRecorder(const Options& options = {});
   ~RingRecorder();
@@ -72,38 +120,61 @@ class RingRecorder {
             .count());
   }
 
-  /// Records a completed span (ts = end time, as recorded at scope exit).
-  void RecordSpan(const char* name, std::uint64_t end_ns,
-                  std::uint64_t dur_ns) {
-    Record(name, Kind::kSpan, end_ns, dur_ns, 0);
+  /// A span whose slot is taken; pass it back to EndSpan on the same thread.
+  struct OpenSpan {
+    Ring* ring = nullptr;
+    Slot* slot = nullptr;
+    std::uint64_t seq = 0;
+    std::uint64_t start_ns = 0;
+  };
+  /// Opens a span starting now.
+  OpenSpan BeginSpan(const char* name) {
+    OpenSpan span;
+    span.ring = ThreadRing();
+    span.seq = span.ring->head.load(std::memory_order_relaxed);
+    span.start_ns = NowNs();
+    span.slot = &Append(*span.ring, name, Kind::kSpan, span.start_ns,
+                        kOpenDuration, 0);
+    return span;
+  }
+  /// Writes the span's duration, unless a bounded ring reused its slot.
+  void EndSpan(const OpenSpan& span) {
+    if (capacity_ != 0 &&
+        span.ring->head.load(std::memory_order_relaxed) - span.seq >
+            capacity_) {
+      return;
+    }
+    span.slot->dur_ns.store(NowNs() - span.start_ns, std::memory_order_relaxed);
   }
   /// Records a counter sample.
   void RecordCounter(const char* name, std::int64_t value) {
-    Record(name, Kind::kCounter, NowNs(), 0, value);
+    Append(*ThreadRing(), name, Kind::kCounter, NowNs(), 0, value);
   }
   /// Records an instant marker with an optional value.
   void RecordInstant(const char* name, std::int64_t value = 0) {
-    Record(name, Kind::kInstant, NowNs(), 0, value);
+    Append(*ThreadRing(), name, Kind::kInstant, NowNs(), 0, value);
   }
 
+  /// Events kept per thread; 0 when every event is kept.
   std::size_t capacity_per_thread() const { return capacity_; }
   /// Threads that have recorded at least one event so far.
   std::size_t NumThreads() const;
-  /// Events currently retained across all rings (≤ threads * capacity).
+  /// Events currently retained across all threads.
   std::size_t NumEvents() const;
 
   /// One decoded slot, for tests and non-signal-path consumers.
   struct EventView {
     const char* name;
     Kind kind;
-    std::uint64_t ts_ns;   // spans: end time
-    std::uint64_t dur_ns;  // spans only
+    std::uint64_t ts_ns;   // spans: start time
+    std::uint64_t dur_ns;  // spans only; an open span's runs up to now
     std::int64_t value;    // counters / instants
     std::uint64_t seq;     // per-thread sequence number (0-based)
     int tid;
   };
-  /// Decodes every ring, oldest event first per thread. Not signal-safe
-  /// (allocates); safe to call while writers are active (relaxed reads).
+  /// Decodes every thread's events, oldest first per thread. Not
+  /// signal-safe (allocates); safe to call while writers are active
+  /// (relaxed reads).
   std::vector<EventView> Snapshot() const;
 
   /// Serializes the retained events as Chrome trace-event JSON through
@@ -117,42 +188,36 @@ class RingRecorder {
   bool DumpToFile(const char* path, const char* reason) const;
 
  private:
-  // One retained event. Fields are relaxed atomics so a dump racing a
-  // writer reads torn rings, never torn values (and stays TSan-clean).
-  struct Slot {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<std::uint64_t> ts_ns{0};
-    std::atomic<std::uint64_t> dur_ns{0};
-    std::atomic<std::int64_t> value{0};
-    std::atomic<std::uint8_t> kind{0};
-  };
-  // Per-thread ring, linked into a lock-free list (push-only; nodes live
-  // until the recorder dies, so the dump path never touches a lock).
-  struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<Slot> slots;
-    std::atomic<std::uint64_t> head{0};  // events ever recorded; owner-only
-    int tid = 0;
-    Ring* next = nullptr;  // immutable after publication
-  };
+  // dur_ns of a span whose scope is still open.
+  static constexpr std::uint64_t kOpenDuration = ~std::uint64_t{0};
 
-  void Record(const char* name, Kind kind, std::uint64_t ts_ns,
-              std::uint64_t dur_ns, std::int64_t value) {
-    Ring* ring = ThreadRing();
-    const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
-    Slot& slot = ring->slots[seq & (capacity_ - 1)];
+  Slot& Append(Ring& ring, const char* name, Kind kind, std::uint64_t ts_ns,
+               std::uint64_t dur_ns, std::int64_t value) {
+    const std::uint64_t seq = ring.head.load(std::memory_order_relaxed);
+    const std::size_t offset =
+        static_cast<std::size_t>(seq & (block_events_ - 1));
+    if (capacity_ == 0 && offset == 0 && seq != 0) {
+      ring.tail = ring.tail->next = new Block(block_events_);
+    }
+    Slot& slot = ring.tail->slots[offset];
     slot.name.store(name, std::memory_order_relaxed);
     slot.ts_ns.store(ts_ns, std::memory_order_relaxed);
     slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
     slot.value.store(value, std::memory_order_relaxed);
     slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
-    ring->head.store(seq + 1, std::memory_order_release);
+    ring.head.store(seq + 1, std::memory_order_release);
+    return slot;
   }
 
   Ring* ThreadRing();
 
-  const std::uint64_t id_;      // process-unique, guards thread caches
-  const std::size_t capacity_;  // power of two
+  /// Calls fn(slot, seq) for each retained slot of `ring`, oldest first.
+  template <typename Fn>
+  void ForEachSlot(const Ring& ring, Fn fn) const;
+
+  const std::uint64_t id_;          // process-unique, guards thread caches
+  const std::size_t capacity_;      // power of two, or 0 (unbounded)
+  const std::size_t block_events_;  // power of two
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<Ring*> rings_{nullptr};  // lock-free push-only list
   std::atomic<int> next_tid_{0};
@@ -189,14 +254,56 @@ std::int64_t BlackBoxDumps();
 /// Idempotent; call once from a tool's main().
 void InstallCrashHandler();
 
+// ----- instrumentation points ----------------------------------------------
+//
+// Instrumentation sits at phase / level / pass / solve granularity, never
+// inside per-cell inner loops.
+
 #if defined(P3D_OBS_DISABLED)
-inline void RingNote(const char*, std::int64_t = 0) {}
+
+/// Compile-time no-op variant: an empty literal type the optimizer deletes.
+class TraceScope {
+ public:
+  explicit TraceScope(const char*) {}
+};
+inline void TraceCounter(const char*, std::int64_t) {}
+inline void TraceInstant(const char*, std::int64_t = 0) {}
+
 #else
-/// Records an instant marker into the installed black box (the always-on
-/// analogue of TraceInstant; one relaxed load when no recorder is installed).
-inline void RingNote(const char* name, std::int64_t value = 0) {
-  if (RingRecorder* r = CurrentRingRecorder()) r->RecordInstant(name, value);
+
+/// RAII span: records [construction, destruction) under `name` on the
+/// current thread's track of the installed recorder. `name` must be a
+/// string literal.
+class TraceScope {
+ public:
+  explicit TraceScope(const char* name) : ring_(CurrentRingRecorder()) {
+    if (ring_ != nullptr) span_ = ring_->BeginSpan(name);
+  }
+  ~TraceScope() {
+    if (ring_ != nullptr) ring_->EndSpan(span_);
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  RingRecorder* const ring_;
+  RingRecorder::OpenSpan span_;
+};
+
+/// Counter sample (rendered as a track in Perfetto).
+inline void TraceCounter(const char* name, std::int64_t value) {
+  if (RingRecorder* ring = CurrentRingRecorder()) {
+    ring->RecordCounter(name, value);
+  }
 }
+
+/// Instant marker; `value` is e.g. a round or job id.
+inline void TraceInstant(const char* name, std::int64_t value = 0) {
+  if (RingRecorder* ring = CurrentRingRecorder()) {
+    ring->RecordInstant(name, value);
+  }
+}
+
 #endif  // P3D_OBS_DISABLED
 
 }  // namespace p3d::obs

@@ -6,7 +6,7 @@
 #include <deque>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "partition/coarsen.h"
 #include "runtime/parallel.h"
 #include "runtime/stream.h"

@@ -8,7 +8,7 @@
 
 #include "geom/geometry.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "partition/partitioner.h"
 #include "place/netweight.h"
 #include "runtime/parallel.h"

@@ -1,7 +1,7 @@
 #include "place/instrument.h"
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 
 namespace p3d::place {
 

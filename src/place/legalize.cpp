@@ -6,7 +6,7 @@
 #include <deque>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "place/bins.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"

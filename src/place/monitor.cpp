@@ -5,7 +5,7 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "place/objective.h"
 #include "util/log.h"
 

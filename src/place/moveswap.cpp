@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "place/netweight.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"

@@ -42,7 +42,6 @@ ObjectiveEvaluator::ObjectiveEvaluator(const netlist::Netlist& nl,
   hpwl_.assign(nn, 0.0);
   span_.assign(nn, 0);
   cost_.assign(nn, 0.0);
-  net_box_.assign(nn, NetBox{});
 }
 
 void ObjectiveEvaluator::NetBox::Add(double px, double py, int pl) {
@@ -50,60 +49,15 @@ void ObjectiveEvaluator::NetBox::Add(double px, double py, int pl) {
     x_lo = x_hi = px;
     y_lo = y_hi = py;
     l_lo = l_hi = pl;
-    c_x_lo = c_x_hi = c_y_lo = c_y_hi = c_l_lo = c_l_hi = 1;
     empty = false;
     return;
   }
-  if (px < x_lo) {
-    x_lo = px;
-    c_x_lo = 1;
-  } else if (px == x_lo) {
-    ++c_x_lo;
-  }
-  if (px > x_hi) {
-    x_hi = px;
-    c_x_hi = 1;
-  } else if (px == x_hi) {
-    ++c_x_hi;
-  }
-  if (py < y_lo) {
-    y_lo = py;
-    c_y_lo = 1;
-  } else if (py == y_lo) {
-    ++c_y_lo;
-  }
-  if (py > y_hi) {
-    y_hi = py;
-    c_y_hi = 1;
-  } else if (py == y_hi) {
-    ++c_y_hi;
-  }
-  if (pl < l_lo) {
-    l_lo = pl;
-    c_l_lo = 1;
-  } else if (pl == l_lo) {
-    ++c_l_lo;
-  }
-  if (pl > l_hi) {
-    l_hi = pl;
-    c_l_hi = 1;
-  } else if (pl == l_hi) {
-    ++c_l_hi;
-  }
-}
-
-bool ObjectiveEvaluator::NetBox::Remove(double px, double py, int pl) {
-  // The pin being removed is inside the box by construction; only a pin that
-  // solely supports a bound forces a re-scan. On false the box is left
-  // partially updated and must be discarded.
-  bool ok = true;
-  if (px == x_lo) ok = (--c_x_lo > 0) && ok;
-  if (px == x_hi) ok = (--c_x_hi > 0) && ok;
-  if (py == y_lo) ok = (--c_y_lo > 0) && ok;
-  if (py == y_hi) ok = (--c_y_hi > 0) && ok;
-  if (pl == l_lo) ok = (--c_l_lo > 0) && ok;
-  if (pl == l_hi) ok = (--c_l_hi > 0) && ok;
-  return ok;
+  x_lo = std::min(x_lo, px);
+  x_hi = std::max(x_hi, px);
+  y_lo = std::min(y_lo, py);
+  y_hi = std::max(y_hi, py);
+  l_lo = std::min(l_lo, pl);
+  l_hi = std::max(l_hi, pl);
 }
 
 double ObjectiveEvaluator::Resistance(std::int32_t cell, double x, double y,
@@ -194,8 +148,7 @@ double ObjectiveEvaluator::RecomputeFull() {
   const Override none;
   for (std::int32_t n = 0; n < nl_.NumNets(); ++n) {
     const std::size_t i = static_cast<std::size_t>(n);
-    net_box_[i] = ComputeNetBox(n, none, none);
-    const NetEval e = EvalFromBox(n, net_box_[i], none, none);
+    const NetEval e = EvalNet(n, none, none);
     hpwl_[i] = e.hpwl;
     span_[i] = e.span;
     cost_[i] = e.cost;
@@ -207,7 +160,7 @@ double ObjectiveEvaluator::RecomputeFull() {
   return total_cost_;
 }
 
-ObjectiveEvaluator::NetBox ObjectiveEvaluator::ComputeNetBox(
+ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalNet(
     std::int32_t n, const Override& o1, const Override& o2) const {
   NetBox box;
   // SoA walk over the net's contiguous pin slice: only the cell id and the
@@ -234,12 +187,6 @@ ObjectiveEvaluator::NetBox ObjectiveEvaluator::ComputeNetBox(
     }
     box.Add(px + nl_.PinDx(p), py + nl_.PinDy(p), pl);
   }
-  return box;
-}
-
-ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalFromBox(
-    std::int32_t n, const NetBox& box, const Override& o1,
-    const Override& o2) const {
   NetEval e;
   e.hpwl = box.Hpwl();
   e.span = box.LayerSpan();
@@ -261,48 +208,6 @@ ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalFromBox(
     }
   }
   return e;
-}
-
-ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalNet(
-    std::int32_t n, const Override& o1, const Override& o2) const {
-  return EvalFromBox(n, ComputeNetBox(n, o1, o2), o1, o2);
-}
-
-ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalNetDelta(
-    std::int32_t n, const Override& o1, const Override& o2, NetBox* box_out,
-    EvalStats* stats) const {
-  if (params_.incremental_net_boxes &&
-      !net_box_[static_cast<std::size_t>(n)].empty) {
-    NetBox box = net_box_[static_cast<std::size_t>(n)];
-    bool ok = true;
-    for (const Override* o : {&o1, &o2}) {
-      if (o->cell < 0) continue;
-      const std::size_t ci = static_cast<std::size_t>(o->cell);
-      for (const std::int32_t p : nl_.CellPinIds(o->cell)) {
-        if (nl_.PinNet(p) != n) continue;
-        const double dx = nl_.PinDx(p);
-        const double dy = nl_.PinDy(p);
-        // Remove the pin at its committed position, re-add at the override.
-        // Bounds never shrink mid-update (Remove either keeps them or bails),
-        // so the pass stays consistent across both overridden cells.
-        if (!box.Remove(placement_.x[ci] + dx, placement_.y[ci] + dy,
-                        placement_.layer[ci])) {
-          ok = false;
-          break;
-        }
-        box.Add(o->x + dx, o->y + dy, o->layer);
-      }
-      if (!ok) break;
-    }
-    if (ok) {
-      ++stats->incremental_evals;
-      *box_out = box;
-      return EvalFromBox(n, box, o1, o2);
-    }
-  }
-  ++stats->rescan_evals;
-  *box_out = ComputeNetBox(n, o1, o2);
-  return EvalFromBox(n, *box_out, o1, o2);
 }
 
 void ObjectiveEvaluator::CollectNetsInto(EvalScratch& scratch, std::int32_t a,
@@ -336,11 +241,10 @@ double ObjectiveEvaluator::MoveDeltaImpl(EvalScratch& scratch,
   const Override o{cell, x, y, layer};
   const Override none;
   double delta = LeakDelta(cell, x, y, layer);
-  NetBox box;
   for (const std::int32_t n : scratch.nets) {
-    delta += EvalNetDelta(n, o, none, &box, stats).cost -
-             cost_[static_cast<std::size_t>(n)];
+    delta += EvalNet(n, o, none).cost - cost_[static_cast<std::size_t>(n)];
   }
+  stats->rescan_evals += static_cast<long long>(scratch.nets.size());
   return delta;
 }
 
@@ -369,16 +273,13 @@ void ObjectiveEvaluator::CommitMove(std::int32_t cell, double x, double y,
   CollectNetsInto(scratch_, cell, -1);
   const Override o{cell, x, y, layer};
   const Override none;
-  // Evaluate all incident nets against the committed placement (the override
-  // masks the moved cell, so pre- and post-mutation evaluation agree); the
-  // incremental kernel needs the old position for its pin removals.
+  // Evaluate all incident nets before the placement mutates (the override
+  // masks the moved cell, so pre- and post-mutation evaluation agree).
   eval_scratch_.clear();
-  box_scratch_.clear();
   for (const std::int32_t n : scratch_.nets) {
-    NetBox box;
-    eval_scratch_.push_back(EvalNetDelta(n, o, none, &box, &eval_stats_));
-    box_scratch_.push_back(box);
+    eval_scratch_.push_back(EvalNet(n, o, none));
   }
+  eval_stats_.rescan_evals += static_cast<long long>(scratch_.nets.size());
   const std::size_t ci = static_cast<std::size_t>(cell);
   const double leak_delta = LeakDelta(cell, x, y, layer);
   placement_.x[ci] = x;
@@ -399,7 +300,6 @@ void ObjectiveEvaluator::CommitMove(std::int32_t cell, double x, double y,
     cost_[i] = e.cost;
     hpwl_[i] = e.hpwl;
     span_[i] = e.span;
-    net_box_[i] = box_scratch_[k];
   }
   FinishCommit(total_cost_ - total_before, cell, -1, x, y, layer,
                /*is_swap=*/false);
@@ -415,11 +315,10 @@ double ObjectiveEvaluator::SwapDeltaImpl(EvalScratch& scratch,
   const Override ob{b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]};
   double delta = LeakDelta(a, oa.x, oa.y, oa.layer) +
                  LeakDelta(b, ob.x, ob.y, ob.layer);
-  NetBox box;
   for (const std::int32_t n : scratch.nets) {
-    delta += EvalNetDelta(n, oa, ob, &box, stats).cost -
-             cost_[static_cast<std::size_t>(n)];
+    delta += EvalNet(n, oa, ob).cost - cost_[static_cast<std::size_t>(n)];
   }
+  stats->rescan_evals += static_cast<long long>(scratch.nets.size());
   return delta;
 }
 
@@ -439,15 +338,13 @@ void ObjectiveEvaluator::CommitSwap(std::int32_t a, std::int32_t b) {
   CollectNetsInto(scratch_, a, b);
   const Override oa{a, placement_.x[bi], placement_.y[bi], placement_.layer[bi]};
   const Override ob{b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]};
-  // Evaluate against the pre-swap placement (both overrides mask the swapped
-  // cells), so the incremental kernel removes pins at their old positions.
+  // Evaluate before the swap mutates the placement (both overrides mask the
+  // swapped cells).
   eval_scratch_.clear();
-  box_scratch_.clear();
   for (const std::int32_t n : scratch_.nets) {
-    NetBox box;
-    eval_scratch_.push_back(EvalNetDelta(n, oa, ob, &box, &eval_stats_));
-    box_scratch_.push_back(box);
+    eval_scratch_.push_back(EvalNet(n, oa, ob));
   }
+  eval_stats_.rescan_evals += static_cast<long long>(scratch_.nets.size());
   const double leak_a = LeakDelta(a, oa.x, oa.y, oa.layer);
   const double leak_b = LeakDelta(b, ob.x, ob.y, ob.layer);
   cell_leak_cost_[ai] += leak_a;
@@ -472,7 +369,6 @@ void ObjectiveEvaluator::CommitSwap(std::int32_t a, std::int32_t b) {
     cost_[i] = e.cost;
     hpwl_[i] = e.hpwl;
     span_[i] = e.span;
-    net_box_[i] = box_scratch_[k];
   }
   FinishCommit(total_cost_ - total_before, a, b, 0.0, 0.0, 0,
                /*is_swap=*/true);

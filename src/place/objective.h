@@ -96,9 +96,11 @@ class ObjectiveEvaluator {
   double SwapDelta(std::int32_t a, std::int32_t b) const;
   void CommitSwap(std::int32_t a, std::int32_t b);
 
-  /// Incremental net-box kernel accounting (see params.incremental_net_boxes):
-  /// how many per-net evaluations took the O(moved pins) cached-bounds path
-  /// vs. falling back to a full pin re-scan (a boundary pin left the box).
+  /// Net-evaluation accounting. `rescan_evals` counts every per-net
+  /// evaluation a delta or a commit made; each one scans the net's pins.
+  /// `incremental_evals` is always 0: the incremental net-box kernel it
+  /// counted is gone, and the field stays only because bench/e2e still
+  /// reads it.
   struct EvalStats {
     long long incremental_evals = 0;
     long long rescan_evals = 0;
@@ -127,7 +129,6 @@ class ObjectiveEvaluator {
   /// schedule boundary (sums of per-window counts are thread-count
   /// independent, so the merged totals stay deterministic).
   void MergeEvalStats(const EvalStats& stats) {
-    eval_stats_.incremental_evals += stats.incremental_evals;
     eval_stats_.rescan_evals += stats.rescan_evals;
   }
 
@@ -162,7 +163,7 @@ class ObjectiveEvaluator {
   /// tests can pin its equivalence with RecomputeFull().
   void ResyncTotals();
 
-  /// Kernel accounting of every evaluation done through the evaluator's own
+  /// Accounting of every evaluation done through the evaluator's own
   /// scratch (serial paths) plus whatever callers folded in via
   /// MergeEvalStats.
   const EvalStats& eval_stats() const { return eval_stats_; }
@@ -175,26 +176,19 @@ class ObjectiveEvaluator {
     int layer = 0;
   };
 
-  /// Cached bounding box of one net's pins, with the number of pins sitting
-  /// exactly on each bound. Removing a non-boundary pin (or a boundary pin
-  /// that shares its bound) is O(1); only removing the last pin on a bound
-  /// forces a re-scan. Bounds are exact min/max values (never accumulated),
-  /// so the incremental path is bit-identical to a full scan.
+  /// Bounding box of one net's pins.
   struct NetBox {
     double x_lo = 0.0, x_hi = 0.0, y_lo = 0.0, y_hi = 0.0;
     int l_lo = 0, l_hi = 0;
-    std::int32_t c_x_lo = 0, c_x_hi = 0, c_y_lo = 0, c_y_hi = 0;
-    std::int32_t c_l_lo = 0, c_l_hi = 0;
     bool empty = true;
 
     void Add(double px, double py, int pl);
-    /// False if the removal shrinks a bound (count would hit zero).
-    bool Remove(double px, double py, int pl);
     double Hpwl() const { return empty ? 0.0 : (x_hi - x_lo) + (y_hi - y_lo); }
     int LayerSpan() const { return empty ? 0 : l_hi - l_lo; }
   };
 
-  /// Cost of net n with up to two cells' positions overridden.
+  /// Cost of net n with up to two cells' positions overridden: a scan of the
+  /// net's pins plus the thermal driver term.
   struct NetEval {
     double hpwl = 0.0;
     int span = 0;
@@ -202,21 +196,8 @@ class ObjectiveEvaluator {
   };
   NetEval EvalNet(std::int32_t n, const Override& o1, const Override& o2) const;
 
-  /// Full pin scan of net n (with overrides), producing bounds + counts.
-  NetBox ComputeNetBox(std::int32_t n, const Override& o1,
-                       const Override& o2) const;
-  /// hpwl/span/cost of net n from its (already override-adjusted) box;
-  /// mirrors EvalNet's thermal driver term exactly.
-  NetEval EvalFromBox(std::int32_t n, const NetBox& box, const Override& o1,
-                      const Override& o2) const;
-  /// Evaluates net n under the overrides, preferring the cached-box kernel;
-  /// the returned box is the net's post-override box (commit paths store it).
-  /// Kernel-path counts accumulate into `stats`.
-  NetEval EvalNetDelta(std::int32_t n, const Override& o1, const Override& o2,
-                       NetBox* box_out, EvalStats* stats) const;
-
   /// Shared body of the two MoveDelta/SwapDelta flavours; `stats` is where
-  /// kernel-path counts land (eval_stats_ for the serial flavour, the
+  /// evaluation counts land (eval_stats_ for the serial flavour, the
   /// caller's scratch stats for the concurrent one).
   double MoveDeltaImpl(EvalScratch& scratch, EvalStats* stats,
                        std::int32_t cell, double x, double y, int layer) const;
@@ -250,7 +231,6 @@ class ObjectiveEvaluator {
   std::vector<int> span_;
   std::vector<double> cost_;
   std::vector<double> r_cell_;
-  std::vector<NetBox> net_box_;  // committed bounds (incremental kernel)
   mutable EvalStats eval_stats_;  // mutable: deltas are const, like scratch_
   double total_cost_ = 0.0;
   double total_hpwl_ = 0.0;
@@ -263,7 +243,6 @@ class ObjectiveEvaluator {
   mutable EvalScratch scratch_;
   // Commit-path scratch (evals computed before the placement mutates).
   std::vector<NetEval> eval_scratch_;
-  std::vector<NetBox> box_scratch_;
 
   std::vector<CommitListener*> listeners_;
   int commits_since_resync_ = 0;
@@ -279,7 +258,7 @@ class ObjectiveEvaluator {
 /// the evaluator with a privately owned EvalScratch so parallel propose
 /// workers can evaluate candidate deltas concurrently against the frozen
 /// committed state (DESIGN.md §5). A view can never commit; the owning
-/// engine merges each view's kernel stats back with
+/// engine merges each view's evaluation stats back with
 /// ObjectiveEvaluator::MergeEvalStats at the serial commit boundary.
 class DeltaView {
  public:

@@ -138,15 +138,6 @@ struct PlacerParams {
   // byte-identical for any thread count (DESIGN.md §5).
   int legalize_window_rows = 32;
 
-  // ----- evaluator caching ---------------------------------------------------
-  // Maintain per-net bounding boxes with boundary-pin counts so candidate
-  // move/swap evaluations update only the moved pins (O(1) per pin) instead
-  // of re-scanning every pin of every incident net. The incremental bounds
-  // are exact (min/max arithmetic, never accumulated), so the placement is
-  // byte-identical with the kernel on or off; the off setting exists as a
-  // cross-check for tests and triage.
-  bool incremental_net_boxes = true;
-
   // ----- verification ---------------------------------------------------------
   AuditLevel audit_level = AuditLevel::kOff;
   // The evaluator's running totals are incrementally maintained; after this

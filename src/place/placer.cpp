@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "place/global.h"
 #include "place/legalize.h"
 #include "place/moveswap.h"
@@ -315,12 +315,9 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   fea.Report(&result);
   result.t_total = total.Seconds();
 
-  // Evaluator-cache accounting for this run (deltas: the evaluator's
-  // counters are cumulative across Run calls).
+  // Net evaluations of this run (a delta: the evaluator's counter is
+  // cumulative across Run calls).
   const ObjectiveEvaluator::EvalStats eval_stats_after = eval_->eval_stats();
-  obs::MetricAdd("solver/netbox_incremental_evals",
-                 eval_stats_after.incremental_evals -
-                     eval_stats_before.incremental_evals);
   obs::MetricAdd("solver/netbox_rescan_evals",
                  eval_stats_after.rescan_evals - eval_stats_before.rescan_evals);
 

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "place/bins.h"
 #include "place/netweight.h"
 #include "runtime/parallel.h"

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 
 namespace p3d::serve {
 

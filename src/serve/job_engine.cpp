@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/ring.h"
-#include "obs/trace.h"
 #include "place/instrument.h"
 #include "place/monitor.h"
 #include "runtime/thread_pool.h"
@@ -49,7 +48,7 @@ class JobEngine::HeartbeatObserver : public place::PhaseObserver {
     job_->last_beat_ns.store(clock_->Nanos(), std::memory_order_relaxed);
     job_->heartbeats.fetch_add(1, std::memory_order_relaxed);
     job_->stalled.store(false, std::memory_order_relaxed);
-    obs::RingNote("serve.heartbeat", static_cast<std::int64_t>(job_->id));
+    obs::TraceInstant("serve.heartbeat", static_cast<std::int64_t>(job_->id));
   }
 
  private:

@@ -10,7 +10,7 @@
 
 #include "linalg/multigrid.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/ring.h"
 #include "util/log.h"
 
 namespace p3d::thermal {

@@ -1,9 +1,10 @@
 // Wall-clock timing for the runtime experiments (paper Figure 10).
 //
 // Policy: every elapsed-time measurement in this codebase — Timer, the log
-// prefix, the trace sink (src/obs) — uses std::chrono::steady_clock, which
-// is monotonic and immune to NTP/system-clock adjustments. system_clock and
-// high_resolution_clock must not be introduced for durations.
+// prefix, the event recorder (src/obs) — uses std::chrono::steady_clock,
+// which is monotonic and immune to NTP/system-clock adjustments.
+// system_clock and high_resolution_clock must not be introduced for
+// durations.
 #pragma once
 
 #include <chrono>

@@ -299,6 +299,14 @@ TEST_F(BookshelfTest, RejectsMalformedNetDegree) {
     ASSERT_TRUE(ParseNodesFile(dir_ + "/d.nodes", 1e-6, &nl).ok());
     ExpectFieldError(ParseNetsFile(dir_ + "/bad.nets", 1e-6, &nl),
                      "bad.nets:3:", degree);
+    // The same tokens as header counts.
+    WriteFile("bad.nets", std::string("NumNets : ") + degree + "\n");
+    ExpectFieldError(ParseNetsFile(dir_ + "/bad.nets", 1e-6, &nl),
+                     "bad.nets:1:", degree);
+    WriteFile("bad.nodes", std::string("NumNodes : ") + degree + "\na 1 1\n");
+    netlist::Netlist header_nl;
+    ExpectFieldError(ParseNodesFile(dir_ + "/bad.nodes", 1e-6, &header_nl),
+                     "bad.nodes:1:", degree);
   }
 }
 
@@ -372,6 +380,9 @@ TEST_F(BookshelfTest, RejectsMalformedSclFields) {
     ExpectFieldError(ParseSclFile(dir_ + "/bad.scl", &rows), "bad.scl:4:",
                      token);
   }
+  WriteFile("bad.scl", "NumRows : 1x\nCoreRow Horizontal\nEnd\n");
+  std::vector<BookshelfRow> rows;
+  ExpectFieldError(ParseSclFile(dir_ + "/bad.scl", &rows), "bad.scl:1:", "1x");
 }
 
 TEST_F(BookshelfTest, FullDesignExportRoundTrip) {

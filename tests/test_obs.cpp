@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/ring.h"
-#include "obs/trace.h"
 #include "place/instrument.h"
 #include "place/placer.h"
 #include "util/log.h"
@@ -75,9 +74,37 @@ TEST(Json, ParserRejectsMalformedInput) {
 
 // --------------------------------------------------------------- trace -----
 
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The recorder's Chrome-JSON dump, through a file under the test temp dir.
+std::string DumpToString(const obs::RingRecorder& ring, const char* file) {
+  const std::string path = testing::TempDir() + "/" + file;
+  EXPECT_TRUE(ring.DumpToFile(path.c_str(), "unit_test"));
+  return ReadFileOrEmpty(path);
+}
+
+// Index in traceEvents of the first "X" span named `name`, or -1.
+int SpanIndex(const obs::JsonValue& doc, const std::string& name) {
+  const auto& events = doc.Find("traceEvents")->AsArray();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].Find("ph")->AsString() == "X" &&
+        events[i].Find("name")->AsString() == name) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+constexpr obs::RingOptions kKeepAll{/*capacity_per_thread=*/0};
+
 TEST(Trace, ChromeJsonIsWellFormedAndValidates) {
-  obs::TraceSink sink;
-  obs::InstallTraceSink(&sink);
+  obs::RingRecorder ring(kKeepAll);
+  obs::InstallRingRecorder(&ring);
   {
     obs::TraceScope outer("outer");
     {
@@ -86,56 +113,71 @@ TEST(Trace, ChromeJsonIsWellFormedAndValidates) {
     }
     obs::TraceInstant("marker");
   }
-  obs::InstallTraceSink(nullptr);
+  obs::InstallRingRecorder(nullptr);
 
-  EXPECT_EQ(sink.NumEvents(), 4u);
+  EXPECT_EQ(ring.NumEvents(), 4u);
   obs::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(ParseJson(sink.SerializeChromeJson(), &doc, &error)) << error;
+  ASSERT_TRUE(ParseJson(DumpToString(ring, "trace_valid.json"), &doc, &error))
+      << error;
   ASSERT_TRUE(ValidateChromeTrace(doc, &error)) << error;
 }
 
 TEST(Trace, NestedSpansEmitParentFirst) {
-  obs::TraceSink sink;
-  obs::InstallTraceSink(&sink);
+  obs::RingRecorder ring(kKeepAll);
+  obs::InstallRingRecorder(&ring);
   {
     obs::TraceScope outer("outer");
     obs::TraceScope inner("inner");
   }
-  obs::InstallTraceSink(nullptr);
+  obs::InstallRingRecorder(nullptr);
 
   obs::JsonValue doc;
-  ASSERT_TRUE(ParseJson(sink.SerializeChromeJson(), &doc));
-  const obs::JsonValue* events = doc.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  int outer_idx = -1, inner_idx = -1;
-  double outer_ts = 0, outer_dur = 0, inner_ts = 0, inner_dur = 0;
-  for (std::size_t i = 0; i < events->AsArray().size(); ++i) {
-    const obs::JsonValue& e = events->AsArray()[i];
-    if (e.Find("ph")->AsString() != "X") continue;
-    if (e.Find("name")->AsString() == "outer") {
-      outer_idx = static_cast<int>(i);
-      outer_ts = e.Find("ts")->AsNumber();
-      outer_dur = e.Find("dur")->AsNumber();
-    } else if (e.Find("name")->AsString() == "inner") {
-      inner_idx = static_cast<int>(i);
-      inner_ts = e.Find("ts")->AsNumber();
-      inner_dur = e.Find("dur")->AsNumber();
-    }
-  }
+  ASSERT_TRUE(ParseJson(DumpToString(ring, "trace_nested.json"), &doc));
+  const int outer_idx = SpanIndex(doc, "outer");
+  const int inner_idx = SpanIndex(doc, "inner");
   ASSERT_GE(outer_idx, 0);
   ASSERT_GE(inner_idx, 0);
+  const auto& events = doc.Find("traceEvents")->AsArray();
+  const obs::JsonValue& outer = events[static_cast<std::size_t>(outer_idx)];
+  const obs::JsonValue& inner = events[static_cast<std::size_t>(inner_idx)];
   // Parent precedes child in the serialized array, and encloses it in time.
   EXPECT_LT(outer_idx, inner_idx);
-  EXPECT_LE(outer_ts, inner_ts);
-  EXPECT_GE(outer_ts + outer_dur, inner_ts + inner_dur);
+  EXPECT_LE(outer.Find("ts")->AsNumber(), inner.Find("ts")->AsNumber());
+  EXPECT_GE(outer.Find("ts")->AsNumber() + outer.Find("dur")->AsNumber(),
+            inner.Find("ts")->AsNumber() + inner.Find("dur")->AsNumber());
+}
+
+TEST(Trace, DumpInsideOpenScopesListsThemParentFirst) {
+  // The black box's view of a crash: both scopes are still open at the dump.
+  obs::RingRecorder ring;
+  obs::InstallRingRecorder(&ring);
+  std::string text;
+  {
+    obs::TraceScope outer("outer");
+    obs::TraceScope inner("inner");
+    text = DumpToString(ring, "trace_open.json");
+  }
+  obs::InstallRingRecorder(nullptr);
+
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(text, &doc, &error)) << error;
+  ASSERT_TRUE(ValidateChromeTrace(doc, &error)) << error;
+  const int outer_idx = SpanIndex(doc, "outer");
+  const int inner_idx = SpanIndex(doc, "inner");
+  ASSERT_GE(outer_idx, 0);
+  ASSERT_GE(inner_idx, 0);
+  EXPECT_LT(outer_idx, inner_idx);
 }
 
 TEST(Trace, ParallelWritersAllRecorded) {
-  obs::TraceSink sink;
-  obs::InstallTraceSink(&sink);
+  obs::RingRecorder ring(kKeepAll);
+  obs::InstallRingRecorder(&ring);
   constexpr int kThreads = 4;
-  constexpr int kSpansEach = 250;
+  // More than one block per thread, so the block chain grows.
+  constexpr int kSpansEach =
+      static_cast<int>(obs::RingRecorder::kBlockEvents) + 250;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([] {
@@ -143,18 +185,22 @@ TEST(Trace, ParallelWritersAllRecorded) {
     });
   }
   for (std::thread& w : workers) w.join();
-  obs::InstallTraceSink(nullptr);
+  obs::InstallRingRecorder(nullptr);
 
-  EXPECT_EQ(sink.NumEvents(),
+  EXPECT_EQ(ring.NumEvents(),
+            static_cast<std::size_t>(kThreads) * kSpansEach);
+  EXPECT_EQ(ring.Snapshot().size(),
             static_cast<std::size_t>(kThreads) * kSpansEach);
   obs::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(ParseJson(sink.SerializeChromeJson(), &doc, &error)) << error;
+  ASSERT_TRUE(
+      ParseJson(DumpToString(ring, "trace_parallel.json"), &doc, &error))
+      << error;
   ASSERT_TRUE(ValidateChromeTrace(doc, &error)) << error;
 }
 
 TEST(Trace, DisabledPathIsCheap) {
-  ASSERT_EQ(obs::CurrentTraceSink(), nullptr);
+  ASSERT_EQ(obs::CurrentRingRecorder(), nullptr);
   constexpr int kIterations = 1000000;
   util::Timer timer;
   for (int i = 0; i < kIterations; ++i) {
@@ -169,13 +215,6 @@ TEST(Trace, DisabledPathIsCheap) {
 }
 
 // ------------------------------------------------- ring black box ----------
-
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 TEST(Ring, WraparoundKeepsLastEvents) {
   obs::RingRecorder ring(obs::RingOptions{/*capacity_per_thread=*/64});
@@ -200,6 +239,22 @@ TEST(Ring, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ring.capacity_per_thread(), 128u);
   obs::RingRecorder tiny(obs::RingOptions{/*capacity_per_thread=*/1});
   EXPECT_EQ(tiny.capacity_per_thread(), 64u);  // floor
+  obs::RingRecorder keep_all(kKeepAll);
+  EXPECT_EQ(keep_all.capacity_per_thread(), 0u);  // unbounded
+}
+
+TEST(Ring, SpanWhoseSlotWasReusedIsDropped) {
+  obs::RingRecorder ring(obs::RingOptions{/*capacity_per_thread=*/64});
+  const obs::RingRecorder::OpenSpan span = ring.BeginSpan("lost");
+  for (std::int64_t i = 0; i < 64; ++i) ring.RecordInstant("tick", i);
+  ring.EndSpan(span);
+  // The span's slot now holds the last tick, which EndSpan left alone.
+  const std::vector<obs::RingRecorder::EventView> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 64u);
+  for (const obs::RingRecorder::EventView& e : events) {
+    EXPECT_STREQ(e.name, "tick");
+    EXPECT_EQ(e.dur_ns, 0u);
+  }
 }
 
 TEST(Ring, EachThreadGetsItsOwnRing) {
@@ -221,7 +276,7 @@ TEST(Ring, EachThreadGetsItsOwnRing) {
 
 TEST(Ring, DumpIsValidChromeTraceWithReason) {
   obs::RingRecorder ring;
-  ring.RecordSpan("span.a", ring.NowNs(), 1500);
+  ring.EndSpan(ring.BeginSpan("span.a"));
   ring.RecordCounter("count.b", 7);
   ring.RecordInstant("mark.c", 3);
   const std::string path = testing::TempDir() + "/ring_dump.json";
@@ -280,7 +335,7 @@ TEST(Ring, RecordPathIsCheap) {
   constexpr int kIterations = 1000000;
   util::Timer timer;
   for (int i = 0; i < kIterations; ++i) {
-    obs::RingNote("noop", i);
+    obs::TraceInstant("noop", i);
   }
   const double elapsed = timer.Seconds();
   obs::InstallRingRecorder(previous);
@@ -314,7 +369,7 @@ TEST(RingDeathTest, CrashHandlerDumpsBlackBox) {
   // with the default disposition, so the child still dies of SIGSEGV.
   EXPECT_DEATH(
       {
-        obs::RingNote("about.to.crash", 42);
+        obs::TraceInstant("about.to.crash", 42);
         std::raise(SIGSEGV);
       },
       "");
@@ -532,20 +587,17 @@ InstrumentedRun RunWithObservability(const netlist::Netlist& nl, int threads,
   params.alpha_temp = 1e-6;
   params.threads = threads;
 
-  obs::TraceSink sink;
   obs::MetricsRegistry registry;
-  obs::RingRecorder ring;
+  obs::RingRecorder ring(kKeepAll);  // the full trace, also the black box
   place::Placer3D placer(nl, params);
   place::PhaseMetricsSampler sampler;
   if (install) {
-    obs::InstallTraceSink(&sink);
     obs::InstallMetrics(&registry);
-    obs::InstallRingRecorder(&ring);  // the black box rides along
+    obs::InstallRingRecorder(&ring);
     placer.AddPhaseObserver(&sampler);
   }
   InstrumentedRun out;
   out.result = *placer.Run({.with_fea = false});
-  obs::InstallTraceSink(nullptr);
   obs::InstallMetrics(nullptr);
   obs::InstallRingRecorder(nullptr);
   out.metrics_dump = registry.DumpDeterministic();

@@ -25,8 +25,9 @@
 //     --out-svg PATH          write layer-panel SVG (structure view)
 //     --out-thermal-svg PATH  write SVG colored by FEA cell temperature
 //     --report                print the placement quality report
-//     --trace PATH            write a Chrome trace-event JSON of the run
-//                             (open in Perfetto / chrome://tracing)
+//     --trace PATH            write a Chrome trace-event JSON of every event
+//                             of the run (open in Perfetto /
+//                             chrome://tracing); it is also the black box
 //     --metrics PATH          write the machine-readable run report
 //                             (report.json: params, per-phase Eq. 3 series,
 //                             QoR, timings, full metrics snapshot)
@@ -34,7 +35,8 @@
 //                             phase boundary (paranoid also replays every
 //                             committed move); exits 3 on any violation
 //     --blackbox PATH         flight-recorder black box: the last N events
-//                             per thread auto-dump to PATH as a Chrome trace
+//                             per thread (every event with --trace)
+//                             auto-dump to PATH as a Chrome trace
 //                             on audit violations and fatal signals
 //     --no-fea                skip the FEA temperature solve
 //     --fea-per-pass          re-solve thermal FEA after every legalization
@@ -58,7 +60,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/ring.h"
-#include "obs/trace.h"
 #include "place/instrument.h"
 #include "place/monitor.h"
 #include "place/placer.h"
@@ -312,8 +313,11 @@ int main(int argc, char** argv) {
 
   // Black box: always on — recording costs a few relaxed stores per phase
   // span and never perturbs placement. With --blackbox the last N events
-  // per thread auto-dump on audit violations and fatal signals.
-  static p3d::obs::RingRecorder ring;  // outlives every early-return path
+  // per thread auto-dump on audit violations and fatal signals. --trace
+  // keeps every event instead, and writes them all after the run.
+  p3d::obs::RingOptions ring_options;
+  if (!args.trace_path.empty()) ring_options.capacity_per_thread = 0;
+  static p3d::obs::RingRecorder ring(ring_options);  // outlives every return
   p3d::obs::InstallRingRecorder(&ring);
   if (!args.blackbox_path.empty()) {
     if (!p3d::obs::SetBlackBoxPath(args.blackbox_path)) {
@@ -323,15 +327,12 @@ int main(int argc, char** argv) {
     p3d::obs::InstallCrashHandler();
   }
 
-  // Flight recorder: installed only on request, so the default path costs
-  // one atomic load per instrumentation point. Observers are additive, so
-  // the sampler coexists with the auditor's phase hook and the convergence
+  // Metrics: installed only on request. Observers are additive, so the
+  // sampler coexists with the auditor's phase hook and the convergence
   // anomaly monitor.
-  p3d::obs::TraceSink trace_sink;
   p3d::obs::MetricsRegistry metrics;
   p3d::place::PhaseMetricsSampler sampler;
   p3d::place::AnomalyMonitor monitor;
-  if (!args.trace_path.empty()) p3d::obs::InstallTraceSink(&trace_sink);
   if (!args.trace_path.empty() || !args.metrics_path.empty()) {
     p3d::obs::InstallMetrics(&metrics);
     placer.AddPhaseObserver(&sampler);
@@ -349,15 +350,14 @@ int main(int argc, char** argv) {
   }
   const p3d::place::PlacementResult& r = *result_or;
 
-  p3d::obs::InstallTraceSink(nullptr);
   p3d::obs::InstallMetrics(nullptr);
   if (!args.trace_path.empty()) {
-    if (!trace_sink.WriteChromeJson(args.trace_path)) {
+    if (!ring.DumpToFile(args.trace_path.c_str(), "trace")) {
       std::fprintf(stderr, "failed to write %s\n", args.trace_path.c_str());
       return 1;
     }
     std::printf("wrote %s (%zu events)\n", args.trace_path.c_str(),
-                trace_sink.NumEvents());
+                ring.NumEvents());
   }
   if (!args.metrics_path.empty()) {
     p3d::obs::RunReport report;
