@@ -84,7 +84,7 @@ inline std::vector<double> TempSweep(double lo = 1e-8, double hi = 5.2e-3) {
 inline place::PlacementResult RunPlacer(const netlist::Netlist& nl,
                                         const place::PlacerParams& params,
                                         bool with_fea) {
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   return *placer.Run({.with_fea = with_fea});
 }
 

@@ -49,12 +49,12 @@ bool SolverCacheSection(p3d::bench::BenchSetup& setup) {
   params.alpha_temp = 5e-6;
   params.SyncStack();
 
-  p3d::place::Placer3D placer(nl, params);
+  p3d::place::Placer3D placer = *p3d::place::Placer3D::Create(nl, params);
   PlacementCapture capture;
   placer.AddPhaseObserver(&capture);
   const p3d::place::PlacementResult r_final = *placer.Run({.with_fea = true});
   params.fea_per_pass = true;
-  p3d::place::Placer3D per_pass(nl, params);
+  p3d::place::Placer3D per_pass = *p3d::place::Placer3D::Create(nl, params);
   const p3d::place::PlacementResult r_pass = *per_pass.Run({.with_fea = true});
   const bool identical = r_final.placement.x == r_pass.placement.x &&
                          r_final.placement.y == r_pass.placement.y &&

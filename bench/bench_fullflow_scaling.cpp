@@ -69,7 +69,6 @@ int main() {
   for (const int threads : thread_counts) {
     p3d::place::PlacerParams params = base_params;
     params.threads = threads;
-    params.legalize_threads = threads;
     const p3d::place::PlacementResult result =
         p3d::bench::RunPlacer(nl, params, /*with_fea=*/false);
     totals.push_back(result.t_total);

@@ -65,7 +65,7 @@ int main() {
   bool all_identical = true;
   for (const int threads : thread_counts) {
     p3d::place::PlacerParams run_params = params;
-    run_params.legalize_threads = threads;
+    run_params.threads = threads;
     p3d::place::ObjectiveEvaluator eval(nl, *chip, run_params);
     eval.SetPlacement(coarse_input);
     // Same engine seeds as Placer3D::Run, so the pass sequence matches the

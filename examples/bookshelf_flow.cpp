@@ -3,12 +3,14 @@
 // an extended .pl (with a trailing layer column).
 //
 // If no .aux path is given, the example writes a small self-contained
-// Bookshelf design to /tmp, then round-trips it through the parser and
-// placer — so the example is runnable without external benchmark data.
+// Bookshelf design to ./p3d_bookshelf_demo, then round-trips it through the
+// parser and placer — so the example is runnable without external benchmark
+// data. The placement goes to ./p3d_placed.pl unless out.pl is given.
 //
 //   ./bookshelf_flow [design.aux] [out.pl] [layers]
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -21,8 +23,8 @@ namespace {
 
 /// Writes a tiny Bookshelf design derived from a synthetic circuit.
 std::string WriteDemoDesign() {
-  const std::string dir = "/tmp/p3d_bookshelf_demo";
-  std::system(("mkdir -p " + dir).c_str());
+  const std::string dir = "p3d_bookshelf_demo";
+  std::filesystem::create_directories(dir);
 
   p3d::io::SyntheticSpec spec;
   spec.name = "demo";
@@ -73,7 +75,7 @@ std::string WriteDemoDesign() {
 
 int main(int argc, char** argv) {
   const std::string aux = argc > 1 ? argv[1] : WriteDemoDesign();
-  const std::string out_pl = argc > 2 ? argv[2] : "/tmp/p3d_placed.pl";
+  const std::string out_pl = argc > 2 ? argv[2] : "p3d_placed.pl";
   const int layers = argc > 3 ? std::atoi(argv[3]) : 4;
 
   p3d::io::BookshelfDesign design;
@@ -92,8 +94,13 @@ int main(int argc, char** argv) {
   params.num_layers = layers;
   params.alpha_ilv = 1e-5;
   params.alpha_temp = 1e-6;
-  p3d::place::Placer3D placer(design.netlist, params);
-  const p3d::place::PlacementResult r = *placer.Run({.with_fea = true});
+  p3d::util::StatusOr<p3d::place::Placer3D> placer =
+      p3d::place::Placer3D::Create(design.netlist, params);
+  if (!placer.ok()) {
+    std::fprintf(stderr, "%s\n", placer.status().ToString().c_str());
+    return 1;
+  }
+  const p3d::place::PlacementResult r = *placer->Run({.with_fea = true});
 
   std::printf("placed: hpwl %.5g m, %lld vias, avg temp %.2f C, %s\n",
               r.hpwl_m, r.ilv_count, r.avg_temp_c,

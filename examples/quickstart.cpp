@@ -29,8 +29,13 @@ int main(int argc, char** argv) {
   params.alpha_temp = 1e-5;  // moderate thermal pressure
 
   // 3. Run the full flow: global -> coarse -> detailed legalization.
-  p3d::place::Placer3D placer(nl, params);
-  const p3d::place::PlacementResult r = *placer.Run({.with_fea = true});
+  p3d::util::StatusOr<p3d::place::Placer3D> placer =
+      p3d::place::Placer3D::Create(nl, params);
+  if (!placer.ok()) {
+    std::fprintf(stderr, "%s\n", placer.status().ToString().c_str());
+    return 1;
+  }
+  const p3d::place::PlacementResult r = *placer->Run({.with_fea = true});
 
   // 4. Report.
   std::printf("\n=== placement result ===\n");

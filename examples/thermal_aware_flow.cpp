@@ -29,7 +29,7 @@ Outcome RunOnce(const p3d::netlist::Netlist& nl, double alpha_temp,
   params.alpha_ilv = 1e-5;
   params.alpha_temp = alpha_temp;
   p3d::place::CompensateWireCapForScale(&params, scale);
-  p3d::place::Placer3D placer(nl, params);
+  p3d::place::Placer3D placer = *p3d::place::Placer3D::Create(nl, params);
   Outcome o;
   o.result = *placer.Run({.with_fea = true});
   const auto metrics = p3d::thermal::ComputeNetMetrics(

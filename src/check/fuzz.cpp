@@ -67,7 +67,14 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
   out.repro = ReproLine(c);
 
   const netlist::Netlist nl = io::Generate(c.spec);
-  place::Placer3D placer(nl, c.params);
+  util::StatusOr<place::Placer3D> placer_or =
+      place::Placer3D::Create(nl, c.params);
+  if (!placer_or.ok()) {
+    out.ok = false;
+    out.failure = "create: " + placer_or.status().ToString();
+    return out;
+  }
+  place::Placer3D& placer = *placer_or;
   place::Placement initial;
   initial.Resize(static_cast<std::size_t>(nl.NumCells()));
   if (c.spec.num_pads > 0) {
@@ -97,7 +104,7 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
   place::PlacerParams replay_params = c.params;
   replay_params.threads = 1;
   replay_params.audit_level = place::AuditLevel::kOff;
-  place::Placer3D p1(nl, replay_params);
+  place::Placer3D p1 = *place::Placer3D::Create(nl, replay_params);
   const place::PlacementResult r1 = *p1.Run({.initial = initial, .with_fea = false});
   if (r1.placement.x != out.result.placement.x ||
       r1.placement.y != out.result.placement.y ||

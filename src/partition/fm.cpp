@@ -7,6 +7,10 @@
 namespace p3d::partition {
 namespace {
 
+// A pass aborts after this many consecutive non-improving moves (classic
+// early-exit heuristic).
+constexpr int kEarlyExitMoves = 300;
+
 /// Indexed binary max-heap of one side's free vertices, keyed by
 /// (gain, stamp). The stamp grows on every Insert and every AddGain, zero
 /// deltas included, so among equal gains the most recently inserted or
@@ -317,10 +321,7 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
         non_improving = 0;
       } else {
         ++non_improving;
-        if (options.early_exit_moves > 0 &&
-            non_improving >= options.early_exit_moves) {
-          break;
-        }
+        if (non_improving >= kEarlyExitMoves) break;
       }
     }
 

@@ -22,9 +22,6 @@ struct FmOptions {
   std::int64_t min_part0_weight_q = 0;  // inclusive lower bound on part 0
   std::int64_t max_part0_weight_q = 0;  // inclusive upper bound on part 0
   int max_passes = 8;
-  // A pass aborts after this many consecutive non-improving moves
-  // (classic early-exit heuristic; <=0 disables).
-  int early_exit_moves = 300;
 };
 
 /// Why RefineFm stopped.

@@ -17,6 +17,11 @@
 namespace p3d::partition {
 namespace {
 
+// Random greedy initial partitions evaluated at the coarsest level.
+constexpr int kInitialTries = 6;
+// Coarsening stops at this many vertices (or when progress stalls).
+constexpr std::int32_t kCoarsenTo = 64;
+
 struct Bounds {
   std::int64_t min0 = 0;
   std::int64_t max0 = 0;
@@ -166,11 +171,11 @@ PartitionResult RunOneStart(const Hypergraph& hg,
   // --- coarsen -------------------------------------------------------------
   std::vector<CoarseLevel> levels;
   const Hypergraph* cur = &hg;
-  // Cluster-weight cap ~1/coarsen_to of the total keeps even tight balance
+  // Cluster-weight cap ~1/kCoarsenTo of the total keeps even tight balance
   // targets reachable at the coarsest level.
-  const std::int64_t max_cluster_weight = std::max<std::int64_t>(
-      1, hg.TotalVertWeightQ() / std::max(options.coarsen_to, 1));
-  while (cur->NumVerts() > options.coarsen_to) {
+  const std::int64_t max_cluster_weight =
+      std::max<std::int64_t>(1, hg.TotalVertWeightQ() / kCoarsenTo);
+  while (cur->NumVerts() > kCoarsenTo) {
     CoarseLevel next = CoarsenOnce(*cur, max_cluster_weight, rng);
     const double ratio = static_cast<double>(next.hg.NumVerts()) /
                          static_cast<double>(cur->NumVerts());
@@ -187,12 +192,11 @@ PartitionResult RunOneStart(const Hypergraph& hg,
   fm.min_part0_weight_q = cb.min0;
   fm.max_part0_weight_q = cb.max0;
   fm.max_passes = options.fm_passes;
-  fm.early_exit_moves = options.fm_early_exit_moves;
 
   std::vector<std::int8_t> best_side;
   double best_cut = 0.0;
   bool best_feasible = false;
-  for (int t = 0; t < std::max(options.initial_tries, 1); ++t) {
+  for (int t = 0; t < kInitialTries; ++t) {
     std::vector<std::int8_t> side =
         GreedyGrowInitial(coarsest, options.target_fraction, rng);
     tally_fm(RefineFm(coarsest, &side, fm, rng));

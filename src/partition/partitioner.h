@@ -25,12 +25,8 @@ struct PartitionOptions {
   double tolerance = 0.1;
   // Independent multilevel runs; best feasible cut wins.
   int num_starts = 1;
-  // Random greedy initial partitions evaluated at the coarsest level.
-  int initial_tries = 6;
-  // Coarsening stops at this many vertices (or when progress stalls).
-  std::int32_t coarsen_to = 64;
+  // FM pass cap per refinement (FmOptions::max_passes).
   int fm_passes = 6;
-  int fm_early_exit_moves = 300;
   std::uint64_t seed = 1;
   // Parallel runtime width for the independent starts (0 = all hardware
   // threads). Each start draws a seed derived from (seed, start index) and

@@ -16,6 +16,14 @@
 #include "util/log.h"
 
 namespace p3d::place {
+namespace {
+
+// Recursion stops at regions of this many cells or fewer.
+constexpr int kRegionStopCells = 4;
+// Lower bound of a lateral cut's balance tolerance.
+constexpr double kMinPartitionTolerance = 0.03;
+
+}  // namespace
 
 GlobalPlacer::GlobalPlacer(const ObjectiveEvaluator& eval)
     : eval_(eval),
@@ -214,11 +222,10 @@ void GlobalPlacer::SplitTask(const Task& task, std::uint64_t seed,
   popt.tolerance =
       axis == 2
           ? std::clamp(0.25 * slack, 0.01, 0.03)
-          : std::clamp(0.5 * slack, params_.min_partition_tolerance, 0.45);
+          : std::clamp(0.5 * slack, kMinPartitionTolerance, 0.45);
   popt.target_fraction =
       axis == 2 ? static_cast<double>(m_lo) / layers : 0.5;
   popt.num_starts = params_.partition_starts;
-  popt.fm_passes = params_.partition_fm_passes;
   popt.seed = seed;
   popt.threads = params_.threads;
   const partition::PartitionResult pr = partition::Bipartition(hg, popt);
@@ -344,8 +351,7 @@ util::StatusOr<Placement> GlobalPlacer::Run(const Placement& initial) {
     runtime::ParallelForWorker(
         pool_, 0, num_tasks, [&](std::int64_t i, int slot) {
           const Task& task = level[static_cast<std::size_t>(i)];
-          if (static_cast<int>(task.cells.size()) <=
-              params_.region_stop_cells) {
+          if (static_cast<int>(task.cells.size()) <= kRegionStopCells) {
             FinalizeRegion(task);
           } else {
             SplitTask(task,

@@ -16,8 +16,11 @@
 //
 //   PhaseMetricsSampler sampler;
 //   placer.AddPhaseObserver(&sampler);
-//   placer.Run();
-//   report.phases = sampler.samples();
+//   auto result = placer.Run(options);
+//   auto report = BuildRunReport(nl, params, *result, sampler.samples(),
+//                                &registry);
+//
+// BuildRunReport is the one report builder of the CLI and the serve layer.
 #pragma once
 
 #include <vector>
@@ -42,5 +45,15 @@ class PhaseMetricsSampler : public PhaseObserver {
   util::Timer timer_;  // starts at construction = just before Run()
   long long last_commits_ = 0;
 };
+
+/// The run report of one finished flow: the netlist's size, the parameters
+/// that shaped the run, `phases` (PhaseMetricsSampler::samples()), the final
+/// QoR, the phase timings and the optional `metrics` snapshot. The caller
+/// sets `circuit` and, for a generated circuit, appends its "scale" param.
+obs::RunReport BuildRunReport(const netlist::Netlist& nl,
+                              const PlacerParams& params,
+                              const PlacementResult& result,
+                              std::vector<obs::PhaseSample> phases,
+                              const obs::MetricsRegistry* metrics);
 
 }  // namespace p3d::place

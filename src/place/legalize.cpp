@@ -22,6 +22,9 @@ constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
     "legalize.color0", "legalize.color1", "legalize.color2",
     "legalize.color3"};
 
+// Cap of the expanding row search radius, in rows.
+constexpr int kMaxRadiusRows = 64;
+
 }  // namespace
 
 DetailedLegalizer::DetailedLegalizer(ObjectiveEvaluator& eval)
@@ -384,15 +387,12 @@ LegalizeStats DetailedLegalizer::Run() {
 
   // --- windowed slot assignment --------------------------------------------
   const PlacerParams& params = eval_.params();
-  const int radius_cap =
-      std::min(std::max(params.legalize_max_radius_rows, 1), num_rows);
+  const int radius_cap = std::min(kMaxRadiusRows, num_rows);
   const int window_rows = std::max(1, params.legalize_window_rows);
   const WindowTiling tiling(num_rows, 1, window_rows);
   const std::size_t num_windows = static_cast<std::size_t>(tiling.NumWindows());
 
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
 

@@ -90,17 +90,15 @@ struct PlacerParams {
 
   // ----- global placement (3D recursive bisection, place/global.h) ----------
   int partition_starts = 1;    // hMetis-style random starts (Section 7 knob)
-  int partition_fm_passes = 6;
-  int region_stop_cells = 4;   // recursion stops below this many cells
-  double min_partition_tolerance = 0.03;
   std::uint64_t seed = 12345;
 
   // ----- parallel runtime ----------------------------------------------------
   // Worker threads for multi-start partitioning, per-level bisection
-  // batches, and the FEA conjugate-gradient solve (0 = all hardware
-  // threads). Determinism contract: same seed + same inputs produce an
-  // identical placement for ANY value of this knob — see src/runtime and
-  // DESIGN.md "Parallel runtime & determinism policy".
+  // batches, the windowed legalization engines (moveswap, shift, detailed
+  // legalization, rowopt), and the FEA conjugate-gradient solve (0 = all
+  // hardware threads). Determinism contract: same seed + same inputs
+  // produce an identical placement for ANY value of this knob — see
+  // src/runtime and DESIGN.md "Parallel runtime & determinism policy".
   int threads = 1;
 
   // ----- coarse legalization --------------------------------------------------
@@ -112,9 +110,6 @@ struct PlacerParams {
   // run only when set above the density spreading reaches.
   int shift_max_iters = 40;
   double shift_target_density = 1.05;
-  double shift_a_lower = 0.8;          // Eq. 16 curve parameters
-  double shift_a_upper = 0.5;
-  double shift_b = 1.0;
   int moveswap_rounds = 1;
   int target_region_bins = 27;  // global move/swap target region size knob
 
@@ -123,13 +118,12 @@ struct PlacerParams {
   // legalize_window_bins windows, 4-colored by window parity; windows of one
   // color propose moves in parallel against a frozen snapshot and the
   // proposals commit serially in fixed window order, so the placement is
-  // byte-identical for any thread count (DESIGN.md §5).
-  int legalize_threads = 0;      // worker threads for coarse legalization
-                                 // (0 = inherit `threads`)
+  // byte-identical for any thread count (DESIGN.md §5). No flow caller sets
+  // this or legalize_window_rows: they are test handles, shrunk so a small
+  // die gets several windows per color.
   int legalize_window_bins = 8;  // window edge length, in bins (min 2)
 
   // ----- detailed legalization ---------------------------------------------
-  int legalize_max_radius_rows = 64;  // search radius cap, in rows
   int legalization_repeats = 1;       // coarse+detailed repetitions knob
   // Row-block window height for the parallel detailed-legalization and
   // rowopt schedules: row indices are tiled into blocks of this many rows

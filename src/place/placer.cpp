@@ -138,11 +138,6 @@ util::StatusOr<Placer3D> Placer3D::Create(const netlist::Netlist& nl,
   return Placer3D(nl, synced, *std::move(chip));
 }
 
-Placer3D::Placer3D(const netlist::Netlist& nl, const PlacerParams& params)
-    : Placer3D(nl, Synced(params),
-               *Chip::Build(nl, params.num_layers, params.whitespace,
-                            params.inter_row_space)) {}
-
 Placer3D::Placer3D(const netlist::Netlist& nl, const PlacerParams& params,
                    Chip chip)
     : nl_(nl), params_(params), chip_(std::move(chip)) {

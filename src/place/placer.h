@@ -119,14 +119,11 @@ struct RunOptions {
 
 class Placer3D {
  public:
-  /// Validated construction: checks the netlist is finalized and the
-  /// floorplan parameters are in range, then builds the die. The netlist
-  /// must outlive the placer.
+  /// The only way to build a placer: checks the netlist is finalized and
+  /// the floorplan parameters are in range, then builds the die. The
+  /// netlist must outlive the placer.
   static util::StatusOr<Placer3D> Create(const netlist::Netlist& nl,
                                          const PlacerParams& params);
-
-  /// Unvalidated construction; aborts on invalid input. Prefer Create().
-  Placer3D(const netlist::Netlist& nl, const PlacerParams& params);
 
   /// Runs the full flow as configured by `options`.
   util::StatusOr<PlacementResult> Run(const RunOptions& options);
@@ -163,8 +160,9 @@ class Placer3D {
 /// this before leasing a shared FEA context for a job.
 bool RunSolvesFea(const PlacerParams& params, const RunOptions& options);
 
-/// The FEA mesh and CG options every solve of such a run uses. Equal
-/// options mean interchangeable FEA assemblies (serve::FeaKeyFor).
+/// The FEA mesh and CG options every solve of such a run uses. Options with
+/// the same mesh and preconditioner (thermal::SameAssembly) mean
+/// interchangeable FEA assemblies (serve::FeaKeyFor).
 thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
                                   const RunOptions& options);
 

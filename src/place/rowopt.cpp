@@ -93,9 +93,7 @@ RowOptStats RowRefiner::Run(int passes) {
   const int window_rows = std::max(1, params.legalize_window_rows);
   const WindowTiling tiling(num_rows, 1, window_rows);
 
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
   const std::size_t num_windows = static_cast<std::size_t>(tiling.NumWindows());

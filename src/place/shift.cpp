@@ -25,6 +25,17 @@ constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
 constexpr int kStallWindow = 5;
 constexpr double kMinProgress = 0.01;
 
+// Eq. 16 curve parameters.
+constexpr double kShiftALower = 0.8;
+constexpr double kShiftAUpper = 0.5;
+constexpr double kShiftB = 1.0;
+
+/// Eq. 16 width curve.
+double WidthFactor(double density) {
+  if (density <= 1.0) return kShiftALower * (density - 1.0) + kShiftB;
+  return kShiftAUpper * (1.0 - 1.0 / density) + kShiftB;
+}
+
 // Indexed by ShiftStop.
 constexpr const char* kStopName[] = {"converged", "stalled", "cap"};
 constexpr const char* kStopCounter[] = {
@@ -33,16 +44,7 @@ constexpr const char* kStopCounter[] = {
 }  // namespace
 
 CellShifter::CellShifter(ObjectiveEvaluator& eval)
-    : eval_(eval),
-      chip_layers_(eval.chip().num_layers()),
-      a_lower_(eval.params().shift_a_lower),
-      a_upper_(eval.params().shift_a_upper),
-      b_(eval.params().shift_b) {}
-
-double CellShifter::WidthFactor(double density) const {
-  if (density <= 1.0) return a_lower_ * (density - 1.0) + b_;
-  return a_upper_ * (1.0 - 1.0 / density) + b_;
-}
+    : eval_(eval), chip_layers_(eval.chip().num_layers()) {}
 
 bool CellShifter::PlanCellShift(DeltaView& view, std::int32_t cell, int axis,
                                 double new_coord, bool allow_retention,
@@ -130,9 +132,7 @@ void CellShifter::SweepAxis(BinGrid& grid, int axis) {
   const int n_v = axis == 2 ? grid.ny() : grid.nz();
 
   const PlacerParams& params = eval_.params();
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
 

@@ -71,9 +71,6 @@ class CellShifter {
   /// One shifting sweep along one axis (0 = x, 1 = y, 2 = z/layers).
   void SweepAxis(BinGrid& grid, int axis);
 
-  /// Eq. 16 width curve.
-  double WidthFactor(double density) const;
-
   /// Plans Eq. 17 for one cell along one axis with the best beta from
   /// {1, 0.5, 0.25} (or beta = 1 when retention is disallowed, i.e. the
   /// source bin is badly congested), evaluating candidates through `view`
@@ -85,9 +82,6 @@ class CellShifter {
 
   ObjectiveEvaluator& eval_;
   int chip_layers_;
-  double a_lower_;
-  double a_upper_;
-  double b_;
 };
 
 }  // namespace p3d::place

@@ -3,8 +3,9 @@
 //   #include "placer3d.h"
 //
 //   auto netlist = p3d::io::Generate(p3d::io::Table1Spec("ibm01", 0.1));
-//   p3d::place::Placer3D placer(netlist, {});
-//   auto result = placer.Run();
+//   auto placer = p3d::place::Placer3D::Create(netlist, {});
+//   if (!placer.ok()) return;  // placer.status() says why
+//   auto result = placer->Run({});
 //
 // Individual headers remain includable for finer-grained use; see
 // docs/ALGORITHM.md for the map.

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/report.h"
-#include "place/params.h"
+#include "place/instrument.h"
 
 namespace p3d::serve {
 namespace {
@@ -16,39 +16,13 @@ std::string FormatG(double v) {
   return buf;
 }
 
-/// The per-job run report ("placer3d.run_report" v1) for one finished job.
+/// The per-job run report ("placer3d.run_report") for one finished job.
 obs::JsonValue JobRunReport(const JobSpec& spec, const JobResult& result) {
-  obs::RunReport report;
+  obs::RunReport report = place::BuildRunReport(
+      *spec.netlist, spec.params, result.placement, result.phases,
+      result.metrics.get());
   report.circuit = spec.circuit.empty() ? spec.name : spec.circuit;
-  report.cells = spec.netlist->NumCells();
-  report.nets = spec.netlist->NumNets();
-  report.pins = spec.netlist->NumPins();
   report.params.emplace_back("scale", spec.circuit_scale);
-  report.params.emplace_back("layers", spec.params.num_layers);
-  report.params.emplace_back("alpha_ilv", spec.params.alpha_ilv);
-  report.params.emplace_back("alpha_temp", spec.params.alpha_temp);
-  report.params.emplace_back("seed", spec.params.seed);
-  report.params.emplace_back("threads", spec.params.threads);
-  report.phases = result.phases;
-  const place::PlacementResult& r = result.placement;
-  report.qor.emplace_back("hpwl_m", r.hpwl_m);
-  report.qor.emplace_back("ilv", r.ilv_count);
-  report.qor.emplace_back("ilv_density_per_m2", r.ilv_density);
-  report.qor.emplace_back("objective", r.objective);
-  report.qor.emplace_back("power_w", r.total_power_w);
-  report.qor.emplace_back("legal", r.legal);
-  report.qor.emplace_back("overlaps", r.overlaps);
-  report.qor.emplace_back("fea_nonconverged", r.fea_nonconverged);
-  if (r.fea_valid) {
-    report.qor.emplace_back("avg_temp_c", r.avg_temp_c);
-    report.qor.emplace_back("max_temp_c", r.max_temp_c);
-  }
-  report.timings.emplace_back("global_s", r.t_global);
-  report.timings.emplace_back("coarse_s", r.t_coarse);
-  report.timings.emplace_back("detailed_s", r.t_detailed);
-  report.timings.emplace_back("fea_s", r.t_fea);
-  report.timings.emplace_back("total_s", r.t_total);
-  report.metrics = result.metrics.get();
   return report.ToJson();
 }
 

@@ -28,13 +28,19 @@
 namespace p3d::serve {
 
 /// Exact-geometry cache key: everything a FeaAssembly build depends on.
-/// Field-wise equality via the members' own defaulted operator==.
+/// `fea` is the requesting job's options, and its leased context solves with
+/// them; only the mesh and the preconditioner enter equality
+/// (thermal::SameAssembly), so jobs that differ in CG threads share one
+/// assembly.
 struct FeaCacheKey {
   thermal::ThermalStack stack;
   thermal::ChipExtent chip;
   thermal::FeaOptions fea;
 
-  friend bool operator==(const FeaCacheKey&, const FeaCacheKey&) = default;
+  friend bool operator==(const FeaCacheKey& a, const FeaCacheKey& b) {
+    return a.stack == b.stack && a.chip == b.chip &&
+           thermal::SameAssembly(a.fea, b.fea);
+  }
 };
 
 class FeaContextCache;

@@ -249,9 +249,12 @@ std::vector<JobEngine::JobView> JobEngine::SnapshotJobs() const {
     v.round = job->phase_round.load(std::memory_order_relaxed);
     v.heartbeats = job->heartbeats.load(std::memory_order_relaxed);
     if (job->state == JobState::kRunning && v.heartbeats > 0) {
+      // A beat may land between reading `now_ns` and this load; it is 0 s
+      // old, not negative.
+      const std::int64_t beat_ns =
+          job->last_beat_ns.load(std::memory_order_relaxed);
       v.since_beat_s =
-          static_cast<double>(
-              now_ns - job->last_beat_ns.load(std::memory_order_relaxed)) *
+          static_cast<double>(std::max<std::int64_t>(0, now_ns - beat_ns)) *
           1e-9;
     }
     v.wall_s = job->queued.Seconds();

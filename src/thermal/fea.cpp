@@ -378,8 +378,8 @@ FeaContext::FeaContext(std::shared_ptr<const FeaAssembly> assembly,
                        const FeaContextOptions& options)
     : options_(options), assembly_(std::move(assembly)), adopted_(true) {
   assert(assembly_ != nullptr);
-  assert(options_.fea == assembly_->solver.options() &&
-         "adopted assembly was built with different FeaOptions");
+  assert(SameAssembly(options_.fea, assembly_->solver.options()) &&
+         "adopted assembly was built for a different mesh or preconditioner");
   // No rebuild happened here, so stats_.rebuilds stays 0 and every solve
   // through the adopted assembly counts as a cache hit (see Solve()).
 }

@@ -41,10 +41,20 @@ struct FeaOptions {
   /// like the IC(0) factorization.
   linalg::CgOptions cg{.max_iters = 4000, .rel_tolerance = 1e-8};
 
-  /// Mesh-shape equality (CG knobs included: a tolerance change invalidates
-  /// a FeaContext's warm-start baseline bookkeeping too).
   friend bool operator==(const FeaOptions&, const FeaOptions&) = default;
 };
+
+/// True when FeaAssembly builds from `a` and `b` are interchangeable. Every
+/// field takes part except the per-solve CG knobs (threads, tolerance,
+/// iteration cap), which shape each FeaContext's own solves and never the
+/// assembly. A field added later is compared unless it is blanked here, so
+/// forgetting this function costs cache hits, never a wrong assembly.
+inline bool SameAssembly(FeaOptions a, FeaOptions b) {
+  a.cg.threads = b.cg.threads;
+  a.cg.rel_tolerance = b.cg.rel_tolerance;
+  a.cg.max_iters = b.cg.max_iters;
+  return a == b;
+}
 
 struct FeaResult {
   std::vector<double> cell_temp;  // deg C per cell (ambient included)

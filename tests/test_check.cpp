@@ -48,7 +48,7 @@ PlacedFlow RunSmallFlow(std::int32_t cells, std::uint64_t seed,
   f.params.num_layers = 3;
   f.params.alpha_temp = alpha_temp;
   f.params.seed = seed * 31 + 7;
-  place::Placer3D placer(f.nl, f.params);
+  place::Placer3D placer = *place::Placer3D::Create(f.nl, f.params);
   f.result = *placer.Run({.with_fea = false});
   f.chip = placer.chip();
   return f;
@@ -360,7 +360,7 @@ TEST(PlacementAuditor, CleanFlowPassesPhaseAudit) {
   params.num_layers = 3;
   params.alpha_temp = 5e-6;
   params.audit_level = place::AuditLevel::kPhase;
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   place::Placement initial;
   initial.Resize(static_cast<std::size_t>(nl.NumCells()));
   io::PlacePadRing(nl, placer.chip().width(), placer.chip().height(),
@@ -381,7 +381,7 @@ TEST(PlacementAuditor, ParanoidFlowReplaysCommits) {
   place::PlacerParams params;
   params.num_layers = 3;
   params.audit_level = place::AuditLevel::kParanoid;
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   PlacementAuditor auditor(nl, params.audit_level);
   auditor.Attach(&placer);
   const place::PlacementResult r = *placer.Run({.with_fea = false});

@@ -140,11 +140,11 @@ TEST(Determinism, PlacementByteIdenticalThreads1Vs4) {
   params.seed = 12345;
 
   params.threads = 1;
-  place::Placer3D p1(nl, params);
+  place::Placer3D p1 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = true});
 
   params.threads = 4;
-  place::Placer3D p4(nl, params);
+  place::Placer3D p4 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r4 = *p4.Run({.with_fea = true});
 
   // Cell coordinates byte-identical (vector<double>/<int> operator== is
@@ -181,11 +181,11 @@ TEST(Determinism, PlacementByteIdenticalThreads3AndUnderParanoidAudit) {
   params.seed = 4242;
 
   params.threads = 1;
-  place::Placer3D p1(nl, params);
+  place::Placer3D p1 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = false});
 
   params.threads = 3;
-  place::Placer3D p3(nl, params);
+  place::Placer3D p3 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r3 = *p3.Run({.with_fea = false});
   EXPECT_EQ(r1.placement.x, r3.placement.x);
   EXPECT_EQ(r1.placement.y, r3.placement.y);
@@ -194,7 +194,7 @@ TEST(Determinism, PlacementByteIdenticalThreads3AndUnderParanoidAudit) {
 
   params.threads = 3;
   params.audit_level = place::AuditLevel::kParanoid;
-  place::Placer3D pa(nl, params);
+  place::Placer3D pa = *place::Placer3D::Create(nl, params);
   check::PlacementAuditor auditor(nl, params.audit_level);
   auditor.Attach(&pa);
   const place::PlacementResult ra = *pa.Run({.with_fea = false});
@@ -207,11 +207,11 @@ TEST(Determinism, PlacementByteIdenticalThreads3AndUnderParanoidAudit) {
 }
 
 TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
-  // The windowed coarse-legalization schedule (DESIGN.md §5) has its own
-  // thread knob; vary ONLY that knob (runtime threads pinned to 1) across
-  // 1 / 3 / 8 workers and require the full-flow placement to the byte. The
-  // 8-worker run also carries a paranoid auditor, which replays every
-  // committed move delta — a pure observer that must not shift a byte.
+  // The windowed legalization schedules (DESIGN.md §5) size their pools
+  // from `threads`; vary it across 1 / 3 / 8 workers and require the
+  // full-flow placement to the byte. The 8-worker run also carries a
+  // paranoid auditor, which replays every committed move delta — a pure
+  // observer that must not shift a byte.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   io::SyntheticSpec spec;
   spec.name = "det";
@@ -226,22 +226,20 @@ TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
   params.partition_starts = 2;
   params.seed = 777;
   params.threads = 1;
-
-  params.legalize_threads = 1;
-  place::Placer3D p1(nl, params);
+  place::Placer3D p1 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = false});
 
-  params.legalize_threads = 3;
-  place::Placer3D p3(nl, params);
+  params.threads = 3;
+  place::Placer3D p3 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r3 = *p3.Run({.with_fea = false});
   EXPECT_EQ(r1.placement.x, r3.placement.x);
   EXPECT_EQ(r1.placement.y, r3.placement.y);
   EXPECT_EQ(r1.placement.layer, r3.placement.layer);
   EXPECT_EQ(r1.objective, r3.objective);
 
-  params.legalize_threads = 8;
+  params.threads = 8;
   params.audit_level = place::AuditLevel::kParanoid;
-  place::Placer3D p8(nl, params);
+  place::Placer3D p8 = *place::Placer3D::Create(nl, params);
   check::PlacementAuditor auditor(nl, params.audit_level);
   auditor.Attach(&p8);
   const place::PlacementResult r8 = *p8.Run({.with_fea = false});

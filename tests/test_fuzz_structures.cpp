@@ -229,7 +229,7 @@ TEST(FuzzStructures, OversizedWindowEnginesStayLegal) {
   PlacerParams params;
   params.num_layers = 4;
   params.alpha_ilv = 1e-5;
-  params.legalize_threads = 3;
+  params.threads = 3;
   params.legalize_window_rows = 1 << 24;
   params.legalize_window_bins = 1 << 24;
   params.SyncStack();

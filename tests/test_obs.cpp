@@ -589,7 +589,7 @@ InstrumentedRun RunWithObservability(const netlist::Netlist& nl, int threads,
 
   obs::MetricsRegistry registry;
   obs::RingRecorder ring(kKeepAll);  // the full trace, also the black box
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   place::PhaseMetricsSampler sampler;
   if (install) {
     obs::InstallMetrics(&registry);

@@ -555,8 +555,9 @@ TEST(FmGolden, BipartitionMatchesRecordedResult) {
     const char* cut_cost;  // exact, 17 significant digits
     bool feasible;
   };
-  // 200 free vertices coarsen below coarsen_to = 64 before FM runs on the
-  // V-cycle's way back up; the small regions refine flat.
+  // 200 free vertices coarsen below kCoarsenTo = 64 (partitioner.cpp)
+  // before FM runs on the V-cycle's way back up; the small regions refine
+  // flat.
   const Golden golden[] = {
       {1, 25, 0.1, 1, "011100010001110110011100001", "0.84523527212014338",
        true},

@@ -109,7 +109,7 @@ TEST(Placer3D, LeakageEnabledFlowStillLegal) {
   params.num_layers = 4;
   params.alpha_temp = 5e-6;
   params.electrical.leakage_per_cell_w = 1e-7;
-  Placer3D placer(nl, params);
+  Placer3D placer = *Placer3D::Create(nl, params);
   const PlacementResult r = *placer.Run({.with_fea = true});
   EXPECT_TRUE(r.legal);
   // Leakage shows up in the reported power: at least leak * movable cells.
@@ -124,7 +124,7 @@ TEST(Placer3D, RuntimeBreakdownSums) {
   spec.total_area_m2 = 300 * 4.9e-12;
   spec.seed = 9;
   const netlist::Netlist nl = io::Generate(spec);
-  Placer3D placer(nl, PlacerParams{});
+  Placer3D placer = *Placer3D::Create(nl, PlacerParams{});
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_GE(r.t_total, r.t_global);
   EXPECT_GE(r.t_total + 1e-6,

@@ -9,9 +9,12 @@
 #include "place/bins.h"
 #include "place/moveswap.h"
 #include "util/rng.h"
+#include "window_tiling.h"
 
 namespace p3d::place {
 namespace {
+
+using fixtures::MaxWindowsPerColor;
 
 struct Fixture {
   netlist::Netlist nl;
@@ -143,12 +146,16 @@ INSTANTIATE_TEST_SUITE_P(RegionSizes, MoveSwapTargetRegion,
 
 TEST(MoveSwap, ThreadCountDoesNotChangePlacementBytes) {
   // The determinism contract of the windowed propose/commit schedule: the
-  // exact same pass sequence at 1, 3, and 4 legalization threads must land
-  // on the thread=1 placement to the byte.
+  // exact same pass sequence at 1, 3, and 4 threads must land on the
+  // thread=1 placement to the byte. 2-bin windows give every color several
+  // windows on this small die, so windows really propose concurrently.
   Placement reference;
   for (const int threads : {1, 3, 4}) {
     Fixture f(600);
-    f.params.legalize_threads = threads;
+    f.params.threads = threads;
+    f.params.legalize_window_bins = 2;
+    const BinGrid grid(f.chip, f.nl.AvgCellWidth(), f.nl.AvgCellHeight());
+    ASSERT_GE(MaxWindowsPerColor(WindowTiling(grid.nx(), grid.ny(), 2)), 2);
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     util::Rng rng(99);
     Placement p;

@@ -1,6 +1,7 @@
 // Integration tests: the full Placer3D flow end to end.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "io/synthetic.h"
@@ -33,10 +34,45 @@ PlacerParams Params(int layers, double alpha_ilv = 1e-5,
   return p;
 }
 
+TEST(Placer3D, CreateRejectsBadFloorplansWithStatus) {
+  const netlist::Netlist nl = Circuit(50);
+  netlist::Netlist unfinalized;
+  unfinalized.AddCell("c", 1e-6, 1e-6);
+  struct Case {
+    const char* name;
+    const netlist::Netlist* netlist;
+    void (*edit)(PlacerParams*);
+    util::StatusCode want;
+  };
+  const Case cases[] = {
+      {"zero layers", &nl, [](PlacerParams* p) { p->num_layers = 0; },
+       util::StatusCode::kInvalidArgument},
+      {"no row capacity", &nl, [](PlacerParams* p) { p->whitespace = 1.0; },
+       util::StatusCode::kInvalidArgument},
+      {"negative row space", &nl,
+       [](PlacerParams* p) { p->inter_row_space = -0.1; },
+       util::StatusCode::kInvalidArgument},
+      {"NaN row space", &nl,
+       [](PlacerParams* p) { p->inter_row_space = std::nan(""); },
+       util::StatusCode::kInvalidArgument},
+      {"unfinalized netlist", &unfinalized, [](PlacerParams*) {},
+       util::StatusCode::kFailedPrecondition},
+  };
+  for (const Case& c : cases) {
+    PlacerParams params = Params(4);
+    c.edit(&params);
+    const util::StatusOr<Placer3D> placer =
+        Placer3D::Create(*c.netlist, params);
+    ASSERT_FALSE(placer.ok()) << c.name;
+    EXPECT_EQ(placer.status().code(), c.want)
+        << c.name << ": " << placer.status().ToString();
+  }
+}
+
 TEST(Placer3D, FullFlowProducesLegalPlacement) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(800);
-  Placer3D placer(nl, Params(4));
+  Placer3D placer = *Placer3D::Create(nl, Params(4));
   const PlacementResult r = *placer.Run({.with_fea = true});
   EXPECT_TRUE(r.legal);
   EXPECT_EQ(r.overlaps, 0);
@@ -53,7 +89,7 @@ TEST(Placer3D, MetricsConsistentWithEvaluate) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(400);
   const PlacerParams params = Params(4);
-  Placer3D placer(nl, params);
+  Placer3D placer = *Placer3D::Create(nl, params);
   const PlacementResult r = *placer.Run({.with_fea = false});
   const PlacementResult check = EvaluatePlacement(
       nl, params, placer.chip(), r.placement, /*with_fea=*/false);
@@ -71,7 +107,7 @@ int IterationCapAnomalies(int shift_max_iters) {
   const netlist::Netlist nl = Circuit(400);
   PlacerParams params = Params(4);
   params.shift_max_iters = shift_max_iters;
-  Placer3D placer(nl, params);
+  Placer3D placer = *Placer3D::Create(nl, params);
   AnomalyMonitor monitor;
   placer.AddPhaseObserver(&monitor);
   obs::MetricsRegistry registry;
@@ -102,7 +138,7 @@ TEST(Placer3D, AnomalyReachesTheBlackBoxOnce) {
   const netlist::Netlist nl = Circuit(400);
   PlacerParams params = Params(4);
   params.shift_max_iters = 2;
-  Placer3D placer(nl, params);
+  Placer3D placer = *Placer3D::Create(nl, params);
   AnomalyMonitor monitor;
   placer.AddPhaseObserver(&monitor);
   obs::MetricsRegistry registry;  // the monitor reads shift/stop_cap here
@@ -131,8 +167,8 @@ TEST(Placer3D, DeterministicForFixedSeed) {
   const netlist::Netlist nl = Circuit(400);
   PlacerParams params = Params(4);
   params.seed = 777;
-  Placer3D a(nl, params);
-  Placer3D b(nl, params);
+  Placer3D a = *Placer3D::Create(nl, params);
+  Placer3D b = *Placer3D::Create(nl, params);
   const PlacementResult ra = *a.Run({.with_fea = false});
   const PlacementResult rb = *b.Run({.with_fea = false});
   EXPECT_DOUBLE_EQ(ra.hpwl_m, rb.hpwl_m);
@@ -148,7 +184,7 @@ TEST(Placer3D, TwoDimensionalModeWorks) {
   // ICs" — 1 layer must run and produce zero vias.
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(400);
-  Placer3D placer(nl, Params(1));
+  Placer3D placer = *Placer3D::Create(nl, Params(1));
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
   EXPECT_EQ(r.ilv_count, 0);
@@ -158,7 +194,7 @@ TEST(Placer3D, TwoDimensionalModeWorks) {
 TEST(Placer3D, ManyLayersWork) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(600);
-  Placer3D placer(nl, Params(10));
+  Placer3D placer = *Placer3D::Create(nl, Params(10));
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
   int max_layer = 0;
@@ -171,8 +207,8 @@ TEST(Placer3D, MoreLayersReduceWirelength) {
   // number of layers increases.
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(1000);
-  Placer3D one(nl, Params(1));
-  Placer3D four(nl, Params(4));
+  Placer3D one = *Placer3D::Create(nl, Params(1));
+  Placer3D four = *Placer3D::Create(nl, Params(4));
   const double wl1 = one.Run({.with_fea = false})->hpwl_m;
   const double wl4 = four.Run({.with_fea = false})->hpwl_m;
   EXPECT_LT(wl4, wl1);
@@ -183,8 +219,8 @@ TEST(Placer3D, IlvCoefficientControlsViaCount) {
   // as alpha_ILV increases.
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(800);
-  Placer3D cheap(nl, Params(4, 5e-9));
-  Placer3D costly(nl, Params(4, 1e-3));
+  Placer3D cheap = *Placer3D::Create(nl, Params(4, 5e-9));
+  Placer3D costly = *Placer3D::Create(nl, Params(4, 1e-3));
   const PlacementResult rc = *cheap.Run({.with_fea = false});
   const PlacementResult re = *costly.Run({.with_fea = false});
   EXPECT_GT(rc.ilv_count, 2 * re.ilv_count);
@@ -199,8 +235,8 @@ TEST(Placer3D, LegalizationRepeatsImproveObjective) {
   PlacerParams p1 = Params(4);
   PlacerParams p3 = Params(4);
   p3.legalization_repeats = 3;
-  Placer3D once(nl, p1);
-  Placer3D thrice(nl, p3);
+  Placer3D once = *Placer3D::Create(nl, p1);
+  Placer3D thrice = *Placer3D::Create(nl, p3);
   const PlacementResult r1 = *once.Run({.with_fea = false});
   const PlacementResult r3 = *thrice.Run({.with_fea = false});
   EXPECT_TRUE(r3.legal);
@@ -210,7 +246,7 @@ TEST(Placer3D, LegalizationRepeatsImproveObjective) {
 TEST(Placer3D, ResultPlacementMatchesEvaluatorState) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(300);
-  Placer3D placer(nl, Params(2));
+  Placer3D placer = *Placer3D::Create(nl, Params(2));
   const PlacementResult r = *placer.Run({.with_fea = false});
   const Placement& internal = placer.evaluator().placement();
   for (std::size_t i = 0; i < r.placement.size(); ++i) {
@@ -231,7 +267,7 @@ TEST(Placer3D, TinyCircuits) {
     nl.AddPin(0, netlist::PinDir::kOutput);
     nl.AddPin(cells - 1, netlist::PinDir::kInput);
     ASSERT_TRUE(nl.Finalize());
-    Placer3D placer(nl, Params(2));
+    Placer3D placer = *Placer3D::Create(nl, Params(2));
     const PlacementResult r = *placer.Run({.with_fea = false});
     EXPECT_TRUE(r.legal) << cells << " cells";
   }
@@ -256,7 +292,7 @@ TEST(Placer3D, MixedCellSizes) {
               netlist::PinDir::kInput);
   }
   ASSERT_TRUE(nl.Finalize());
-  Placer3D placer(nl, Params(4));
+  Placer3D placer = *Placer3D::Create(nl, Params(4));
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
   EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, r.placement), 0);
@@ -286,7 +322,7 @@ TEST(Placer3D, HighFanoutNet) {
   nl.AddPin(0, netlist::PinDir::kOutput);
   for (int c = 1; c < 100; ++c) nl.AddPin(c, netlist::PinDir::kInput);
   ASSERT_TRUE(nl.Finalize());
-  Placer3D placer(nl, Params(4, 1e-5, 2e-6));
+  Placer3D placer = *Placer3D::Create(nl, Params(4, 1e-5, 2e-6));
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
 }
@@ -297,7 +333,7 @@ TEST_P(PlacerLayerSweep, LegalAcrossLayerCounts) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const int layers = GetParam();
   const netlist::Netlist nl = Circuit(400, static_cast<std::uint64_t>(layers));
-  Placer3D placer(nl, Params(layers));
+  Placer3D placer = *Placer3D::Create(nl, Params(layers));
   const PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal) << layers << " layers";
   EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, r.placement), 0);

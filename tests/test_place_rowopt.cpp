@@ -37,7 +37,7 @@ struct Fixture {
     p.num_layers = 4;
     p.alpha_ilv = 1e-5;
     p.alpha_temp = alpha_temp;
-    if (threads > 0) p.legalize_threads = threads;
+    if (threads > 0) p.threads = threads;
     if (window_rows > 0) p.legalize_window_rows = window_rows;
     p.SyncStack();
     return p;
@@ -197,7 +197,7 @@ TEST(RowRefiner, ParallelRefineNeverEntersFixedWalls) {
   ASSERT_TRUE(nl.Finalize());
   PlacerParams params;
   params.num_layers = 1;
-  params.legalize_threads = 4;
+  params.threads = 4;
   params.legalize_window_rows = 2;
   params.SyncStack();
   const Chip chip = *Chip::Build(nl, 1, 0.40, 0.25);

@@ -88,15 +88,13 @@ TEST(ScaleTier, LiteFullFlowByteIdenticalAcrossThreadsUnderAudit) {
   params.partition_starts = 2;
   params.seed = 1801;
   params.threads = 1;
-  params.legalize_threads = 1;
-  place::Placer3D p1(nl, params);
+  place::Placer3D p1 = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = false});
   EXPECT_TRUE(r1.legal);
 
   params.threads = 2;
-  params.legalize_threads = 2;
   params.audit_level = place::AuditLevel::kParanoid;
-  place::Placer3D p2(nl, params);
+  place::Placer3D p2 = *place::Placer3D::Create(nl, params);
   check::PlacementAuditor auditor(nl, params.audit_level);
   auditor.Attach(&p2);
   const place::PlacementResult r2 = *p2.Run({.with_fea = false});

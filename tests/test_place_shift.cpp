@@ -7,9 +7,12 @@
 #include "place/bins.h"
 #include "place/shift.h"
 #include "util/rng.h"
+#include "window_tiling.h"
 
 namespace p3d::place {
 namespace {
+
+using fixtures::MaxWindowsPerColor;
 
 struct Fixture {
   netlist::Netlist nl;
@@ -240,11 +243,18 @@ TEST(CellShifter, IncrementalConsistencyThroughSweeps) {
 TEST(CellShifter, ThreadCountDoesNotChangePlacementBytes) {
   // The windowed parallel schedule (DESIGN.md §5) plans row shifts against a
   // density mesh frozen at sweep start and commits in fixed window order, so
-  // the shifted placement must be byte-identical at any thread count.
+  // the shifted placement must be byte-identical at any thread count. 2-bin
+  // windows give some color several windows on every sweep axis's cross
+  // grid, so windows really plan concurrently.
   Placement reference;
   for (const int threads : {1, 4}) {
     Fixture f(700);
-    f.params.legalize_threads = threads;
+    f.params.threads = threads;
+    f.params.legalize_window_bins = 2;
+    const BinGrid grid(f.chip, f.nl.AvgCellWidth(), f.nl.AvgCellHeight());
+    EXPECT_GE(MaxWindowsPerColor(WindowTiling(grid.ny(), grid.nz(), 2)), 2);
+    EXPECT_GE(MaxWindowsPerColor(WindowTiling(grid.nx(), grid.nz(), 2)), 2);
+    EXPECT_GE(MaxWindowsPerColor(WindowTiling(grid.nx(), grid.ny(), 2)), 2);
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     util::Rng rng(77);
     Placement p;

@@ -140,7 +140,8 @@ TEST(JobEngine, EngineJobMatchesStandalonePlacerRun) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(150);
 
-  place::Placer3D standalone(nl, Params(4, 1e-5, 1e-6));
+  place::Placer3D standalone =
+      *place::Placer3D::Create(nl, Params(4, 1e-5, 1e-6));
   const place::PlacementResult direct = *standalone.Run({.with_fea = true});
 
   JobEngineOptions opts;
@@ -332,6 +333,39 @@ TEST(JobEngine, FeaCacheBuildsOncePerGeometry) {
   EXPECT_EQ(stats.fea_cache.live_entries, 0);
   EXPECT_EQ(stats.fea_cache.idle_entries, 2);
   EXPECT_EQ(stats.completed, 5);
+}
+
+TEST(JobEngine, FeaCacheSharesAssemblyAcrossThreadCounts) {
+  // The assembly does not depend on the CG thread count, so jobs that differ
+  // only in `threads` share it; each still solves at its own thread count,
+  // and the placements stay byte-identical.
+  util::ScopedLogLevel quiet(util::LogLevel::kWarn);
+  const netlist::Netlist nl = Circuit(300);
+
+  JobEngineOptions opts;
+  opts.num_workers = 1;
+  JobEngine engine(opts);
+  std::vector<JobHandle> handles;
+  for (const int threads : {1, 2}) {
+    JobSpec spec = SpecFor(nl, "threads" + std::to_string(threads), 1e-5, 0.0,
+                           /*with_fea=*/true);
+    spec.params.threads = threads;
+    auto h = engine.Submit(std::move(spec));
+    ASSERT_TRUE(h.ok());
+    handles.push_back(*h);
+  }
+  engine.WaitAll();
+
+  const JobEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.fea_cache.misses, 1);
+  EXPECT_EQ(stats.fea_cache.hits, 1);
+  EXPECT_EQ(stats.completed, 2);
+  const JobResult* one = engine.Result(handles[0]);
+  const JobResult* two = engine.Result(handles[1]);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(one->placement.placement.x, two->placement.placement.x);
+  EXPECT_EQ(one->placement.max_temp_c, two->placement.max_temp_c);
 }
 
 TEST(FeaContextCache, EvictsLeastRecentlyUsedIdleEntriesBeyondCap) {

@@ -67,7 +67,7 @@ RunOutput RunWith(const netlist::Netlist& nl, const place::PlacerParams& params,
                   const place::RunOptions& opts) {
   obs::MetricsRegistry registry;
   obs::InstallMetrics(&registry);
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   RunOutput out{.result = *placer.Run(opts)};
   obs::InstallMetrics(nullptr);
   out.metrics_dump = registry.DumpDeterministic();
@@ -118,7 +118,7 @@ TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
   const netlist::Netlist nl = Circuit(200, 28);
   place::PlacerParams params = ThermalParams();
   params.SyncStack();
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   const place::PlacementResult placed = *placer.Run({.with_fea = false});
 
   const place::PlacementResult r = place::EvaluatePlacement(
@@ -154,7 +154,7 @@ TEST(SolverCache, SharedContextReportsPerRunDeltas) {
   const netlist::Netlist nl = Circuit(150, 29);
   place::PlacerParams params = ThermalParams();
   params.SyncStack();
-  place::Placer3D first(nl, params);
+  place::Placer3D first = *place::Placer3D::Create(nl, params);
   const place::Chip& chip = first.chip();
   thermal::FeaContext ctx(
       params.stack, thermal::ChipExtent{chip.width(), chip.height()},
@@ -162,7 +162,7 @@ TEST(SolverCache, SharedContextReportsPerRunDeltas) {
 
   const place::PlacementResult r1 =
       *first.Run({.with_fea = true, .fea_context = &ctx});
-  place::Placer3D second(nl, params);
+  place::Placer3D second = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r2 =
       *second.Run({.with_fea = true, .fea_context = &ctx});
   EXPECT_EQ(r1.fea_solves, 1);
@@ -224,7 +224,7 @@ TEST(SolverCache, ReuseIsVisibleInSolverMetrics) {
 
   obs::MetricsRegistry registry;
   obs::InstallMetrics(&registry);
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   const place::PlacementResult r = *placer.Run({.with_fea = true});
   obs::InstallMetrics(nullptr);
 
@@ -334,7 +334,7 @@ TEST(SolverCache, AnomalyMonitorFlagsFeaNonconvergence) {
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(100, 27);
   const place::PlacerParams params = ThermalParams();
-  place::Placer3D placer(nl, params);
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
   place::AnomalyMonitor monitor;
 
   obs::MetricsRegistry registry;

@@ -14,7 +14,7 @@ TEST(Umbrella, EndToEnd) {
   const p3d::netlist::Netlist nl = p3d::io::Generate(spec);
   p3d::place::PlacerParams params;
   params.num_layers = 2;
-  p3d::place::Placer3D placer(nl, params);
+  p3d::place::Placer3D placer = *p3d::place::Placer3D::Create(nl, params);
   const p3d::place::PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
 }

@@ -15,10 +15,6 @@
 //     --seed N                placer seed
 //     --threads N             worker threads (0 = all hardware threads);
 //                             results are identical for any thread count
-//     --legalize-threads N    worker threads for the windowed coarse
-//                             legalization schedule (0 = inherit --threads)
-//     --legalize-window N     coarse-legalization window edge, in bins
-//                             (default 8, min 2)
 //     --out-pl PATH           write extended .pl
 //     --export-bookshelf DIR  write the circuit + placement as a complete
 //                             Bookshelf design (aux/nodes/nets/pl/scl)
@@ -80,8 +76,6 @@ struct Args {
   double alpha_temp = 0.0;
   std::uint64_t seed = 12345;
   int threads = 1;
-  int legalize_threads = 0;
-  int legalize_window = 8;
   std::string out_pl;
   std::string export_dir;
   std::string out_svg;
@@ -102,8 +96,7 @@ void PrintUsage() {
   std::puts(
       "usage: placer3d_cli [--circuit ibmXX | --aux design.aux] [--scale S]\n"
       "                    [--layers N] [--alpha-ilv V] [--alpha-temp V]\n"
-      "                    [--seed N] [--threads N] [--legalize-threads N]\n"
-      "                    [--legalize-window N] [--out-pl F] [--out-svg F]\n"
+      "                    [--seed N] [--threads N] [--out-pl F] [--out-svg F]\n"
       "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
       "                    [--fea-per-pass] [--fea-precond jacobi|ic0|multigrid]\n"
       "                    [--trace F] [--metrics F] [--blackbox F]\n"
@@ -167,14 +160,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--threads");
       if (!v) return false;
       args->threads = std::atoi(v);
-    } else if (a == "--legalize-threads") {
-      const char* v = next("--legalize-threads");
-      if (!v) return false;
-      args->legalize_threads = std::atoi(v);
-    } else if (a == "--legalize-window") {
-      const char* v = next("--legalize-window");
-      if (!v) return false;
-      args->legalize_window = std::atoi(v);
     } else if (a == "--export-bookshelf") {
       const char* v = next("--export-bookshelf");
       if (!v) return false;
@@ -288,8 +273,6 @@ int main(int argc, char** argv) {
   params.alpha_temp = args.alpha_temp;
   params.seed = args.seed;
   params.threads = args.threads;
-  params.legalize_threads = args.legalize_threads;
-  params.legalize_window_bins = args.legalize_window;
   params.fea_per_pass = args.fea_per_pass;
   params.audit_level = args.audit;
   if (args.aux.empty()) {
@@ -360,38 +343,10 @@ int main(int argc, char** argv) {
                 ring.NumEvents());
   }
   if (!args.metrics_path.empty()) {
-    p3d::obs::RunReport report;
+    p3d::obs::RunReport report = p3d::place::BuildRunReport(
+        netlist, params, r, sampler.samples(), &metrics);
     report.circuit = args.aux.empty() ? args.circuit : args.aux;
-    report.cells = netlist.NumCells();
-    report.nets = netlist.NumNets();
-    report.pins = netlist.NumPins();
     if (args.aux.empty()) report.params.emplace_back("scale", args.scale);
-    report.params.emplace_back("layers", args.layers);
-    report.params.emplace_back("alpha_ilv", args.alpha_ilv);
-    report.params.emplace_back("alpha_temp", args.alpha_temp);
-    report.params.emplace_back("seed", args.seed);
-    report.params.emplace_back("threads", args.threads);
-    report.params.emplace_back("legalize_threads", args.legalize_threads);
-    report.params.emplace_back("legalize_window", args.legalize_window);
-    report.params.emplace_back("fea_per_pass", args.fea_per_pass);
-    report.phases = sampler.samples();
-    report.qor.emplace_back("hpwl_m", r.hpwl_m);
-    report.qor.emplace_back("ilv", r.ilv_count);
-    report.qor.emplace_back("ilv_density_per_m2", r.ilv_density);
-    report.qor.emplace_back("objective", r.objective);
-    report.qor.emplace_back("power_w", r.total_power_w);
-    report.qor.emplace_back("legal", r.legal);
-    report.qor.emplace_back("overlaps", r.overlaps);
-    report.qor.emplace_back("fea_nonconverged", r.fea_nonconverged);
-    if (r.fea_valid) {
-      report.qor.emplace_back("avg_temp_c", r.avg_temp_c);
-      report.qor.emplace_back("max_temp_c", r.max_temp_c);
-    }
-    report.timings.emplace_back("global_s", r.t_global);
-    report.timings.emplace_back("coarse_s", r.t_coarse);
-    report.timings.emplace_back("detailed_s", r.t_detailed);
-    report.timings.emplace_back("total_s", r.t_total);
-    report.metrics = &metrics;
     if (!report.Write(args.metrics_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.metrics_path.c_str());
       return 1;
