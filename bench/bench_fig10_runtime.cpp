@@ -11,12 +11,12 @@
 // of one run, and the harness evaluates FEA on each captured placement twice
 // — with one-shot solves (fresh assembly + Jacobi preconditioner + cold
 // start per solve, the pre-cache behavior) and through one FeaContext
-// (assembly + IC(0) factor built once, CG warm-started), both at the same CG
-// tolerance. The same circuit is also placed with per-pass FEA on: FEA must
-// never steer, so the run exits non-zero if the two placements differ by a
-// byte. The cumulative FEA solve-time ratio is the row the CI regression
-// gate watches (scripts/check_bench_regression.py, baseline in
-// bench/baselines/).
+// (assembly + the run's default preconditioner, the multigrid hierarchy,
+// built once, CG warm-started), both at the same CG tolerance. The same
+// circuit is also placed with per-pass FEA on: FEA must never steer, so
+// the run exits non-zero if the two placements differ by a byte. The
+// cumulative FEA solve-time ratio is the row the CI regression gate watches
+// (scripts/check_bench_regression.py, baseline in bench/baselines/).
 #include <cstdlib>
 #include <vector>
 
@@ -63,7 +63,7 @@ bool SolverCacheSection(p3d::bench::BenchSetup& setup) {
   const p3d::thermal::ChipExtent chip{placer.chip().width(),
                                       placer.chip().height()};
   // The one-shot baseline solves with Jacobi, the cached context with the
-  // run default, IC(0); both at the run's mesh and CG tolerance.
+  // run default, multigrid; both at the run's mesh and CG tolerance.
   const p3d::thermal::FeaOptions jacobi = p3d::place::FeaOptionsFor(
       params, {.preconditioner = p3d::linalg::PreconditionerKind::kJacobi});
   p3d::thermal::FeaContext ctx(params.stack, chip,

@@ -8,7 +8,7 @@
 // points place in parallel on the worker pool while the printed curves stay
 // byte-identical to the old serial loop (per-job seeds and the grid order
 // are pure functions of the sweep spec). The thermal sweep additionally
-// shares one FEA assembly + IC(0) factorization across all its jobs via the
+// shares one FEA assembly + multigrid hierarchy across all its jobs via the
 // engine's FeaContextCache.
 //
 //   ./tradeoff_explorer [num_cells] [num_layers] [workers]

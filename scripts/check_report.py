@@ -22,11 +22,28 @@ import sys
 
 PHASE_NUM_KEYS = ("wl_m", "ilv_cost_m", "thermal_cost_m", "total_m",
                   "ilv", "commits", "t_s")
+PRECONDITIONERS = ("jacobi", "ic0", "multigrid")
 
 
 def fail(msg):
     print(f"check_report: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_fea_fields(params, qor):
+    """qor.fea_solves and qor.fea_cg_iters are counts; params.fea_precond
+    names the solver that ran and is present exactly when FEA solved."""
+    for key in ("fea_solves", "fea_cg_iters"):
+        value = qor.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            fail(f"qor.{key} missing or not a non-negative integer")
+    precond = params.get("fea_precond")
+    if qor["fea_solves"] > 0 and precond not in PRECONDITIONERS:
+        fail(f"params.fea_precond is {precond!r} after "
+             f"{qor['fea_solves']} FEA solves, want one of "
+             f"{', '.join(PRECONDITIONERS)}")
+    if qor["fea_solves"] == 0 and precond is not None:
+        fail(f"params.fea_precond is {precond!r} but no FEA solve ran")
 
 
 def check_report(doc):
@@ -45,6 +62,7 @@ def check_report(doc):
     for key in ("circuit", "cells", "nets", "pins"):
         if key not in run:
             fail(f"run.{key} missing")
+    check_fea_fields(doc["params"], doc["qor"])
     phases = doc["phases"]
     for i, phase in enumerate(phases):
         if not isinstance(phase, dict):

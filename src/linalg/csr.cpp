@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 #include "runtime/parallel.h"
 
@@ -20,37 +19,48 @@ constexpr std::int64_t kSpmvRowGrain = 256;
 CsrMatrix CsrMatrix::FromCoo(const CooBuilder& coo) {
   CsrMatrix m;
   m.n_ = coo.Dim();
+  const std::size_t n = static_cast<std::size_t>(m.n_);
   const std::size_t nnz_in = coo.NumTriplets();
-
-  // Sort triplet indices by (row, col) so duplicates are adjacent.
-  std::vector<std::uint32_t> order(nnz_in);
-  std::iota(order.begin(), order.end(), 0u);
   const auto& rows = coo.rows();
   const auto& cols = coo.cols();
   const auto& vals = coo.vals();
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (rows[a] != rows[b]) return rows[a] < rows[b];
-    return cols[a] < cols[b];
-  });
 
-  m.row_ptr_.assign(static_cast<std::size_t>(m.n_) + 1, 0);
+  // Counting sort of triplet indices by row; each row keeps insertion order.
+  std::vector<std::size_t> row_start(n + 1, 0);
+  for (const std::int32_t r : rows) {
+    assert(r >= 0 && r < m.n_);
+    ++row_start[static_cast<std::size_t>(r) + 1];
+  }
+  for (std::size_t r = 0; r < n; ++r) row_start[r + 1] += row_start[r];
+  std::vector<std::uint32_t> order(nnz_in);
+  {
+    std::vector<std::size_t> next(row_start.begin(), row_start.end() - 1);
+    for (std::size_t i = 0; i < nnz_in; ++i) {
+      order[next[static_cast<std::size_t>(rows[i])]++] =
+          static_cast<std::uint32_t>(i);
+    }
+  }
+
+  // Stable sort by column within each row puts duplicates side by side, still
+  // in insertion order, so each sum below runs in a canonical order.
+  m.row_ptr_.assign(n + 1, 0);
   m.col_idx_.reserve(nnz_in);
   m.vals_.reserve(nnz_in);
-  for (std::size_t i = 0; i < nnz_in;) {
-    const std::int32_t r = rows[order[i]];
-    const std::int32_t c = cols[order[i]];
-    assert(r >= 0 && r < m.n_ && c >= 0 && c < m.n_);
-    double sum = 0.0;
-    while (i < nnz_in && rows[order[i]] == r && cols[order[i]] == c) {
-      sum += vals[order[i]];
-      ++i;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint32_t* const first = order.data() + row_start[r];
+    std::uint32_t* const last = order.data() + row_start[r + 1];
+    std::stable_sort(first, last, [&](std::uint32_t a, std::uint32_t b) {
+      return cols[a] < cols[b];
+    });
+    for (const std::uint32_t* it = first; it != last;) {
+      const std::int32_t c = cols[*it];
+      assert(c >= 0 && c < m.n_);
+      double sum = 0.0;
+      for (; it != last && cols[*it] == c; ++it) sum += vals[*it];
+      m.col_idx_.push_back(c);
+      m.vals_.push_back(sum);
     }
-    m.col_idx_.push_back(c);
-    m.vals_.push_back(sum);
-    m.row_ptr_[static_cast<std::size_t>(r) + 1] += 1;
-  }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(m.n_); ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
+    m.row_ptr_[r + 1] = static_cast<std::int32_t>(m.col_idx_.size());
   }
   return m;
 }

@@ -15,7 +15,13 @@ namespace p3d::linalg {
 /// Triplet accumulator with duplicate summing on compression.
 class CooBuilder {
  public:
-  explicit CooBuilder(std::int32_t n) : n_(n) {}
+  /// `capacity` reserves room for that many triplets (a hint; Add grows
+  /// past it).
+  explicit CooBuilder(std::int32_t n, std::size_t capacity = 0) : n_(n) {
+    rows_.reserve(capacity);
+    cols_.reserve(capacity);
+    vals_.reserve(capacity);
+  }
 
   void Add(std::int32_t row, std::int32_t col, double value) {
     rows_.push_back(row);
@@ -42,7 +48,11 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Compresses a triplet set, summing duplicates.
+  /// Compresses a triplet set, summing duplicates: a counting sort by row,
+  /// then a stable sort by column within each row (linear in the triplet
+  /// count when rows are short, as FEA rows are).
+  /// Duplicates of one (row, col) sum in insertion order, so the values are
+  /// a pure function of the Add sequence.
   static CsrMatrix FromCoo(const CooBuilder& coo);
 
   std::int32_t Dim() const { return n_; }

@@ -52,6 +52,10 @@ obs::RunReport BuildRunReport(const netlist::Netlist& nl,
   report.params.emplace_back("seed", params.seed);
   report.params.emplace_back("threads", params.threads);
   report.params.emplace_back("fea_per_pass", params.fea_per_pass);
+  if (r.fea_precond.has_value()) {
+    report.params.emplace_back("fea_precond",
+                               linalg::PreconditionerName(*r.fea_precond));
+  }
   report.phases = std::move(phases);
   report.qor.emplace_back("hpwl_m", r.hpwl_m);
   report.qor.emplace_back("ilv", r.ilv_count);
@@ -60,6 +64,8 @@ obs::RunReport BuildRunReport(const netlist::Netlist& nl,
   report.qor.emplace_back("power_w", r.total_power_w);
   report.qor.emplace_back("legal", r.legal);
   report.qor.emplace_back("overlaps", r.overlaps);
+  report.qor.emplace_back("fea_solves", r.fea_solves);
+  report.qor.emplace_back("fea_cg_iters", r.fea_cg_iters);
   report.qor.emplace_back("fea_nonconverged", r.fea_nonconverged);
   if (r.fea_valid) {
     report.qor.emplace_back("avg_temp_c", r.avg_temp_c);

@@ -69,6 +69,7 @@ class FeaRunner {
     r->fea_solves = now.solves - before_.solves;
     r->fea_cg_iters = now.iters_total - before_.iters_total;
     r->fea_nonconverged = now.nonconverged - before_.nonconverged;
+    r->fea_precond = ctx_->preconditioner().kind();
   }
 
  private:

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "linalg/cg.h"
@@ -79,6 +80,9 @@ struct PlacementResult {
   long long fea_nonconverged = 0;  // solves that hit the iteration cap
                                    // (also surfaced as fea/nonconverged in
                                    // the metrics registry and run-report QoR)
+  /// The preconditioner those solves used, after the assembly's fallbacks;
+  /// empty when the run solved no FEA.
+  std::optional<linalg::PreconditionerKind> fea_precond;
 };
 
 /// Everything a Placer3D::Run invocation can be configured with (the single
@@ -99,8 +103,11 @@ struct RunOptions {
 
   /// Seed each FEA solve from the previous temperature field.
   bool warm_start = true;
-  /// CG preconditioner for the FEA solves.
-  linalg::PreconditionerKind preconditioner = linalg::PreconditionerKind::kIc0;
+  /// CG preconditioner for the FEA solves. Multigrid by default; a lateral
+  /// mesh that cannot be halved (odd fea_nx or fea_ny) solves with IC(0)
+  /// instead (PlacementResult::fea_precond reports which one ran).
+  linalg::PreconditionerKind preconditioner =
+      linalg::PreconditionerKind::kMultigrid;
 
   // ----- serving hooks (src/serve) ----------------------------------------
   /// Cooperative cancellation flag, polled at the same phase boundaries

@@ -3,7 +3,8 @@
 // Sweep workloads (the paper's Figs. 3/4/8 tradeoff grids) run many
 // placements over ONE chip: every job shares the thermal stack, the die
 // extent, and the FEA mesh, so the expensive part of the PR-4 solver reuse
-// layer — stiffness-matrix assembly plus the IC(0) factorization — is
+// layer — stiffness-matrix assembly plus the preconditioner build (the
+// multigrid hierarchy, or the IC(0) factorization) — is
 // identical across jobs. This cache shares that immutable product
 // (thermal::FeaAssembly) between concurrent jobs keyed by exact geometry,
 // while each job keeps its own thermal::FeaContext so warm-start temperature

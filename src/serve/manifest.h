@@ -17,7 +17,8 @@
 // Per-job fields (each falls back to `defaults`, then to the built-in
 // default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
 // threads, with_fea, fea_per_pass, start_deadline_s, and fea_precond
-// ("jacobi" | "ic0" | "multigrid", default ic0). Any other key in a job or
+// ("jacobi" | "ic0" | "multigrid", default place::RunOptions::preconditioner,
+// i.e. multigrid). Any other key in a job or
 // in `defaults` is a manifest error.
 // Integer fields (layers, threads, priority, and the top-level and per-job
 // seed) must be whole numbers in their type's range.

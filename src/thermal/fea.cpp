@@ -109,7 +109,11 @@ FeaSolver::FeaSolver(const ThermalStack& stack, const ChipExtent& chip,
   // --- assembly (geometry only; reused across Solve calls) ----------------
   const int nz_elems = static_cast<int>(elem_k_.size());
   const int num_nodes = NumNodes();
-  linalg::CooBuilder coo(num_nodes);
+  // 64 triplets per hex element, plus 16 per lateral cell on each of the
+  // two convective faces.
+  const std::size_t num_triplets =
+      static_cast<std::size_t>(nx_) * ny_ * (64 * nz_elems + 32);
+  linalg::CooBuilder coo(num_nodes, num_triplets);
 
   for (int ez = 0; ez < nz_elems; ++ez) {
     const double hz = z_planes_[static_cast<std::size_t>(ez) + 1] -

@@ -13,11 +13,13 @@
 // convective (Robin) on the bottom heat-sink face with h_sink, convective
 // with h_ambient on the top face, adiabatic sides. The assembled system is
 // symmetric positive definite and solved with preconditioned CG, as set by
-// FeaOptions::cg.preconditioner: Jacobi (the CgOptions default), IC(0) (the
-// placer's default, place::RunOptions::preconditioner) or multigrid
-// V-cycles. Placement flows solve through FeaContext, which builds the
-// preconditioner once per geometry and can warm-start each solve from the
-// previous field.
+// FeaOptions::cg.preconditioner: Jacobi (the CgOptions default), IC(0), or
+// multigrid V-cycles (the placer's default,
+// place::RunOptions::preconditioner). Placement flows solve through
+// FeaContext, which builds the preconditioner once per geometry and can
+// warm-start each solve from the previous field. Multigrid needs that
+// context: the one-shot FeaSolver::Solve has no mesh hierarchy and solves a
+// multigrid request with Jacobi (linalg::SolveCg).
 #pragma once
 
 #include <cstdint>

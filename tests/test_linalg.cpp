@@ -28,6 +28,50 @@ TEST(Csr, FromCooSumsDuplicates) {
   EXPECT_DOUBLE_EQ(m.At(1, 1), 0.0);  // absent
 }
 
+TEST(Csr, FromCooSumsDuplicatesInInsertionOrder) {
+  // 1e16 + 1 rounds back to 1e16, so these sums depend on their order.
+  CooBuilder coo(2);
+  coo.Add(1, 1, 1e16);
+  coo.Add(0, 0, 1e16);
+  coo.Add(0, 1, 5.0);
+  coo.Add(0, 0, 1.0);
+  coo.Add(1, 1, -1e16);
+  coo.Add(1, 0, 7.0);
+  coo.Add(0, 0, -1e16);
+  coo.Add(1, 1, 1.0);
+  const CsrMatrix m = CsrMatrix::FromCoo(coo);
+  EXPECT_EQ(m.NumNonZeros(), 4u);
+  EXPECT_EQ(m.At(0, 0), 0.0);  // (1e16 + 1) - 1e16
+  EXPECT_EQ(m.At(1, 1), 1.0);  // (1e16 - 1e16) + 1
+  EXPECT_EQ(m.At(0, 1), 5.0);
+  EXPECT_EQ(m.At(1, 0), 7.0);
+
+  // Rows long enough that a comparison sort would not keep equal keys in
+  // place: every entry must be the left-to-right sum of its triplets.
+  constexpr std::int32_t kN = 3;
+  constexpr std::int32_t kAdds = 600;
+  const double values[] = {1e16, 1.0, -1e16, 0.5, 3.0, -7.25};
+  CooBuilder big(kN, kAdds);
+  std::vector<double> want(kN * kN, 0.0);
+  util::Rng rng(7);
+  for (std::int32_t i = 0; i < kAdds; ++i) {
+    const std::int32_t r = rng.NextInt(0, kN - 1);
+    const std::int32_t c = rng.NextInt(0, kN - 1);
+    const double v = values[rng.NextInt(0, 5)];
+    big.Add(r, c, v);
+    want[static_cast<std::size_t>(r * kN + c)] += v;
+  }
+  const CsrMatrix b = CsrMatrix::FromCoo(big);
+  for (std::int32_t r = 0; r < kN; ++r) {
+    for (std::int32_t c = 0; c < kN; ++c) {
+      EXPECT_EQ(b.At(r, c), want[static_cast<std::size_t>(r * kN + c)])
+          << "entry (" << r << ", " << c << ")";
+    }
+  }
+  const std::vector<std::int32_t> want_row_ptr = {0, 3, 6, 9};
+  EXPECT_EQ(b.row_ptr(), want_row_ptr);
+}
+
 TEST(Csr, Multiply) {
   CooBuilder coo(2);
   coo.Add(0, 0, 2.0);

@@ -6,6 +6,7 @@
 // itself must be visible as solver/* metrics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "io/synthetic.h"
 #include "linalg/multigrid.h"
 #include "obs/metrics.h"
+#include "place/instrument.h"
 #include "place/monitor.h"
 #include "place/placer.h"
 #include "thermal/fea.h"
@@ -111,9 +113,10 @@ TEST(SolverCache, PlacementByteIdenticalFeaPerPassOnVsOff) {
 }
 
 TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
-  // EvaluatePlacement solves through a fresh FeaContext; its one cold IC(0)
-  // solve runs the same CG as a one-shot FeaSolver::Solve, so the reported
-  // temperatures are the one-shot ones bit for bit.
+  // EvaluatePlacement solves through a fresh FeaContext with the default
+  // (multigrid) options; its one cold solve is bit for bit the solve of any
+  // other fresh context built from those options. It agrees with a one-shot
+  // IC(0) solve to CG tolerance.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(200, 28);
   place::PlacerParams params = ThermalParams();
@@ -130,21 +133,62 @@ TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
       nl, placed.placement.x, placed.placement.y, placed.placement.layer);
   const thermal::PowerReport power =
       thermal::ComputePower(nl, metrics, params.electrical);
-  thermal::FeaOptions fopt;
-  fopt.nx = params.fea_nx;
-  fopt.ny = params.fea_ny;
-  fopt.cg.threads = params.threads;
-  fopt.cg.preconditioner = linalg::PreconditionerKind::kIc0;
-  const thermal::FeaSolver oneshot(
-      params.stack,
-      thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
-      fopt);
+  const thermal::ChipExtent extent{placer.chip().width(),
+                                   placer.chip().height()};
+  thermal::FeaContext fresh(params.stack, extent,
+                            {.fea = place::FeaOptionsFor(params, {})});
+  EXPECT_EQ(fresh.preconditioner().kind(),
+            linalg::PreconditionerKind::kMultigrid);
   const thermal::FeaResult want =
-      oneshot.Solve(placed.placement.x, placed.placement.y,
-                    placed.placement.layer, power.cell_power);
+      fresh.Solve(placed.placement.x, placed.placement.y,
+                  placed.placement.layer, power.cell_power);
   EXPECT_EQ(r.avg_temp_c, want.avg_cell_temp);
   EXPECT_EQ(r.max_temp_c, want.max_cell_temp);
   EXPECT_EQ(r.fea_cg_iters, want.cg_iters);
+
+  thermal::FeaOptions ic0 = place::FeaOptionsFor(params, {});
+  ic0.cg.preconditioner = linalg::PreconditionerKind::kIc0;
+  const thermal::FeaResult oneshot =
+      thermal::FeaSolver(params.stack, extent, ic0)
+          .Solve(placed.placement.x, placed.placement.y,
+                 placed.placement.layer, power.cell_power);
+  EXPECT_NEAR(r.avg_temp_c, oneshot.avg_cell_temp,
+              1e-6 * std::abs(oneshot.avg_cell_temp));
+  EXPECT_NEAR(r.max_temp_c, oneshot.max_cell_temp,
+              1e-6 * std::abs(oneshot.max_cell_temp));
+}
+
+TEST(SolverCache, RunReportNamesThePreconditionerThatRan) {
+  // The report names the preconditioner the assembly actually built: the
+  // multigrid default on an even mesh, IC(0) where the lateral grid cannot
+  // be halved. A run without FEA names none.
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(150, 30);
+  const auto report_of = [&](const place::PlacerParams& params,
+                             const place::RunOptions& opts) {
+    place::Placer3D placer = *place::Placer3D::Create(nl, params);
+    const place::PlacementResult r = *placer.Run(opts);
+    return place::BuildRunReport(nl, params, r, {}, nullptr).ToJson();
+  };
+  place::PlacerParams params = ThermalParams();
+  params.fea_per_pass = true;
+
+  const obs::JsonValue even = report_of(params, {.with_fea = true});
+  ASSERT_NE(even.Find("params")->Find("fea_precond"), nullptr);
+  EXPECT_EQ(even.Find("params")->Find("fea_precond")->AsString(), "multigrid");
+  const obs::JsonValue& qor = *even.Find("qor");
+  EXPECT_GT(qor.Find("fea_solves")->AsNumber(), 1.0);
+  EXPECT_GT(qor.Find("fea_cg_iters")->AsNumber(), 0.0);
+
+  params.fea_nx = 25;
+  const obs::JsonValue odd = report_of(params, {.with_fea = true});
+  ASSERT_NE(odd.Find("params")->Find("fea_precond"), nullptr);
+  EXPECT_EQ(odd.Find("params")->Find("fea_precond")->AsString(), "ic0");
+
+  params.fea_per_pass = false;
+  const obs::JsonValue none = report_of(params, {.with_fea = false});
+  EXPECT_EQ(none.Find("params")->Find("fea_precond"), nullptr);
+  EXPECT_EQ(none.Find("qor")->Find("fea_solves")->AsNumber(), 0.0);
 }
 
 TEST(SolverCache, SharedContextReportsPerRunDeltas) {

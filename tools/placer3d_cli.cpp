@@ -39,7 +39,8 @@
 //                             pass (observational; every solve reuses the
 //                             run's cached FEA assembly)
 //     --fea-precond NAME      FEA preconditioner: jacobi|ic0|multigrid
-//                             (default ic0)
+//                             (default multigrid; an odd FEA mesh falls
+//                             back to ic0)
 //     --quiet                 errors only
 //
 // Every --flag also accepts the --flag=value spelling.
@@ -47,6 +48,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "check/audit.h"
@@ -87,7 +89,7 @@ struct Args {
   bool fea = true;
   bool fea_per_pass = false;
   p3d::linalg::PreconditionerKind fea_precond =
-      p3d::linalg::PreconditionerKind::kIc0;
+      p3d::place::RunOptions{}.preconditioner;
   bool quiet = false;
   p3d::place::AuditLevel audit = p3d::place::AuditLevel::kOff;
 };
@@ -325,6 +327,20 @@ int main(int argc, char** argv) {
   p3d::place::RunOptions run_opts;
   run_opts.with_fea = args.fea || !args.out_thermal_svg.empty();
   run_opts.preconditioner = args.fea_precond;
+  // The thermal SVG solves through the run's own FEA context: the same
+  // assembly and preconditioner, warm-started from the run's final field.
+  std::optional<p3d::thermal::FeaContext> svg_fea;
+  if (!args.out_thermal_svg.empty()) {
+    p3d::place::PlacerParams synced = params;
+    synced.SyncStack();
+    svg_fea.emplace(
+        synced.stack,
+        p3d::thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
+        p3d::thermal::FeaContextOptions{
+            .fea = p3d::place::FeaOptionsFor(synced, run_opts),
+            .warm_start = run_opts.warm_start});
+    run_opts.fea_context = &*svg_fea;
+  }
   p3d::util::StatusOr<p3d::place::PlacementResult> result_or =
       placer.Run(run_opts);
   if (!result_or.ok()) {
@@ -402,14 +418,8 @@ int main(int argc, char** argv) {
         netlist, r.placement.x, r.placement.y, r.placement.layer);
     const auto power =
         p3d::thermal::ComputePower(netlist, metrics, params.electrical);
-    p3d::place::PlacerParams synced = params;
-    synced.SyncStack();
-    const p3d::thermal::FeaSolver fea(
-        synced.stack,
-        p3d::thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
-        p3d::place::FeaOptionsFor(synced, run_opts));
-    const auto ft = fea.Solve(r.placement.x, r.placement.y, r.placement.layer,
-                              power.cell_power);
+    const auto ft = svg_fea->Solve(r.placement.x, r.placement.y,
+                                   r.placement.layer, power.cell_power);
     p3d::io::SvgOptions opt;
     opt.title = "placer3d thermal view (blue=cool, red=hot)";
     opt.cell_scalar = ft.cell_temp;
