@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "linalg/multigrid.h"
 #include "thermal/fea.h"
 
 namespace p3d::thermal {
@@ -279,6 +281,84 @@ TEST_P(FeaMeshRefinement, BulkFieldStableUnderRefinement) {
 
 INSTANTIATE_TEST_SUITE_P(Meshes, FeaMeshRefinement,
                          ::testing::Values(8, 12, 16, 24));
+
+// --- FEA goldens ------------------------------------------------------------
+// FNV-1a hashes of the assembled stiffness matrix and of one multigrid
+// V-cycle, recorded on x86-64. Any change to the assembly order or the
+// V-cycle's floating-point operation order moves a hash; a refactor that
+// keeps both bit-identical keeps them all.
+
+std::uint64_t Fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 1469598103934665603ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t Fnv1a(const std::vector<T>& v,
+                    std::uint64_t h = 1469598103934665603ull) {
+  return Fnv1a(v.data(), v.size() * sizeof(T), h);
+}
+
+FeaOptions GoldenOptions(int nx, int ny) {
+  FeaOptions opt;
+  opt.nx = nx;
+  opt.ny = ny;
+  opt.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
+  return opt;
+}
+
+constexpr ChipExtent kGoldenChip{1.2e-3, 0.9e-3};
+
+std::uint64_t MatrixHash(const linalg::CsrMatrix& a) {
+  return Fnv1a(a.values(), Fnv1a(a.col_idx(), Fnv1a(a.row_ptr())));
+}
+
+TEST(FeaGolden, StiffnessMatrixHashes) {
+  struct Case {
+    int nx, ny;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {2, 2, 0xc69d1881750d6663ull},   {8, 6, 0x3992b774b341f459ull},
+      {24, 24, 0xfe1f37336dffb788ull}, {25, 24, 0x8927187c1e53d75eull},
+      {64, 64, 0x751751396c3c09d9ull},
+  };
+  for (const Case& c : cases) {
+    const FeaSolver fea(Stack(4), kGoldenChip, GoldenOptions(c.nx, c.ny));
+    EXPECT_EQ(MatrixHash(fea.matrix()), c.hash)
+        << c.nx << "x" << c.ny << ": 0x" << std::hex
+        << MatrixHash(fea.matrix());
+  }
+}
+
+TEST(FeaGolden, VCycleHashes) {
+  struct Case {
+    int nx, ny;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{8, 6, 0x1df863a6f61ef9f2ull},
+                        {24, 24, 0xdcd5266bdf822e10ull},
+                        {64, 64, 0x7ffd438b69959d14ull}};
+  for (const Case& c : cases) {
+    const FeaAssembly assembly(Stack(4), kGoldenChip,
+                               GoldenOptions(c.nx, c.ny));
+    ASSERT_NE(assembly.hierarchy, nullptr) << c.nx << "x" << c.ny;
+    const std::size_t n = static_cast<std::size_t>(assembly.solver.NumNodes());
+    std::vector<double> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      b[i] = static_cast<double>((i * 2654435761u) % 1000u) / 1000.0 - 0.5;
+    }
+    std::vector<double> x(n, 0.0);
+    assembly.hierarchy->VCycle(b, &x);
+    EXPECT_EQ(Fnv1a(x), c.hash)
+        << c.nx << "x" << c.ny << ": 0x" << std::hex << Fnv1a(x);
+  }
+}
 
 }  // namespace
 }  // namespace p3d::thermal
