@@ -9,6 +9,7 @@
 #include "io/synthetic.h"
 #include "linalg/cg.h"
 #include "linalg/csr.h"
+#include "linalg/multigrid.h"
 #include "obs/ring.h"
 #include "partition/fm.h"
 #include "partition/partitioner.h"
@@ -205,6 +206,49 @@ void BM_FeaSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeaSolve)->Arg(16)->Arg(24)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// The two FEA kernels a per-pass thermal flow repeats: assembling the
+// stiffness matrix on an n x n lateral mesh (4-layer stack), and one
+// multigrid V-cycle over that mesh's hierarchy.
+thermal::FeaOptions MicroFeaOptions(int n) {
+  thermal::FeaOptions opt{.nx = n, .ny = n, .bulk_elems = 4};
+  opt.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
+  return opt;
+}
+
+thermal::ThermalStack MicroFeaStack() {
+  thermal::ThermalStack stack;
+  stack.num_layers = 4;
+  return stack;
+}
+
+void BM_FeaAssembly(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    const thermal::FeaSolver fea(MicroFeaStack(), {1e-3, 1e-3},
+                                 MicroFeaOptions(n));
+    benchmark::DoNotOptimize(fea.matrix().values().data());
+  }
+}
+BENCHMARK(BM_FeaAssembly)->Arg(24)->Arg(64)->Unit(benchmark::kMillisecond);
+
+void BM_VCycle(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const thermal::FeaAssembly assembly(MicroFeaStack(), {1e-3, 1e-3},
+                                      MicroFeaOptions(n));
+  const std::size_t nodes =
+      static_cast<std::size_t>(assembly.solver.NumNodes());
+  util::Rng rng(5);
+  std::vector<double> b(nodes), x;
+  for (double& v : b) v = rng.NextDouble(-1.0, 1.0);
+  for (auto _ : state) {
+    x.assign(nodes, 0.0);
+    assembly.hierarchy->VCycle(b, &x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_VCycle)->Arg(24)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_ObjectiveMoveDelta(benchmark::State& state) {
   util::ScopedLogLevel quiet(util::LogLevel::kError);

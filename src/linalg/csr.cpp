@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "runtime/parallel.h"
 
@@ -15,6 +16,19 @@ namespace {
 constexpr std::int64_t kSpmvRowGrain = 256;
 
 }  // namespace
+
+CsrMatrix::CsrMatrix(std::int32_t n, std::vector<std::int32_t> row_ptr,
+                     std::vector<std::int32_t> col_idx,
+                     std::vector<double> values)
+    : n_(n),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      vals_(std::move(values)) {
+  assert(row_ptr_.size() == static_cast<std::size_t>(n_) + 1 &&
+         row_ptr_.front() == 0 &&
+         static_cast<std::size_t>(row_ptr_.back()) == col_idx_.size() &&
+         col_idx_.size() == vals_.size());
+}
 
 CsrMatrix CsrMatrix::FromCoo(const CooBuilder& coo) {
   CsrMatrix m;

@@ -1,7 +1,9 @@
 // Compressed sparse row matrices for the finite-element thermal solver.
 //
-// The FEA assembly pattern is: accumulate (row, col, value) triplets element
-// by element, then compress once. Matrices from Galerkin assembly of the heat
+// Generic assembly accumulates (row, col, value) triplets and compresses them
+// once (CooBuilder + FromCoo); an assembler that knows its sparsity pattern
+// fills the compressed arrays directly and adopts them (the FEA stiffness
+// matrix, thermal::FeaSolver). Matrices from Galerkin assembly of the heat
 // equation are symmetric positive definite, which the CG solver relies on.
 #pragma once
 
@@ -47,6 +49,11 @@ class CooBuilder {
 class CsrMatrix {
  public:
   CsrMatrix() = default;
+
+  /// Adopts compressed arrays: row_ptr has n+1 entries starting at 0, and
+  /// each row's columns ascend (the layout FromCoo produces).
+  CsrMatrix(std::int32_t n, std::vector<std::int32_t> row_ptr,
+            std::vector<std::int32_t> col_idx, std::vector<double> values);
 
   /// Compresses a triplet set, summing duplicates: a counting sort by row,
   /// then a stable sort by column within each row (linear in the triplet

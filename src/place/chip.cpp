@@ -78,6 +78,14 @@ util::StatusOr<Chip> Chip::Build(const netlist::Netlist& nl, int num_layers,
   chip.width_ = rows_area / (rows * chip.row_height_);
   // Guard against degenerate aspect ratios on tiny designs.
   if (chip.width_ < chip.row_height_) chip.width_ = chip.row_height_;
+  // Cell sizes that are finite and positive can still multiply out to a die
+  // area of 0 or infinity, which no bin grid or FEA mesh can discretize.
+  const double area = chip.width_ * chip.height_;
+  if (!(area > 0.0 && std::isfinite(area))) {
+    return util::InvalidArgumentError(
+        "Chip::Build: die area " + std::to_string(area) +
+        " is not a positive finite number (cell sizes out of range)");
+  }
   return chip;
 }
 

@@ -12,6 +12,10 @@
 namespace p3d::place {
 namespace {
 
+/// Oscillation's sign test treats a step of at most this fraction of the
+/// window's largest |total| as no change (rounding noise between re-sums).
+constexpr double kSignDeadZone = 1e-9;
+
 std::int64_t CounterOrZero(const char* name) {
   const obs::MetricsRegistry* m = obs::CurrentMetrics();
   return m != nullptr ? m->Counter(name) : 0;
@@ -36,48 +40,7 @@ void AnomalyMonitor::Flag(const char* kind, const char* counter,
 void AnomalyMonitor::OnPhase(const char* phase, int round,
                              const ObjectiveEvaluator& eval,
                              const GlobalPlaceStats* /*global_stats*/) {
-  const double total = eval.Total();
-  totals_.push_back(total);
-
-  // Divergence: the objective climbed well above the best value seen. Only
-  // meaningful once a baseline exists, and only for a finite, positive one.
-  if (has_best_ && best_total_ > 0.0 &&
-      total > options_.divergence_factor * best_total_) {
-    Flag("divergence", "anomaly/divergence", phase, round,
-         total / best_total_);
-  }
-  if (!has_best_ || total < best_total_) {
-    best_total_ = total;
-    has_best_ = true;
-  }
-
-  // Oscillation: direction alternated across the whole window and the swing
-  // is a meaningful fraction of the mean level.
-  const int w = options_.oscillation_window;
-  if (w >= 3 && static_cast<int>(totals_.size()) >= w) {
-    const std::size_t n = totals_.size();
-    bool alternating = true;
-    double lo = totals_[n - static_cast<std::size_t>(w)];
-    double hi = lo;
-    double mean = 0.0;
-    int prev_sign = 0;
-    for (std::size_t i = n - static_cast<std::size_t>(w); i < n; ++i) {
-      lo = std::min(lo, totals_[i]);
-      hi = std::max(hi, totals_[i]);
-      mean += totals_[i];
-      if (i > n - static_cast<std::size_t>(w)) {
-        const double d = totals_[i] - totals_[i - 1];
-        const int sign = d > 0.0 ? 1 : (d < 0.0 ? -1 : 0);
-        if (sign == 0 || sign == prev_sign) alternating = false;
-        prev_sign = sign;
-      }
-    }
-    mean /= static_cast<double>(w);
-    const double amplitude = mean > 0.0 ? (hi - lo) / mean : 0.0;
-    if (alternating && amplitude > options_.oscillation_rel_amplitude) {
-      Flag("oscillation", "anomaly/oscillation", phase, round, amplitude);
-    }
-  }
+  ObserveTotal(phase, round, eval.Total());
 
   // CG blow-up: iterations spent since the previous boundary vs the trailing
   // mean of earlier boundary-to-boundary deltas.
@@ -130,6 +93,55 @@ void AnomalyMonitor::OnPhase(const char* phase, int round,
   if (dc > 0) {
     Flag("iteration_cap", "anomaly/iteration_cap", phase, round,
          static_cast<double>(dc));
+  }
+}
+
+void AnomalyMonitor::ObserveTotal(const char* phase, int round, double total) {
+  totals_.push_back(total);
+
+  // Divergence: the objective climbed well above the best value seen. Only
+  // meaningful once a baseline exists, and only for a finite, positive one.
+  if (has_best_ && best_total_ > 0.0 &&
+      total > options_.divergence_factor * best_total_) {
+    Flag("divergence", "anomaly/divergence", phase, round,
+         total / best_total_);
+  }
+  if (!has_best_ || total < best_total_) {
+    best_total_ = total;
+    has_best_ = true;
+  }
+
+  // Oscillation: direction alternated across the whole window and the swing
+  // is a meaningful fraction of the mean level.
+  const int w = options_.oscillation_window;
+  if (w >= 3 && static_cast<int>(totals_.size()) >= w) {
+    const std::size_t n = totals_.size();
+    const std::size_t first = n - static_cast<std::size_t>(w);
+    double lo = totals_[first];
+    double hi = lo;
+    double mean = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = first; i < n; ++i) {
+      lo = std::min(lo, totals_[i]);
+      hi = std::max(hi, totals_[i]);
+      mean += totals_[i];
+      scale = std::max(scale, std::abs(totals_[i]));
+    }
+    bool alternating = true;
+    int prev_sign = 0;
+    for (std::size_t i = first + 1; i < n; ++i) {
+      const double d = totals_[i] - totals_[i - 1];
+      const int sign = std::abs(d) <= kSignDeadZone * scale ? 0
+                       : d > 0.0                           ? 1
+                                                           : -1;
+      if (sign == 0 || sign == prev_sign) alternating = false;
+      prev_sign = sign;
+    }
+    mean /= static_cast<double>(w);
+    const double amplitude = mean > 0.0 ? (hi - lo) / mean : 0.0;
+    if (alternating && amplitude > options_.oscillation_rel_amplitude) {
+      Flag("oscillation", "anomaly/oscillation", phase, round, amplitude);
+    }
   }
 }
 

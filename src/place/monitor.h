@@ -11,7 +11,10 @@
 //   * oscillation  — the total alternated direction across the last
 //                    `oscillation_window` samples with relative amplitude
 //                    above `oscillation_rel_amplitude` (a classic sign of a
-//                    mistuned alpha or a legalize/refine tug-of-war);
+//                    mistuned alpha or a legalize/refine tug-of-war); a step
+//                    within 1e-9 of the window's largest |total| counts as
+//                    no change, so a re-summed equal total (rounding noise)
+//                    neither starts nor continues an alternation;
 //   * cg_blowup    — the CG iterations spent since the previous boundary
 //                    exceeded `cg_blowup_factor` times the trailing mean
 //                    (thermal solve struggling to converge);
@@ -62,6 +65,11 @@ class AnomalyMonitor : public PhaseObserver {
 
   void OnPhase(const char* phase, int round, const ObjectiveEvaluator& eval,
                const GlobalPlaceStats* global_stats) override;
+
+  /// The objective-trajectory checks (divergence, oscillation) on one
+  /// boundary's Eq. 3 total; OnPhase runs them on eval.Total(). Callable
+  /// directly to replay a recorded series.
+  void ObserveTotal(const char* phase, int round, double total);
 
   struct Anomaly {
     std::string kind;   // "divergence", "oscillation", "cg_blowup", ...

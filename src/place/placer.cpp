@@ -132,6 +132,12 @@ util::StatusOr<Placer3D> Placer3D::Create(const netlist::Netlist& nl,
     return util::FailedPreconditionError(
         "Placer3D::Create: netlist is not finalized");
   }
+  // Bin grids and partition targets are sized by the average movable cell;
+  // with none there is nothing to place and nothing to size them by.
+  if (nl.NumMovableCells() == 0) {
+    return util::InvalidArgumentError(
+        "Placer3D::Create: netlist has no movable cells");
+  }
   const PlacerParams synced = Synced(params);
   util::StatusOr<Chip> chip = Chip::Build(
       nl, synced.num_layers, synced.whitespace, synced.inter_row_space);

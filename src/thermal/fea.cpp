@@ -107,57 +107,99 @@ FeaSolver::FeaSolver(const ThermalStack& stack, const ChipExtent& chip,
   }
 
   // --- assembly (geometry only; reused across Solve calls) ----------------
-  const int nz_elems = static_cast<int>(elem_k_.size());
-  const int num_nodes = NumNodes();
-  // 64 triplets per hex element, plus 16 per lateral cell on each of the
-  // two convective faces.
-  const std::size_t num_triplets =
-      static_cast<std::size_t>(nx_) * ny_ * (64 * nz_elems + 32);
-  linalg::CooBuilder coo(num_nodes, num_triplets);
-
-  for (int ez = 0; ez < nz_elems; ++ez) {
-    const double hz = z_planes_[static_cast<std::size_t>(ez) + 1] -
-                      z_planes_[static_cast<std::size_t>(ez)];
-    const auto ke = HexStiffness(dx_, dy_, hz, elem_k_[static_cast<std::size_t>(ez)]);
-    for (int ey = 0; ey < ny_; ++ey) {
-      for (int ex = 0; ex < nx_; ++ex) {
-        int nodes[8];
-        for (int i = 0; i < 8; ++i) {
-          nodes[i] = NodeId(ex + ((i >> 0) & 1), ey + ((i >> 1) & 1),
-                            ez + ((i >> 2) & 1));
-        }
-        for (int i = 0; i < 8; ++i) {
-          for (int j = 0; j < 8; ++j) {
-            coo.Add(nodes[i], nodes[j],
-                    ke[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+  // The sparsity pattern is known up front: node (ix, iy, iz) couples to
+  // every node within +-1 on each axis — the 27-point stencil, truncated at
+  // the grid boundary — and its columns ascend with dz outermost and dx
+  // innermost. Every element and convection-face entry is added straight
+  // into its slot in element-loop order, so each slot sums its
+  // contributions from 0.0 in exactly the order that compressing the same
+  // entries as triplets (CsrMatrix::FromCoo) would.
+  const int nzn = NumZPlanes();
+  const std::size_t num_nodes = static_cast<std::size_t>(NumNodes());
+  // Stencil extent of one axis at index i of [0, last]: its first offset
+  // (-1, or 0 on the low boundary) and its number of offsets.
+  const auto first = [](int i) { return i > 0 ? -1 : 0; };
+  const auto extent = [](int i, int last) {
+    return 1 + (i > 0 ? 1 : 0) + (i < last ? 1 : 0);
+  };
+  std::vector<std::int32_t> row_ptr(num_nodes + 1, 0);
+  for (int iz = 0; iz < nzn; ++iz) {
+    for (int iy = 0; iy <= ny_; ++iy) {
+      for (int ix = 0; ix <= nx_; ++ix) {
+        const std::size_t u = static_cast<std::size_t>(NodeId(ix, iy, iz));
+        row_ptr[u + 1] = row_ptr[u] + extent(ix, nx_) * extent(iy, ny_) *
+                                          extent(iz, nzn - 1);
+      }
+    }
+  }
+  std::vector<std::int32_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  for (int iz = 0; iz < nzn; ++iz) {
+    for (int iy = 0; iy <= ny_; ++iy) {
+      for (int ix = 0; ix <= nx_; ++ix) {
+        std::size_t k = static_cast<std::size_t>(
+            row_ptr[static_cast<std::size_t>(NodeId(ix, iy, iz))]);
+        for (int dz = first(iz); dz <= (iz < nzn - 1 ? 1 : 0); ++dz) {
+          for (int dy = first(iy); dy <= (iy < ny_ ? 1 : 0); ++dy) {
+            for (int dx = first(ix); dx <= (ix < nx_ ? 1 : 0); ++dx) {
+              col_idx[k++] = NodeId(ix + dx, iy + dy, iz + dz);
+            }
           }
         }
       }
     }
   }
-
-  // Heat-sink convection on the bottom face (z = 0) and weak natural
-  // convection on the top face; sides adiabatic.
-  const double face_area = dx_ * dy_;
-  const auto add_face = [&](int iz, double h) {
-    const auto m = FaceConvection(face_area, h);
-    for (int ey = 0; ey < ny_; ++ey) {
-      for (int ex = 0; ex < nx_; ++ex) {
-        const int fnodes[4] = {NodeId(ex, ey, iz), NodeId(ex + 1, ey, iz),
-                               NodeId(ex, ey + 1, iz), NodeId(ex + 1, ey + 1, iz)};
-        for (int i = 0; i < 4; ++i) {
-          for (int j = 0; j < 4; ++j) {
-            coo.Add(fnodes[i], fnodes[j],
-                    m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
-          }
-        }
+  std::vector<double> vals(col_idx.size(), 0.0);
+  // Adds a local element matrix over `count` nodes with local index bits
+  // (bit 0 = x, bit 1 = y, bit 2 = z) offset from node (ex, ey, ez).
+  const auto add_local = [&](int ex, int ey, int ez, int count,
+                             const auto& local) {
+    for (int i = 0; i < count; ++i) {
+      const int ix = ex + (i & 1);
+      const int iy = ey + ((i >> 1) & 1);
+      const int iz = ez + ((i >> 2) & 1);
+      // Slot of the coupling to offset (dx, dy, dz) is
+      // center + dz * z_stride + dy * y_stride + dx.
+      const int y_stride = extent(ix, nx_);
+      const int z_stride = y_stride * extent(iy, ny_);
+      const std::int32_t center =
+          row_ptr[static_cast<std::size_t>(NodeId(ix, iy, iz))] -
+          first(iz) * z_stride - first(iy) * y_stride - first(ix);
+      const auto& row = local[static_cast<std::size_t>(i)];
+      for (int j = 0; j < count; ++j) {
+        const int dx = (j & 1) - (i & 1);
+        const int dy = ((j >> 1) & 1) - ((i >> 1) & 1);
+        const int dz = ((j >> 2) & 1) - ((i >> 2) & 1);
+        vals[static_cast<std::size_t>(center + dz * z_stride + dy * y_stride +
+                                      dx)] +=
+            row[static_cast<std::size_t>(j)];
       }
     }
   };
-  add_face(0, stack_.h_sink);
-  add_face(static_cast<int>(z_planes_.size()) - 1, stack_.h_ambient);
 
-  k_matrix_ = linalg::CsrMatrix::FromCoo(coo);
+  for (int ez = 0; ez + 1 < nzn; ++ez) {
+    const double hz = z_planes_[static_cast<std::size_t>(ez) + 1] -
+                      z_planes_[static_cast<std::size_t>(ez)];
+    const auto ke = HexStiffness(dx_, dy_, hz, elem_k_[static_cast<std::size_t>(ez)]);
+    for (int ey = 0; ey < ny_; ++ey) {
+      for (int ex = 0; ex < nx_; ++ex) add_local(ex, ey, ez, 8, ke);
+    }
+  }
+
+  // Heat-sink convection on the bottom face (z = 0) and weak natural
+  // convection on the top face; sides adiabatic. Face-local node bits are
+  // the element's x and y bits, so the face adds at dz = 0.
+  const auto add_face = [&](int iz, double h) {
+    const auto m = FaceConvection(dx_ * dy_, h);
+    for (int ey = 0; ey < ny_; ++ey) {
+      for (int ex = 0; ex < nx_; ++ex) add_local(ex, ey, iz, 4, m);
+    }
+  };
+  add_face(0, stack_.h_sink);
+  add_face(nzn - 1, stack_.h_ambient);
+
+  k_matrix_ = linalg::CsrMatrix(static_cast<std::int32_t>(num_nodes),
+                                std::move(row_ptr), std::move(col_idx),
+                                std::move(vals));
 }
 
 int FeaSolver::NumNodes() const {
@@ -313,15 +355,15 @@ bool WantsMultigrid(const FeaOptions& options) {
 
 /// Builds the mesh hierarchy for `fine` by re-assembling the stiffness
 /// matrix on each 2x-lateral-coarsened grid (same stack, same z planes).
-/// Returns null when multigrid was not requested or the lateral grid cannot
-/// be halved even once.
-std::shared_ptr<const linalg::MultigridHierarchy> BuildHierarchy(
+/// Returns null when multigrid was not requested, when the lateral grid
+/// cannot be halved even once, or when BuildFeaHierarchy rejects a level.
+std::shared_ptr<const linalg::MultigridHierarchy> AssembleHierarchy(
     const ThermalStack& stack, const ChipExtent& chip,
     const FeaOptions& options, const FeaSolver& fine) {
   if (!WantsMultigrid(options)) return nullptr;
   const linalg::MgGrid fine_grid{fine.NumXElems(), fine.NumYElems(),
                                  fine.NumZPlanes()};
-  const std::vector<linalg::MgGrid> plan =
+  std::vector<linalg::MgGrid> plan =
       linalg::MultigridHierarchy::CoarsenPlan(fine_grid);
   if (plan.size() < 2) {
     util::LogWarn(
@@ -342,16 +384,28 @@ std::shared_ptr<const linalg::MultigridHierarchy> BuildHierarchy(
     assert(coarse.NumZPlanes() == fine.NumZPlanes());
     matrices.push_back(coarse.matrix());
   }
-  return std::make_shared<const linalg::MultigridHierarchy>(
-      linalg::MultigridHierarchy::Build(std::move(matrices), plan));
+  return BuildFeaHierarchy(std::move(matrices), std::move(plan));
 }
 
-/// The preconditioner an assembly solves with: the multigrid V-cycle when a
-/// hierarchy exists, the requested kind otherwise — except that an
-/// unsatisfiable multigrid request (no hierarchy) deterministically degrades
-/// to IC(0) rather than Jacobi.
-linalg::CgPreconditioner BuildAssemblyPrecond(
-    const FeaOptions& options, const FeaSolver& solver,
+}  // namespace
+
+std::shared_ptr<const linalg::MultigridHierarchy> BuildFeaHierarchy(
+    std::vector<linalg::CsrMatrix> levels, std::vector<linalg::MgGrid> plan) {
+  const linalg::MgGrid fine = plan.front();
+  linalg::MultigridHierarchy h =
+      linalg::MultigridHierarchy::Build(std::move(levels), std::move(plan));
+  if (h.empty()) {
+    util::LogWarn(
+        "fea: %dx%d stiffness matrix is not a lateral stencil; multigrid "
+        "disabled (falling back to IC(0)-preconditioned CG)",
+        fine.nx, fine.ny);
+    return nullptr;
+  }
+  return std::make_shared<const linalg::MultigridHierarchy>(std::move(h));
+}
+
+linalg::CgPreconditioner BuildFeaPreconditioner(
+    const FeaOptions& options, const linalg::CsrMatrix& matrix,
     const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy) {
   if (hierarchy != nullptr) {
     return linalg::CgPreconditioner::BuildMultigrid(hierarchy);
@@ -359,18 +413,16 @@ linalg::CgPreconditioner BuildAssemblyPrecond(
   const linalg::PreconditionerKind kind =
       WantsMultigrid(options) ? linalg::PreconditionerKind::kIc0
                               : options.cg.preconditioner;
-  return linalg::CgPreconditioner::Build(solver.matrix(), kind);
+  return linalg::CgPreconditioner::Build(matrix, kind);
 }
-
-}  // namespace
 
 FeaAssembly::FeaAssembly(const ThermalStack& stack_in,
                          const ChipExtent& chip_in, const FeaOptions& options)
     : stack(stack_in),
       chip(chip_in),
       solver(stack_in, chip_in, options),
-      hierarchy(BuildHierarchy(stack_in, chip_in, options, solver)),
-      precond(BuildAssemblyPrecond(options, solver, hierarchy)) {}
+      hierarchy(AssembleHierarchy(stack_in, chip_in, options, solver)),
+      precond(BuildFeaPreconditioner(options, solver.matrix(), hierarchy)) {}
 
 FeaContext::FeaContext(const ThermalStack& stack, const ChipExtent& chip,
                        const FeaContextOptions& options)

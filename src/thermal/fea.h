@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "linalg/cg.h"
+#include "linalg/multigrid.h"
 #include "netlist/netlist.h"
 #include "thermal/resistance.h"
 #include "thermal/stack.h"
@@ -151,6 +152,21 @@ struct FeaContextOptions {
                          const FeaContextOptions&) = default;
 };
 
+/// Multigrid over FEA stiffness matrices: `levels[l]` is assembled on
+/// `plan[l]`, a linalg::MultigridHierarchy::CoarsenPlan with at least two
+/// levels. Returns null, after a warning, when Build rejects a level that is
+/// not a lateral stencil; FeaAssembly then falls back to IC(0) as for a grid
+/// that cannot be coarsened.
+std::shared_ptr<const linalg::MultigridHierarchy> BuildFeaHierarchy(
+    std::vector<linalg::CsrMatrix> levels, std::vector<linalg::MgGrid> plan);
+
+/// The CG preconditioner an FeaAssembly solves `matrix` with: V-cycles over
+/// `hierarchy` when it is non-null, else the kind `options` requests — a
+/// multigrid request without a hierarchy degrades to IC(0).
+linalg::CgPreconditioner BuildFeaPreconditioner(
+    const FeaOptions& options, const linalg::CsrMatrix& matrix,
+    const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy);
+
 /// The immutable product of one geometry assembly: the mesh solver (with its
 /// stiffness matrix) plus the prebuilt CG preconditioner, tagged with the
 /// geometry they were built for. Every member is read-only after
@@ -172,7 +188,8 @@ struct FeaAssembly {
   /// conductivity varies only with z, so the coarse spaces are nested).
   /// Built only when `options` selects the multigrid preconditioner; null
   /// otherwise, and null when the lateral grid cannot be halved even once
-  /// (odd nx/ny) — then the solve falls back to IC(0)-preconditioned CG.
+  /// (odd nx/ny) or a level's matrix is not a lateral stencil — then the
+  /// solve falls back to IC(0)-preconditioned CG.
   const std::shared_ptr<const linalg::MultigridHierarchy> hierarchy;
   const linalg::CgPreconditioner precond;
 };

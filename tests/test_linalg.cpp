@@ -8,6 +8,7 @@
 #include "linalg/cg.h"
 #include "linalg/csr.h"
 #include "linalg/multigrid.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace p3d::linalg {
@@ -382,23 +383,30 @@ CsrMatrix PoissonHex(const MgGrid& g, double hz) {
   return CsrMatrix::FromCoo(coo);
 }
 
-std::shared_ptr<const MultigridHierarchy> BuildPoissonHierarchy(
-    int nx, int ny, int nz_nodes, const MultigridOptions& options = {}) {
+/// A Poisson hierarchy and the fine operator it was built from.
+struct PoissonMg {
+  CsrMatrix a;
+  std::shared_ptr<const MultigridHierarchy> mg;
+};
+
+PoissonMg BuildPoissonHierarchy(int nx, int ny, int nz_nodes,
+                                const MultigridOptions& options = {}) {
   const MgGrid fine{nx, ny, nz_nodes};
   const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine, options);
   std::vector<CsrMatrix> mats;
   mats.reserve(plan.size());
   for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
-  return std::make_shared<const MultigridHierarchy>(
+  PoissonMg p{mats.front(), nullptr};
+  p.mg = std::make_shared<const MultigridHierarchy>(
       MultigridHierarchy::Build(std::move(mats), plan, options));
+  return p;
 }
 
-/// CG on the hierarchy's fine operator, preconditioned by its V-cycle.
-CgResult SolveMgPcg(const std::shared_ptr<const MultigridHierarchy>& mg,
-                    const std::vector<double>& b, std::vector<double>* x,
-                    int threads = 1) {
+/// CG on the fine operator, preconditioned by the hierarchy's V-cycle.
+CgResult SolveMgPcg(const PoissonMg& p, const std::vector<double>& b,
+                    std::vector<double>* x, int threads = 1) {
   return SolveCgPreconditioned(
-      mg->Matrix(0), CgPreconditioner::BuildMultigrid(mg), b, x,
+      p.a, CgPreconditioner::BuildMultigrid(p.mg), b, x,
       {.max_iters = 50, .rel_tolerance = 1e-10, .threads = threads});
 }
 
@@ -418,16 +426,16 @@ TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
 }
 
 TEST(Multigrid, PreconditionedSolveConvergesFast) {
-  const auto mg = BuildPoissonHierarchy(16, 16, 4);
-  ASSERT_EQ(mg->NumLevels(), 4);  // 16 -> 8 -> 4 -> 2
-  EXPECT_TRUE(mg->CoarseDirect());
+  const PoissonMg p = BuildPoissonHierarchy(16, 16, 4);
+  ASSERT_EQ(p.mg->NumLevels(), 4);  // 16 -> 8 -> 4 -> 2
+  EXPECT_TRUE(p.mg->CoarseDirect());
   util::Rng rng(17);
-  std::vector<double> truth(static_cast<std::size_t>(mg->Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(p.mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
   std::vector<double> b;
-  mg->Matrix(0).Multiply(truth, &b);
+  p.a.Multiply(truth, &b);
   std::vector<double> x;
-  const CgResult r = SolveMgPcg(mg, b, &x);
+  const CgResult r = SolveMgPcg(p, b, &x);
   ASSERT_TRUE(r.converged);
   // Mesh-independent convergence is the whole point: a handful of
   // iterations, not the O(n) an unpreconditioned Krylov method would need.
@@ -436,7 +444,7 @@ TEST(Multigrid, PreconditionedSolveConvergesFast) {
     EXPECT_NEAR(x[i], truth[i], 1e-6);
   }
   // A warm start from the solution early-exits without iterating.
-  const CgResult warm = SolveMgPcg(mg, b, &x);
+  const CgResult warm = SolveMgPcg(p, b, &x);
   EXPECT_TRUE(warm.converged);
   EXPECT_EQ(warm.iters, 0);
 }
@@ -444,14 +452,14 @@ TEST(Multigrid, PreconditionedSolveConvergesFast) {
 TEST(Multigrid, PreconditionerIsSymmetric) {
   // CG requires a symmetric preconditioner: check <B u, v> == <u, B v> for
   // random vectors (equal pre/post weighted-Jacobi sweeps keep it so).
-  const auto mg = BuildPoissonHierarchy(8, 8, 3);
+  const PoissonMg p = BuildPoissonHierarchy(8, 8, 3);
   util::Rng rng(23);
-  const std::size_t n = static_cast<std::size_t>(mg->Dim());
+  const std::size_t n = static_cast<std::size_t>(p.mg->Dim());
   std::vector<double> u(n), v(n), bu, bv;
   for (auto& e : u) e = rng.NextDouble(-1.0, 1.0);
   for (auto& e : v) e = rng.NextDouble(-1.0, 1.0);
-  mg->PrecondApply(u, &bu);
-  mg->PrecondApply(v, &bv);
+  p.mg->PrecondApply(u, &bu);
+  p.mg->PrecondApply(v, &bv);
   double buv = 0.0, ubv = 0.0, scale = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     buv += bu[i] * v[i];
@@ -462,8 +470,8 @@ TEST(Multigrid, PreconditionerIsSymmetric) {
 }
 
 TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
-  const auto mg = BuildPoissonHierarchy(32, 32, 4);
-  const CsrMatrix& a = mg->Matrix(0);
+  const PoissonMg p = BuildPoissonHierarchy(32, 32, 4);
+  const CsrMatrix& a = p.a;
   util::Rng rng(5);
   std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
   for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
@@ -476,7 +484,7 @@ TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
   opt.preconditioner = PreconditionerKind::kIc0;
   const CgResult ric = SolveCg(a, b, &x_ic, opt);
 
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(mg);
+  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(p.mg);
   EXPECT_EQ(pmg.kind(), PreconditionerKind::kMultigrid);
   EXPECT_FALSE(pmg.empty());
   std::vector<double> x_mg;
@@ -491,36 +499,97 @@ TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
 }
 
 TEST(Multigrid, DeterministicAcrossThreadCounts) {
-  const auto mg = BuildPoissonHierarchy(16, 16, 4);
+  // 10x6 coarsens once (to 5x3) and has first, interior and last nodes on
+  // both lateral axes, so every one of the nine boundary classes runs
+  // through the smoother, the residual and the transfers.
+  const PoissonMg p = BuildPoissonHierarchy(10, 6, 4);
+  ASSERT_EQ(p.mg->NumLevels(), 2);
   util::Rng rng(29);
-  std::vector<double> truth(static_cast<std::size_t>(mg->Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(p.mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-3.0, 3.0);
   std::vector<double> b;
-  mg->Matrix(0).Multiply(truth, &b);
+  p.a.Multiply(truth, &b);
 
-  // Multigrid-preconditioned CG: bitwise-equal at 1 and 8 threads.
-  std::vector<double> x1, x8;
-  const CgResult r1 = SolveMgPcg(mg, b, &x1, /*threads=*/1);
-  const CgResult r8 = SolveMgPcg(mg, b, &x8, /*threads=*/8);
+  // One V-cycle and the multigrid-preconditioned CG solve: bitwise-equal
+  // at 1, 3 and 8 threads.
+  std::vector<double> v1;
+  p.mg->VCycle(b, &v1);
+  std::vector<double> x1;
+  const CgResult r1 = SolveMgPcg(p, b, &x1, /*threads=*/1);
   ASSERT_TRUE(r1.converged);
-  EXPECT_EQ(r1.iters, r8.iters);
-  for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_EQ(x1[i], x8[i]);
+  for (const int threads : {3, 8}) {
+    runtime::ThreadPool pool(threads);
+    std::vector<double> v;
+    p.mg->VCycle(b, &v, &pool);
+    ASSERT_EQ(v.size(), v1.size());
+    for (std::size_t i = 0; i < v1.size(); ++i) {
+      ASSERT_EQ(v[i], v1[i]) << threads << " threads, node " << i;
+    }
+    std::vector<double> x;
+    const CgResult r = SolveMgPcg(p, b, &x, threads);
+    EXPECT_EQ(r.iters, r1.iters) << threads << " threads";
+    for (std::size_t i = 0; i < x1.size(); ++i) {
+      ASSERT_EQ(x[i], x1[i]) << threads << " threads, node " << i;
+    }
+  }
+}
+
+TEST(Multigrid, NonStencilMatrixYieldsEmptyHierarchy) {
+  // Build stores each smoothed level as one row per plane and boundary
+  // class; a single row that differs from its class — one coefficient one
+  // ulp off, or one column missing — must reject the whole hierarchy
+  // instead of smoothing with the wrong operator.
+  const MgGrid fine{8, 8, 3};
+  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine);
+  const auto levels = [&] {
+    std::vector<CsrMatrix> mats;
+    for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
+    return mats;
+  };
+  EXPECT_FALSE(MultigridHierarchy::Build(levels(), plan).empty());
+
+  const CsrMatrix a = PoissonHex(fine, 0.25);
+  const std::int32_t row = 4 + 9 * (4 + 9 * 1);  // an interior node
+  const std::size_t k = static_cast<std::size_t>(a.row_ptr()[row]) + 3;
+  for (const bool drop : {false, true}) {
+    std::vector<std::int32_t> row_ptr = a.row_ptr();
+    std::vector<std::int32_t> cols = a.col_idx();
+    std::vector<double> vals = a.values();
+    if (drop) {
+      cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(k));
+      vals.erase(vals.begin() + static_cast<std::ptrdiff_t>(k));
+      for (std::size_t r = static_cast<std::size_t>(row) + 1;
+           r < row_ptr.size(); ++r) {
+        --row_ptr[r];
+      }
+    } else {
+      vals[k] = std::nextafter(vals[k], 1.0);
+    }
+    std::vector<CsrMatrix> mats = levels();
+    mats[0] = CsrMatrix(a.Dim(), std::move(row_ptr), std::move(cols),
+                        std::move(vals));
+    const MultigridHierarchy h =
+        MultigridHierarchy::Build(std::move(mats), plan);
+    EXPECT_TRUE(h.empty()) << (drop ? "dropped column" : "perturbed value");
+    EXPECT_EQ(h.NumLevels(), 0);
+    EXPECT_EQ(h.Dim(), 0);
+  }
 }
 
 TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
   MultigridOptions direct_opt;
-  const auto direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
+  const PoissonMg direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
   MultigridOptions cg_opt;
   cg_opt.coarse_direct_max_dim = 0;  // force the CG coarse path
-  const auto iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
-  EXPECT_TRUE(direct->CoarseDirect());
-  EXPECT_FALSE(iterative->CoarseDirect());
+  const PoissonMg iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
+  EXPECT_TRUE(direct.mg->CoarseDirect());
+  EXPECT_FALSE(iterative.mg->CoarseDirect());
 
   util::Rng rng(31);
-  std::vector<double> truth(static_cast<std::size_t>(direct->Dim()));
+  std::vector<double> truth(static_cast<std::size_t>(direct.mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
   std::vector<double> b;
-  direct->Matrix(0).Multiply(truth, &b);
+  direct.a.Multiply(truth, &b);
   std::vector<double> xd, xi;
   const CgResult rd = SolveMgPcg(direct, b, &xd);
   const CgResult ri = SolveMgPcg(iterative, b, &xi);

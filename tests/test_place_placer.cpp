@@ -1,8 +1,12 @@
 // Integration tests: the full Placer3D flow end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "io/synthetic.h"
 #include "obs/metrics.h"
@@ -34,10 +38,37 @@ PlacerParams Params(int layers, double alpha_ilv = 1e-5,
   return p;
 }
 
+/// A finalized netlist of `cells` (width, height) movable cells chained by
+/// two-pin nets, plus `fixed` fixed 1 um pads.
+netlist::Netlist Handmade(const std::vector<std::pair<double, double>>& cells,
+                          int fixed = 0) {
+  netlist::Netlist nl;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    nl.AddCell("c" + std::to_string(c), cells[c].first, cells[c].second);
+  }
+  for (int p = 0; p < fixed; ++p) {
+    nl.AddCell("pad" + std::to_string(p), 1e-6, 1e-6, /*fixed=*/true);
+  }
+  const std::int32_t n = nl.NumCells();
+  for (std::int32_t c = 0; c + 1 < n; ++c) {
+    nl.AddNet("n" + std::to_string(c));
+    nl.AddPin(c, netlist::PinDir::kOutput);
+    nl.AddPin(c + 1, netlist::PinDir::kInput);
+  }
+  nl.Finalize();
+  return nl;
+}
+
 TEST(Placer3D, CreateRejectsBadFloorplansWithStatus) {
   const netlist::Netlist nl = Circuit(50);
   netlist::Netlist unfinalized;
   unfinalized.AddCell("c", 1e-6, 1e-6);
+  // Zero-area dies: no movable area to size the die by, or positive cell
+  // sizes whose areas underflow.
+  const netlist::Netlist no_cells = Handmade({});
+  const netlist::Netlist only_fixed = Handmade({}, /*fixed=*/3);
+  const netlist::Netlist zero_area =
+      Handmade({{1e-200, 1e-200}, {1e-200, 1e-200}});
   struct Case {
     const char* name;
     const netlist::Netlist* netlist;
@@ -57,6 +88,12 @@ TEST(Placer3D, CreateRejectsBadFloorplansWithStatus) {
        util::StatusCode::kInvalidArgument},
       {"unfinalized netlist", &unfinalized, [](PlacerParams*) {},
        util::StatusCode::kFailedPrecondition},
+      {"no cells", &no_cells, [](PlacerParams*) {},
+       util::StatusCode::kInvalidArgument},
+      {"only fixed cells", &only_fixed, [](PlacerParams*) {},
+       util::StatusCode::kInvalidArgument},
+      {"underflowing cell areas", &zero_area, [](PlacerParams*) {},
+       util::StatusCode::kInvalidArgument},
   };
   for (const Case& c : cases) {
     PlacerParams params = Params(4);
@@ -67,6 +104,42 @@ TEST(Placer3D, CreateRejectsBadFloorplansWithStatus) {
     EXPECT_EQ(placer.status().code(), c.want)
         << c.name << ": " << placer.status().ToString();
   }
+
+  // Degenerate but valid floorplans run the full flow, FEA included, to a
+  // legal placement.
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  // Three 0.1 x 1 um cells on one layer: the square die is one row tall.
+  const netlist::Netlist one_row =
+      Handmade({{0.1e-6, 1e-6}, {0.1e-6, 1e-6}, {0.1e-6, 1e-6}});
+  const netlist::Netlist three_cells = Circuit(3);
+  // One 400 um cell among 1 um ones, wider than the rows of a die sized by
+  // area alone; Chip::Build reserves 1.2x the widest cell in every row.
+  std::vector<std::pair<double, double>> cells(40, {1e-6, 1e-6});
+  cells[7] = {400e-6, 1e-6};
+  const netlist::Netlist wide_cell = Handmade(cells);
+  struct Placeable {
+    const char* name;
+    const netlist::Netlist* netlist;
+    int layers;
+  };
+  const Placeable placeable[] = {
+      {"one row", &one_row, 1},
+      {"more layers than cells", &three_cells, 8},
+      {"cell wider than an area-sized row", &wide_cell, 2},
+  };
+  for (const Placeable& c : placeable) {
+    util::StatusOr<Placer3D> placer =
+        Placer3D::Create(*c.netlist, Params(c.layers));
+    ASSERT_TRUE(placer.ok()) << c.name << ": " << placer.status().ToString();
+    const util::StatusOr<PlacementResult> r = placer->Run({.with_fea = true});
+    ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+    EXPECT_TRUE(r->legal) << c.name;
+    EXPECT_EQ(r->overlaps, 0) << c.name;
+    EXPECT_TRUE(r->fea_valid) << c.name;
+  }
+  EXPECT_EQ(Placer3D::Create(one_row, Params(1))->chip().num_rows(), 1);
+  EXPECT_GE(Placer3D::Create(wide_cell, Params(2))->chip().width(),
+            1.2 * 400e-6);
 }
 
 TEST(Placer3D, FullFlowProducesLegalPlacement) {
@@ -160,6 +233,31 @@ TEST(Placer3D, AnomalyReachesTheBlackBoxOnce) {
     EXPECT_EQ(e.value, 0);  // the round the cap fired in
   }
   EXPECT_EQ(instants, 1);
+}
+
+/// The kinds the monitor flags when it sees `totals` as consecutive
+/// phase-boundary Eq. 3 totals.
+std::vector<std::string> ReplayTotals(const std::vector<double>& totals) {
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  AnomalyMonitor monitor;
+  int round = 0;
+  for (const double t : totals) monitor.ObserveTotal("replay", round++, t);
+  std::vector<std::string> kinds;
+  for (const AnomalyMonitor::Anomaly& a : monitor.anomalies()) {
+    kinds.push_back(a.kind);
+  }
+  return kinds;
+}
+
+TEST(AnomalyMonitor, OscillationIgnoresRoundingNoise) {
+  // The reference flow's phase totals: the final re-sum lands 1e-15 above
+  // the refine sample. That step is rounding noise, not a direction change.
+  EXPECT_TRUE(
+      ReplayTotals({0.2880, 0.3342, 0.3535, 0.3100, 0.3100 + 1e-15}).empty());
+  // A genuine down-up-down swing still flags.
+  const std::vector<std::string> kinds =
+      ReplayTotals({0.288, 0.220, 0.302, 0.274});
+  EXPECT_NE(std::find(kinds.begin(), kinds.end(), "oscillation"), kinds.end());
 }
 
 TEST(Placer3D, DeterministicForFixedSeed) {

@@ -456,6 +456,49 @@ TEST(SolverCache, MultigridFallsBackWhenGridCannotCoarsen) {
   EXPECT_TRUE(r.converged);
 }
 
+TEST(SolverCache, MultigridFallsBackOnNonStencilMatrix) {
+  // The hierarchy stores each level as lateral stencil rows. A stiffness
+  // matrix with one row off its stencil yields no hierarchy, and the
+  // assembly's preconditioner degrades to IC(0), as for an odd grid.
+  thermal::ThermalStack stack;
+  stack.num_layers = 2;
+  const thermal::ChipExtent chip{1e-3, 1e-3};
+  thermal::FeaOptions opt;
+  opt.nx = 8;
+  opt.ny = 8;
+  opt.bulk_elems = 2;
+  opt.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
+  const thermal::FeaSolver fine(stack, chip, opt);
+  const std::vector<linalg::MgGrid> plan =
+      linalg::MultigridHierarchy::CoarsenPlan(
+          {fine.NumXElems(), fine.NumYElems(), fine.NumZPlanes()});
+  ASSERT_EQ(plan.size(), 3u);  // 8 -> 4 -> 2
+  std::vector<linalg::CsrMatrix> levels;
+  for (const linalg::MgGrid& g : plan) {
+    thermal::FeaOptions level = opt;
+    level.nx = g.nx;
+    level.ny = g.ny;
+    levels.push_back(thermal::FeaSolver(stack, chip, level).matrix());
+  }
+  ASSERT_NE(thermal::BuildFeaHierarchy(levels, plan), nullptr);
+
+  const linalg::CsrMatrix& a = fine.matrix();
+  std::vector<double> vals = a.values();
+  const int interior_node = 4 + 9 * (4 + 9 * 3);  // (4, 4) on plane 3
+  vals[static_cast<std::size_t>(a.row_ptr()[interior_node])] *= 1.0 + 1e-12;
+  levels[0] = linalg::CsrMatrix(a.Dim(), a.row_ptr(), a.col_idx(), vals);
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const auto hierarchy = thermal::BuildFeaHierarchy(levels, plan);
+  EXPECT_EQ(hierarchy, nullptr);
+  const linalg::CgPreconditioner precond =
+      thermal::BuildFeaPreconditioner(opt, levels[0], hierarchy);
+  EXPECT_EQ(precond.kind(), linalg::PreconditionerKind::kIc0);
+  std::vector<double> b(static_cast<std::size_t>(a.Dim()), 1e-3), x;
+  EXPECT_TRUE(
+      linalg::SolveCgPreconditioned(levels[0], precond, b, &x, opt.cg)
+          .converged);
+}
+
 TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
   // A geometry change must rebuild the mesh hierarchy along with the matrix
   // and preconditioner; a matching Refresh must keep the shared assembly.
