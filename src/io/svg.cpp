@@ -11,6 +11,9 @@
 namespace p3d::io {
 namespace {
 
+constexpr double kPanelPx = 360.0;  // pixel width of each layer panel
+constexpr double kMarginPx = 24.0;  // spacing around and between panels
+
 /// Layer tints (structure view): distinguishable, print-safe.
 const char* kLayerFill[] = {"#4e79a7", "#f28e2b", "#59a14f", "#e15759",
                             "#76b7b2", "#edc948", "#b07aa1", "#9c755f",
@@ -34,12 +37,12 @@ std::string RenderPlacementSvg(const netlist::Netlist& nl,
                                const place::Placement& placement,
                                const SvgOptions& options) {
   const int layers = chip.num_layers();
-  const double scale = options.panel_px / chip.width();
+  const double scale = kPanelPx / chip.width();
   const double panel_h = chip.height() * scale;
   const double title_h = options.title.empty() ? 0.0 : 20.0;
   const double total_w =
-      options.margin_px + layers * (options.panel_px + options.margin_px);
-  const double total_h = title_h + panel_h + 2 * options.margin_px + 16.0;
+      kMarginPx + layers * (kPanelPx + kMarginPx);
+  const double total_h = title_h + panel_h + 2 * kMarginPx + 16.0;
 
   const bool scalar_view =
       options.cell_scalar.size() == static_cast<std::size_t>(nl.NumCells());
@@ -58,26 +61,25 @@ std::string RenderPlacementSvg(const netlist::Netlist& nl,
       << total_h << "'>\n";
   svg << "<rect width='100%' height='100%' fill='white'/>\n";
   if (!options.title.empty()) {
-    svg << "<text x='" << options.margin_px << "' y='16' font-family='monospace'"
+    svg << "<text x='" << kMarginPx << "' y='16' font-family='monospace'"
         << " font-size='13'>" << options.title << "</text>\n";
   }
 
   for (int l = 0; l < layers; ++l) {
     const double ox =
-        options.margin_px + l * (options.panel_px + options.margin_px);
-    const double oy = title_h + options.margin_px;
+        kMarginPx + l * (kPanelPx + kMarginPx);
+    const double oy = title_h + kMarginPx;
     svg << "<g transform='translate(" << ox << "," << oy << ")'>\n";
-    svg << "<rect x='0' y='0' width='" << options.panel_px << "' height='"
+    svg << "<rect x='0' y='0' width='" << kPanelPx << "' height='"
         << panel_h << "' fill='#f7f7f7' stroke='#888'/>\n";
-    if (options.draw_rows) {
-      for (int r = 0; r < chip.num_rows(); ++r) {
-        // y axis flipped: SVG origin is top-left, die origin bottom-left.
-        const double y =
-            panel_h - (chip.RowBottomY(r) + chip.row_height()) * scale;
-        svg << "<rect x='0' y='" << y << "' width='" << options.panel_px
-            << "' height='" << chip.row_height() * scale
-            << "' fill='#ececec'/>\n";
-      }
+    // Light horizontal row bands.
+    for (int r = 0; r < chip.num_rows(); ++r) {
+      // y axis flipped: SVG origin is top-left, die origin bottom-left.
+      const double y =
+          panel_h - (chip.RowBottomY(r) + chip.row_height()) * scale;
+      svg << "<rect x='0' y='" << y << "' width='" << kPanelPx
+          << "' height='" << chip.row_height() * scale
+          << "' fill='#ececec'/>\n";
     }
     for (std::int32_t c = 0; c < nl.NumCells(); ++c) {
       const std::size_t i = static_cast<std::size_t>(c);

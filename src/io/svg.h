@@ -12,9 +12,6 @@
 namespace p3d::io {
 
 struct SvgOptions {
-  double panel_px = 360.0;     // pixel width of each layer panel
-  double margin_px = 24.0;     // spacing around and between panels
-  bool draw_rows = true;       // light horizontal row bands
   // Optional per-cell scalar (e.g. temperature or power). When non-empty it
   // drives a blue->red color ramp; otherwise cells are tinted per layer.
   std::vector<double> cell_scalar;

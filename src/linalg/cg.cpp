@@ -172,16 +172,13 @@ CgPreconditioner CgPreconditioner::BuildMultigrid(
 
 CgPreconditioner CgPreconditioner::Build(const CsrMatrix& a,
                                          PreconditionerKind kind) {
+  // A bare matrix carries no grid, so no hierarchy can be built from it: a
+  // multigrid request builds IC(0), the preconditioner thermal::FeaAssembly
+  // runs on a grid it cannot coarsen. Callers with a hierarchy go through
+  // BuildMultigrid.
+  if (kind == PreconditionerKind::kMultigrid) kind = PreconditionerKind::kIc0;
   CgPreconditioner p;
   p.kind_ = kind;
-  if (kind == PreconditionerKind::kMultigrid) {
-    // No grid information here — a hierarchy cannot be built from the bare
-    // matrix. Degrade to Jacobi (callers that want multigrid go through
-    // BuildMultigrid with a prebuilt hierarchy, e.g. thermal::FeaAssembly).
-    obs::MetricAdd("cg/mg_fallbacks", 1);
-    p.kind_ = PreconditionerKind::kJacobi;
-    kind = PreconditionerKind::kJacobi;
-  }
   if (kind == PreconditionerKind::kIc0) {
     // Diagonal-shift restart: IC(0) can break down on matrices that are SPD
     // but not diagonally dominant. Each failure retries with a 10x larger

@@ -10,7 +10,7 @@
 //     linalg::MultigridHierarchy (BuildMultigrid). Mesh-size-independent
 //     iteration counts on the FEA matrices; only reachable through a
 //     prebuilt hierarchy — Build(a, kMultigrid) has no grid information and
-//     degrades to Jacobi (counted as cg/mg_fallbacks).
+//     builds IC(0), as thermal::FeaAssembly does on a grid it cannot coarsen.
 // A CgPreconditioner can be built once per matrix and reused across solves
 // (see thermal::FeaContext), which is where IC(0)'s build cost amortizes.
 //
@@ -71,7 +71,8 @@ class CgPreconditioner {
   /// with diagonal-shift restart on breakdown — never fails on an SPD-ish
   /// matrix, the shift grows until the factorization completes). kMultigrid
   /// needs grid information a bare matrix does not carry, so this overload
-  /// degrades it to Jacobi — build the hierarchy and use BuildMultigrid.
+  /// builds IC(0) for it (kind() reports kIc0) — build the hierarchy and use
+  /// BuildMultigrid.
   static CgPreconditioner Build(const CsrMatrix& a, PreconditionerKind kind);
 
   /// Wraps a prebuilt geometric-multigrid hierarchy (one V-cycle per Apply).

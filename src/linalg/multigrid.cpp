@@ -19,6 +19,15 @@ namespace {
 constexpr std::int64_t kRowGrain = 16;  // plane rows per kernel chunk
 constexpr std::int64_t kLineGrain = 2;  // y rows (all planes) per sweep chunk
 
+// Coarsening stops when a lateral dimension goes odd or would drop below
+// kMinLateralElems elements, or at kMaxLevels.
+constexpr int kMinLateralElems = 2;
+constexpr int kMaxLevels = 8;
+// Coarsest-grid systems up to this dimension get a dense Cholesky factor;
+// larger ones are solved by Jacobi-CG to kCoarseCgTolerance.
+constexpr std::int32_t kCoarseDirectMaxDim = 1024;
+constexpr double kCoarseCgTolerance = 1e-12;
+
 /// Lateral boundary class of index i on an axis with nodes 0..last:
 /// 0 = first, 1 = interior, 2 = last.
 int BoundaryClass(int i, int last) { return i == 0 ? 0 : (i == last ? 2 : 1); }
@@ -97,28 +106,23 @@ std::vector<double> DenseCholesky(const CsrMatrix& a) {
 
 }  // namespace
 
-std::vector<MgGrid> MultigridHierarchy::CoarsenPlan(
-    const MgGrid& fine, const MultigridOptions& options) {
+std::vector<MgGrid> MultigridHierarchy::CoarsenPlan(const MgGrid& fine) {
   std::vector<MgGrid> plan{fine};
-  while (static_cast<int>(plan.size()) < options.max_levels) {
+  while (static_cast<int>(plan.size()) < kMaxLevels) {
     const MgGrid& g = plan.back();
     if (g.nx % 2 != 0 || g.ny % 2 != 0) break;
     const int cnx = g.nx / 2;
     const int cny = g.ny / 2;
-    if (cnx < options.min_lateral_elems || cny < options.min_lateral_elems) {
-      break;
-    }
+    if (cnx < kMinLateralElems || cny < kMinLateralElems) break;
     plan.push_back(MgGrid{cnx, cny, g.nz_nodes});
   }
   return plan;
 }
 
 MultigridHierarchy MultigridHierarchy::Build(std::vector<CsrMatrix> matrices,
-                                             std::vector<MgGrid> grids,
-                                             const MultigridOptions& options) {
+                                             std::vector<MgGrid> grids) {
   assert(!matrices.empty() && matrices.size() == grids.size());
   MultigridHierarchy h;
-  h.options_ = options;
   h.levels_.reserve(matrices.size());
   for (std::size_t l = 0; l < matrices.size(); ++l) {
     assert(matrices[l].Dim() == grids[l].NumNodes());
@@ -138,7 +142,7 @@ MultigridHierarchy MultigridHierarchy::Build(std::vector<CsrMatrix> matrices,
   }
 
   CsrMatrix& coarse = matrices.back();
-  if (coarse.Dim() <= options.coarse_direct_max_dim) {
+  if (coarse.Dim() <= kCoarseDirectMaxDim) {
     h.coarse_chol_ = DenseCholesky(coarse);
     if (h.coarse_chol_.empty()) {
       util::LogWarn(
@@ -339,7 +343,6 @@ void MultigridHierarchy::Smooth(const Level& lvl, const std::vector<double>& b,
   // plane by plane (into their own slots of tmp), then solves their
   // tridiagonal blocks exactly through the LDL^T factors, eliminating up
   // the planes and substituting back down.
-  const double w = options_.sor_weight;
   const int nx = lvl.grid.nx;
   const int yn = lvl.grid.ny + 1;
   const int nz = lvl.grid.nz_nodes;
@@ -388,7 +391,7 @@ void MultigridHierarchy::Smooth(const Level& lvl, const std::vector<double>& b,
               const double above = top ? 0.0 : t[u + plane];
               const double z = t[u] * lvl.line_dinv[cls] - l_above * above;
               t[u] = z;
-              xs[u] += w * z;
+              xs[u] += z;
             });
           }
         });
@@ -509,7 +512,7 @@ void MultigridHierarchy::CoarseSolve(const std::vector<double>& b,
   (void)pool;
   CgOptions opts;
   opts.max_iters = std::max(1000, 4 * n);
-  opts.rel_tolerance = options_.coarse_cg_tolerance;
+  opts.rel_tolerance = kCoarseCgTolerance;
   opts.threads = 1;
   opts.preconditioner = PreconditionerKind::kJacobi;
   x->assign(static_cast<std::size_t>(n), 0.0);
@@ -525,17 +528,15 @@ void MultigridHierarchy::VCycleLevel(int level, const std::vector<double>& b,
     CoarseSolve(b, x, pool);
     return;
   }
-  for (int s = 0; s < options_.pre_smooth; ++s) {
-    Smooth(lvl, b, x, &ws->tmp[ul], /*reverse=*/false, pool);
-  }
+  // One pre- and one post-smoothing sweep: equal counts keep the V-cycle
+  // symmetric, as CG requires.
+  Smooth(lvl, b, x, &ws->tmp[ul], /*reverse=*/false, pool);
   Residual(lvl, b, *x, &ws->tmp[ul], pool);  // reusing tmp as r
   Restrict(level, ws->tmp[ul], &ws->b[ul + 1], pool);
   std::fill(ws->x[ul + 1].begin(), ws->x[ul + 1].end(), 0.0);
   VCycleLevel(level + 1, ws->b[ul + 1], &ws->x[ul + 1], ws, pool);
   ProlongAdd(level, ws->x[ul + 1], x, pool);
-  for (int s = 0; s < options_.post_smooth; ++s) {
-    Smooth(lvl, b, x, &ws->tmp[ul], /*reverse=*/true, pool);
-  }
+  Smooth(lvl, b, x, &ws->tmp[ul], /*reverse=*/true, pool);
 }
 
 void MultigridHierarchy::VCycle(const std::vector<double>& b,

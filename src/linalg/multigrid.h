@@ -79,48 +79,27 @@ struct MgGrid {
   friend bool operator==(const MgGrid&, const MgGrid&) = default;
 };
 
-struct MultigridOptions {
-  int pre_smooth = 1;   // z-line smoothing sweeps before coarse correction
-  int post_smooth = 1;  // ... and after (keep equal: symmetry for CG)
-  /// Relaxation factor of the colored z-line Gauss-Seidel smoother (an SSOR
-  /// weight: the same value is used forward and reverse, preserving V-cycle
-  /// symmetry). 1.0 — plain block Gauss-Seidel — is robust here; values in
-  /// (0, 2) remain convergent for SPD operators.
-  double sor_weight = 1.0;
-  // Coarsening stops when a lateral dimension goes odd or would drop below
-  // this many elements, or at max_levels.
-  int min_lateral_elems = 2;
-  int max_levels = 8;
-  // Coarsest-grid systems up to this dimension get a dense Cholesky factor;
-  // larger ones fall back to Jacobi-CG at coarse_cg_tolerance.
-  std::int32_t coarse_direct_max_dim = 1024;
-  double coarse_cg_tolerance = 1e-12;
-
-  friend bool operator==(const MultigridOptions&,
-                         const MultigridOptions&) = default;
-};
-
 class MultigridHierarchy {
  public:
   MultigridHierarchy() = default;
 
   /// The level shapes Build expects for a given fine grid: plan[0] is `fine`,
-  /// each following level halves nx/ny and keeps nz_nodes. Size 1 means the
-  /// grid cannot be coarsened (odd or too-small lateral dimensions) — callers
-  /// should fall back to a single-level preconditioner instead of building a
-  /// degenerate hierarchy.
-  static std::vector<MgGrid> CoarsenPlan(const MgGrid& fine,
-                                         const MultigridOptions& options = {});
+  /// each following level halves nx/ny and keeps nz_nodes, until a lateral
+  /// dimension goes odd or would drop below 2 elements, or at 8 levels. Size
+  /// 1 means the grid cannot be coarsened — callers should fall back to a
+  /// single-level preconditioner instead of building a degenerate hierarchy.
+  static std::vector<MgGrid> CoarsenPlan(const MgGrid& fine);
 
   /// Builds a hierarchy from per-level operators. `matrices[l]` must be the
   /// (re-assembled or Galerkin) operator on `grids[l]`; grids must follow a
   /// CoarsenPlan-shaped sequence (each level halves nx/ny, same nz_nodes).
-  /// Returns an empty hierarchy when a smoothed level's operator is not a
-  /// lateral stencil: a row whose columns or coefficient bits differ from
-  /// the first row of its plane and boundary class.
+  /// The coarsest level gets a dense Cholesky factor up to 1,024 nodes and
+  /// Jacobi-CG solves above that. Returns an empty hierarchy when a smoothed
+  /// level's operator is not a lateral stencil: a row whose columns or
+  /// coefficient bits differ from the first row of its plane and boundary
+  /// class.
   static MultigridHierarchy Build(std::vector<CsrMatrix> matrices,
-                                  std::vector<MgGrid> grids,
-                                  const MultigridOptions& options = {});
+                                  std::vector<MgGrid> grids);
 
   /// One V-cycle improving `x` (used as the initial iterate) toward
   /// A x = b on the finest level.
@@ -143,7 +122,6 @@ class MultigridHierarchy {
   }
   /// True when the coarsest level solves through the dense Cholesky factor.
   bool CoarseDirect() const { return !coarse_chol_.empty(); }
-  const MultigridOptions& options() const { return options_; }
 
  private:
   /// One operator row in stencil form: its `terms` nonzeros in ascending
@@ -207,7 +185,6 @@ class MultigridHierarchy {
                    runtime::ThreadPool* pool) const;
 
   std::vector<Level> levels_;
-  MultigridOptions options_;
   // Dense Cholesky factor of the coarsest operator, lower triangle packed
   // row-major (row i holds i+1 entries). Empty = CG coarse solve on
   // coarse_a_, which is kept only then.

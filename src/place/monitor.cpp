@@ -12,6 +12,18 @@
 namespace p3d::place {
 namespace {
 
+/// Total objective more than this factor above the best-seen flags
+/// divergence.
+constexpr double kDivergenceFactor = 1.25;
+/// Samples examined for oscillation.
+constexpr int kOscillationWindow = 4;
+/// Minimum relative swing (peak-to-trough over mean) for oscillation.
+constexpr double kOscillationRelAmplitude = 0.01;
+/// Per-phase CG iterations above this multiple of the trailing mean flag a
+/// blow-up.
+constexpr double kCgBlowupFactor = 4.0;
+/// Rejected / proposed moves above this ratio flags a reject spike.
+constexpr double kRejectSpikeRatio = 0.5;
 /// Oscillation's sign test treats a step of at most this fraction of the
 /// window's largest |total| as no change (rounding noise between re-sums).
 constexpr double kSignDeadZone = 1e-9;
@@ -22,11 +34,6 @@ std::int64_t CounterOrZero(const char* name) {
 }
 
 }  // namespace
-
-AnomalyMonitor::AnomalyMonitor(const AnomalyOptions& options)
-    : options_(options) {}
-
-AnomalyMonitor::AnomalyMonitor() : AnomalyMonitor(AnomalyOptions{}) {}
 
 void AnomalyMonitor::Flag(const char* kind, const char* counter,
                           const char* phase, int round, double detail) {
@@ -52,7 +59,7 @@ void AnomalyMonitor::OnPhase(const char* phase, int round,
       double mean = 0.0;
       for (const double d : cg_deltas_) mean += d;
       mean /= static_cast<double>(cg_deltas_.size());
-      if (mean > 0.0 && cg_delta > options_.cg_blowup_factor * mean) {
+      if (mean > 0.0 && cg_delta > kCgBlowupFactor * mean) {
         Flag("cg_blowup", "anomaly/cg_blowup", phase, round, cg_delta / mean);
       }
     }
@@ -68,7 +75,7 @@ void AnomalyMonitor::OnPhase(const char* phase, int round,
   last_rejects_ = rejects;
   if (dp > 0 && dr > 0) {
     const double ratio = static_cast<double>(dr) / static_cast<double>(dp);
-    if (ratio > options_.reject_spike_ratio) {
+    if (ratio > kRejectSpikeRatio) {
       Flag("reject_spike", "anomaly/reject_spike", phase, round, ratio);
     }
   }
@@ -102,7 +109,7 @@ void AnomalyMonitor::ObserveTotal(const char* phase, int round, double total) {
   // Divergence: the objective climbed well above the best value seen. Only
   // meaningful once a baseline exists, and only for a finite, positive one.
   if (has_best_ && best_total_ > 0.0 &&
-      total > options_.divergence_factor * best_total_) {
+      total > kDivergenceFactor * best_total_) {
     Flag("divergence", "anomaly/divergence", phase, round,
          total / best_total_);
   }
@@ -113,8 +120,8 @@ void AnomalyMonitor::ObserveTotal(const char* phase, int round, double total) {
 
   // Oscillation: direction alternated across the whole window and the swing
   // is a meaningful fraction of the mean level.
-  const int w = options_.oscillation_window;
-  if (w >= 3 && static_cast<int>(totals_.size()) >= w) {
+  const int w = kOscillationWindow;
+  if (static_cast<int>(totals_.size()) >= w) {
     const std::size_t n = totals_.size();
     const std::size_t first = n - static_cast<std::size_t>(w);
     double lo = totals_[first];
@@ -139,7 +146,7 @@ void AnomalyMonitor::ObserveTotal(const char* phase, int round, double total) {
     }
     mean /= static_cast<double>(w);
     const double amplitude = mean > 0.0 ? (hi - lo) / mean : 0.0;
-    if (alternating && amplitude > options_.oscillation_rel_amplitude) {
+    if (alternating && amplitude > kOscillationRelAmplitude) {
       Flag("oscillation", "anomaly/oscillation", phase, round, amplitude);
     }
   }

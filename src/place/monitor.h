@@ -6,21 +6,19 @@
 // the patterns that historically meant "this run is going wrong" long before
 // the final QoR shows it:
 //
-//   * divergence   — the Eq. 3 total rose more than `divergence_factor`
-//                    above the best value seen so far;
-//   * oscillation  — the total alternated direction across the last
-//                    `oscillation_window` samples with relative amplitude
-//                    above `oscillation_rel_amplitude` (a classic sign of a
-//                    mistuned alpha or a legalize/refine tug-of-war); a step
-//                    within 1e-9 of the window's largest |total| counts as
+//   * divergence   — the Eq. 3 total rose more than 1.25x above the best
+//                    value seen so far;
+//   * oscillation  — the total alternated direction across the last 4
+//                    samples with relative amplitude above 1% (a classic
+//                    sign of a mistuned alpha or a legalize/refine
+//                    tug-of-war); a step within 1e-9 of the window's largest |total| counts as
 //                    no change, so a re-summed equal total (rounding noise)
 //                    neither starts nor continues an alternation;
 //   * cg_blowup    — the CG iterations spent since the previous boundary
-//                    exceeded `cg_blowup_factor` times the trailing mean
-//                    (thermal solve struggling to converge);
+//                    exceeded 4x the trailing mean (thermal solve
+//                    struggling to converge);
 //   * reject_spike — committed-move rejects since the previous boundary
-//                    exceeded `reject_spike_ratio` of proposals (move engine
-//                    thrashing);
+//                    exceeded half the proposals (move engine thrashing);
 //   * fea_nonconverged — one or more thermal solves since the previous
 //                    boundary hit their iteration cap (the deterministic
 //                    fea/nonconverged counter moved), so the reported
@@ -43,26 +41,8 @@
 
 namespace p3d::place {
 
-struct AnomalyOptions {
-  /// Total objective more than this factor above the best-seen flags
-  /// divergence.
-  double divergence_factor = 1.25;
-  /// Samples examined for oscillation; < 3 disables the check.
-  int oscillation_window = 4;
-  /// Minimum relative swing (peak-to-trough over mean) for oscillation.
-  double oscillation_rel_amplitude = 0.01;
-  /// Per-phase CG iterations above this multiple of the trailing mean flag
-  /// a blow-up.
-  double cg_blowup_factor = 4.0;
-  /// Rejected / proposed moves above this ratio flags a reject spike.
-  double reject_spike_ratio = 0.5;
-};
-
 class AnomalyMonitor : public PhaseObserver {
  public:
-  explicit AnomalyMonitor(const AnomalyOptions& options);
-  AnomalyMonitor();
-
   void OnPhase(const char* phase, int round, const ObjectiveEvaluator& eval,
                const GlobalPlaceStats* global_stats) override;
 
@@ -83,7 +63,6 @@ class AnomalyMonitor : public PhaseObserver {
   void Flag(const char* kind, const char* counter, const char* phase,
             int round, double detail);
 
-  AnomalyOptions options_;
   std::vector<Anomaly> anomalies_;
   std::vector<double> totals_;        // objective history, one per boundary
   double best_total_ = 0.0;           // best (lowest) total seen

@@ -6,6 +6,14 @@
 #include "obs/ring.h"
 
 namespace p3d::serve {
+namespace {
+
+/// Unreferenced assemblies retained for future hits; beyond this the
+/// least-recently-used idle entry is evicted. Referenced entries are never
+/// evicted and do not count against the cap.
+constexpr std::size_t kMaxIdleEntries = 8;
+
+}  // namespace
 
 FeaContextLease::FeaContextLease(FeaContextCache* cache, std::size_t slot,
                                  std::unique_ptr<thermal::FeaContext> context)
@@ -40,10 +48,6 @@ void FeaContextLease::Release() {
     cache_ = nullptr;
   }
 }
-
-FeaContextCache::FeaContextCache() : FeaContextCache(Options{}) {}
-
-FeaContextCache::FeaContextCache(const Options& options) : options_(options) {}
 
 FeaContextLease FeaContextCache::Acquire(const FeaCacheKey& key,
                                          bool warm_start) {
@@ -108,7 +112,7 @@ void FeaContextCache::EvictIdleLocked() {
         lru = i;
       }
     }
-    if (idle <= options_.max_idle_entries || lru == entries_.size()) return;
+    if (idle <= kMaxIdleEntries || lru == entries_.size()) return;
     entries_[lru].assembly.reset();
     ++evictions_;
     obs::MetricAdd("serve/fea_cache_evictions", 1);

@@ -79,13 +79,6 @@ class FeaContextLease {
 
 class FeaContextCache {
  public:
-  struct Options {
-    /// Unreferenced assemblies retained for future hits; beyond this the
-    /// least-recently-used idle entry is evicted. Referenced entries are
-    /// never evicted and do not count against the cap.
-    std::size_t max_idle_entries = 8;
-  };
-
   /// Snapshot of the cache counters, also mirrored into the flight recorder
   /// as serve/fea_cache_* counters (recorded on the acquiring worker thread
   /// BEFORE the per-job metrics scope is installed, so they land in the
@@ -98,8 +91,7 @@ class FeaContextCache {
     long long idle_entries = 0; // retained, unreferenced
   };
 
-  FeaContextCache();
-  explicit FeaContextCache(const Options& options);
+  FeaContextCache() = default;
 
   FeaContextCache(const FeaContextCache&) = delete;
   FeaContextCache& operator=(const FeaContextCache&) = delete;
@@ -122,10 +114,10 @@ class FeaContextCache {
   };
 
   void Release(std::size_t slot);
-  /// Caller holds mutex_. Evicts LRU idle entries beyond the cap.
+  /// Caller holds mutex_. Evicts LRU idle entries beyond the cap of 8
+  /// unreferenced assemblies (referenced entries never count against it).
   void EvictIdleLocked();
 
-  const Options options_;
   mutable std::mutex mutex_;
   // Slot-stable: leases hold indices, so evicted slots are nulled and
   // reused, never erased.

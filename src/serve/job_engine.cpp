@@ -76,8 +76,7 @@ JobEngine::JobEngine(const JobEngineOptions& options)
     : num_workers_(std::max(1, options.num_workers)),
       thread_budget_(ResolveBudget(options, std::max(1, options.num_workers))),
       stall_timeout_s_(std::max(0.0, options.stall_timeout_s)),
-      watchdog_poll_s_(std::max(0.01, options.watchdog_poll_s)),
-      fea_cache_(options.fea_cache) {
+      watchdog_poll_s_(std::clamp(stall_timeout_s_ / 4.0, 0.01, 0.25)) {
   workers_.reserve(static_cast<std::size_t>(num_workers_));
   for (int i = 0; i < num_workers_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -91,13 +91,12 @@ struct JobEngineOptions {
   /// (concurrent jobs must not oversubscribe), unlimited when jobs run one
   /// at a time (the job's own PlacerParams::threads rules).
   int thread_budget = 0;
-  FeaContextCache::Options fea_cache;
   /// > 0: a watchdog thread flags any running job whose last phase heartbeat
   /// is older than this many seconds (and triggers a black-box dump). The
-  /// flag clears on the next heartbeat; JobResult::stalled stays sticky.
+  /// flag clears on the next heartbeat; JobResult::stalled stays sticky. The
+  /// watchdog scans every stall_timeout_s / 4 seconds, clamped to
+  /// [0.01, 0.25].
   double stall_timeout_s = 0.0;
-  /// Watchdog scan period. Only meaningful with stall_timeout_s > 0.
-  double watchdog_poll_s = 0.25;
 };
 
 class JobEngine {

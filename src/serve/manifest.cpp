@@ -37,7 +37,7 @@ util::Status FieldTypeError(std::size_t job_index, const std::string& key,
 constexpr const char* kJobFields[] = {
     "name", "circuit", "scale", "layers", "alpha_ilv", "alpha_temp",
     "seed", "threads", "priority", "with_fea", "fea_per_pass",
-    "fea_precond", "start_deadline_s"};
+    "start_deadline_s"};
 
 /// Names the first key of `object` outside kJobFields; `where` is "job N"
 /// or "defaults".
@@ -186,21 +186,6 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
     if (const auto* v = Lookup(jv, defaults, "fea_per_pass")) {
       if (!v->is_bool()) return FieldTypeError(i, "fea_per_pass", "bool");
       spec.params.fea_per_pass = v->AsBool();
-    }
-    if (const auto* v = Lookup(jv, defaults, "fea_precond")) {
-      if (!v->is_string()) return FieldTypeError(i, "fea_precond", "string");
-      const std::string& kind = v->AsString();
-      if (kind == "jacobi") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kJacobi;
-      } else if (kind == "ic0") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kIc0;
-      } else if (kind == "multigrid") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kMultigrid;
-      } else {
-        return util::ParseError("jobs manifest: job " + std::to_string(i) +
-                                ": bad fea_precond '" + kind +
-                                "' (want jacobi|ic0|multigrid)");
-      }
     }
     if (const auto* v = Lookup(jv, defaults, "start_deadline_s")) {
       if (!v->is_number() || v->AsNumber() < 0.0) {

@@ -16,10 +16,10 @@
 //
 // Per-job fields (each falls back to `defaults`, then to the built-in
 // default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
-// threads, with_fea, fea_per_pass, start_deadline_s, and fea_precond
-// ("jacobi" | "ic0" | "multigrid", default place::RunOptions::preconditioner,
-// i.e. multigrid). Any other key in a job or
-// in `defaults` is a manifest error.
+// threads, with_fea, fea_per_pass and start_deadline_s. Any other key in a
+// job or in `defaults` is a manifest error (kParseError naming the key). No
+// field selects the FEA preconditioner: jobs solve with
+// place::RunOptions::preconditioner's default, multigrid.
 // Integer fields (layers, threads, priority, and the top-level and per-job
 // seed) must be whole numbers in their type's range.
 //

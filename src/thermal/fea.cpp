@@ -410,10 +410,7 @@ linalg::CgPreconditioner BuildFeaPreconditioner(
   if (hierarchy != nullptr) {
     return linalg::CgPreconditioner::BuildMultigrid(hierarchy);
   }
-  const linalg::PreconditionerKind kind =
-      WantsMultigrid(options) ? linalg::PreconditionerKind::kIc0
-                              : options.cg.preconditioner;
-  return linalg::CgPreconditioner::Build(matrix, kind);
+  return linalg::CgPreconditioner::Build(matrix, options.cg.preconditioner);
 }
 
 FeaAssembly::FeaAssembly(const ThermalStack& stack_in,

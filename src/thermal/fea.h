@@ -19,7 +19,8 @@
 // FeaContext, which builds the preconditioner once per geometry and can
 // warm-start each solve from the previous field. Multigrid needs that
 // context: the one-shot FeaSolver::Solve has no mesh hierarchy and solves a
-// multigrid request with Jacobi (linalg::SolveCg).
+// multigrid request with IC(0) (linalg::SolveCg), as FeaContext does on a
+// grid it cannot coarsen.
 #pragma once
 
 #include <cstdint>
@@ -161,8 +162,8 @@ std::shared_ptr<const linalg::MultigridHierarchy> BuildFeaHierarchy(
     std::vector<linalg::CsrMatrix> levels, std::vector<linalg::MgGrid> plan);
 
 /// The CG preconditioner an FeaAssembly solves `matrix` with: V-cycles over
-/// `hierarchy` when it is non-null, else the kind `options` requests — a
-/// multigrid request without a hierarchy degrades to IC(0).
+/// `hierarchy` when it is non-null, else linalg::CgPreconditioner::Build of
+/// the kind `options` requests (which builds IC(0) for a multigrid request).
 linalg::CgPreconditioner BuildFeaPreconditioner(
     const FeaOptions& options, const linalg::CsrMatrix& matrix,
     const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy);

@@ -43,16 +43,16 @@ TEST(Svg, RendersOnePanelPerLayer) {
 
 TEST(Svg, OneRectPerCellPlusChrome) {
   Fixture f;
-  SvgOptions opt;
-  opt.draw_rows = false;
-  const std::string svg = RenderPlacementSvg(f.nl, f.chip, f.p, opt);
+  const std::string svg = RenderPlacementSvg(f.nl, f.chip, f.p);
   std::size_t rects = 0;
   for (std::size_t pos = svg.find("<rect"); pos != std::string::npos;
        pos = svg.find("<rect", pos + 1)) {
     ++rects;
   }
-  // background + 4 panel frames + 60 cells.
-  EXPECT_EQ(rects, 1u + 4u + 60u);
+  // background + 4 panel frames, each with one band per row, + 60 cells.
+  const std::size_t rows = static_cast<std::size_t>(f.chip.num_rows());
+  ASSERT_GT(rows, 0u);
+  EXPECT_EQ(rects, 1u + 4u * (1u + rows) + 60u);
 }
 
 TEST(Svg, ScalarViewUsesRampColors) {

@@ -389,17 +389,20 @@ struct PoissonMg {
   std::shared_ptr<const MultigridHierarchy> mg;
 };
 
-PoissonMg BuildPoissonHierarchy(int nx, int ny, int nz_nodes,
-                                const MultigridOptions& options = {}) {
-  const MgGrid fine{nx, ny, nz_nodes};
-  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine, options);
+/// `plan` is a CoarsenPlan or a prefix of one.
+PoissonMg BuildPoissonHierarchy(const std::vector<MgGrid>& plan) {
   std::vector<CsrMatrix> mats;
   mats.reserve(plan.size());
   for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
   PoissonMg p{mats.front(), nullptr};
   p.mg = std::make_shared<const MultigridHierarchy>(
-      MultigridHierarchy::Build(std::move(mats), plan, options));
+      MultigridHierarchy::Build(std::move(mats), plan));
   return p;
+}
+
+PoissonMg BuildPoissonHierarchy(int nx, int ny, int nz_nodes) {
+  return BuildPoissonHierarchy(
+      MultigridHierarchy::CoarsenPlan({nx, ny, nz_nodes}));
 }
 
 /// CG on the fine operator, preconditioned by the hierarchy's V-cycle.
@@ -419,10 +422,12 @@ TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
   for (const auto& g : plan) EXPECT_EQ(g.nz_nodes, 12);
   // Odd lateral grids cannot be coarsened at all.
   EXPECT_EQ(MultigridHierarchy::CoarsenPlan({25, 24, 12}).size(), 1u);
-  // min_lateral_elems stops the descent.
-  MultigridOptions opt;
-  opt.min_lateral_elems = 6;
-  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({24, 24, 12}, opt).size(), 3u);
+  // Coarsening stops before a lateral dimension drops below 2 elements...
+  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({8, 4, 3}).size(), 2u);
+  // ... and at 8 levels.
+  const auto deep = MultigridHierarchy::CoarsenPlan({512, 512, 2});
+  ASSERT_EQ(deep.size(), 8u);
+  EXPECT_EQ(deep.back().nx, 4);
 }
 
 TEST(Multigrid, PreconditionedSolveConvergesFast) {
@@ -577,11 +582,14 @@ TEST(Multigrid, NonStencilMatrixYieldsEmptyHierarchy) {
 }
 
 TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
-  MultigridOptions direct_opt;
-  const PoissonMg direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
-  MultigridOptions cg_opt;
-  cg_opt.coarse_direct_max_dim = 0;  // force the CG coarse path
-  const PoissonMg iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
+  // The full plan of a 40x40 grid bottoms out at 5x5 (180 nodes, dense
+  // Cholesky); its two-level prefix stops at 20x20, whose 2,205 nodes are
+  // above the 1,024-node limit of the direct coarse solve.
+  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan({40, 40, 5});
+  ASSERT_EQ(plan.size(), 4u);
+  const PoissonMg direct = BuildPoissonHierarchy(plan);
+  const PoissonMg iterative =
+      BuildPoissonHierarchy({plan.begin(), plan.begin() + 2});
   EXPECT_TRUE(direct.mg->CoarseDirect());
   EXPECT_FALSE(iterative.mg->CoarseDirect());
 
@@ -598,17 +606,29 @@ TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
   for (std::size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xd[i], xi[i], 1e-8);
 }
 
-TEST(Multigrid, BareMatrixBuildDegradesToJacobi) {
-  // Build(a, kMultigrid) has no grid information: documented Jacobi fallback.
+TEST(Multigrid, BareMatrixBuildDegradesToIc0) {
+  // Build(a, kMultigrid) has no grid information: it builds IC(0), the
+  // preconditioner the FEA runs on a grid it cannot coarsen.
   const CsrMatrix a = Laplacian2d(8, 8);
   const CgPreconditioner p =
       CgPreconditioner::Build(a, PreconditionerKind::kMultigrid);
-  EXPECT_EQ(p.kind(), PreconditionerKind::kJacobi);
+  EXPECT_EQ(p.kind(), PreconditionerKind::kIc0);
   EXPECT_FALSE(p.empty());
   std::vector<double> truth(static_cast<std::size_t>(a.Dim()), 1.0), b, x;
   a.Multiply(truth, &b);
   const CgResult r = SolveCgPreconditioned(a, p, b, &x, {.rel_tolerance = 1e-10});
   EXPECT_TRUE(r.converged);
+  // Bit for bit the solve of an explicit IC(0) request, through SolveCg too.
+  std::vector<double> want, got;
+  const CgOptions ic0{.rel_tolerance = 1e-10,
+                      .preconditioner = PreconditionerKind::kIc0};
+  CgOptions mg = ic0;
+  mg.preconditioner = PreconditionerKind::kMultigrid;
+  const CgResult r_ic0 = SolveCg(a, b, &want, ic0);
+  const CgResult r_mg = SolveCg(a, b, &got, mg);
+  EXPECT_EQ(r_mg.iters, r_ic0.iters);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got, x);
 }
 
 }  // namespace

@@ -369,9 +369,7 @@ TEST(JobEngine, FeaCacheSharesAssemblyAcrossThreadCounts) {
 }
 
 TEST(FeaContextCache, EvictsLeastRecentlyUsedIdleEntriesBeyondCap) {
-  FeaContextCache::Options opts;
-  opts.max_idle_entries = 1;
-  FeaContextCache cache(opts);
+  FeaContextCache cache;
 
   auto key = [](int layers) {
     FeaCacheKey k;
@@ -382,24 +380,27 @@ TEST(FeaContextCache, EvictsLeastRecentlyUsedIdleEntriesBeyondCap) {
     return k;
   };
 
-  FeaContextLease a = cache.Acquire(key(2), /*warm_start=*/false);
-  FeaContextLease b = cache.Acquire(key(3), /*warm_start=*/false);
-  EXPECT_TRUE(a);
-  EXPECT_TRUE(b);
-  EXPECT_EQ(cache.GetStats().live_entries, 2);  // referenced: never evicted
+  // Nine geometries, one more than the cache keeps idle.
+  std::vector<FeaContextLease> leases;
+  for (int layers = 2; layers <= 10; ++layers) {
+    leases.push_back(cache.Acquire(key(layers), /*warm_start=*/false));
+    EXPECT_TRUE(leases.back());
+  }
+  EXPECT_EQ(cache.GetStats().live_entries, 9);  // referenced: never evicted
+  EXPECT_EQ(cache.GetStats().evictions, 0);
 
-  a.Release();
-  b.Release();
-  // Idle cap is 1: releasing the second entry evicts the LRU (a's).
+  for (FeaContextLease& lease : leases) lease.Release();
+  // Idle cap is 8: releasing the ninth entry evicts the LRU (key(2)'s).
   const FeaContextCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.idle_entries, 1);
+  EXPECT_EQ(stats.live_entries, 0);
+  EXPECT_EQ(stats.idle_entries, 8);
   EXPECT_EQ(stats.evictions, 1);
 
-  // Re-acquiring the surviving key hits; the evicted key rebuilds.
-  FeaContextLease c = cache.Acquire(key(3), false);
+  // Re-acquiring a surviving key hits; the evicted key rebuilds.
+  FeaContextLease c = cache.Acquire(key(10), false);
   EXPECT_EQ(cache.GetStats().hits, 1);
   FeaContextLease d = cache.Acquire(key(2), false);
-  EXPECT_EQ(cache.GetStats().misses, 3);
+  EXPECT_EQ(cache.GetStats().misses, 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,6 +489,13 @@ TEST(JobsManifest, RejectsUnknownFields) {
   ASSERT_FALSE(removed.ok());
   EXPECT_EQ(removed.status().code(), util::StatusCode::kParseError);
   EXPECT_NE(removed.status().message().find("'global_backend'"),
+            std::string::npos);
+  const auto precond = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "defaults": {"circuit": "ibm01", "scale": 0.01},
+      "jobs": [{"fea_precond": "ic0"}]})");
+  ASSERT_FALSE(precond.ok());
+  EXPECT_EQ(precond.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(precond.status().message().find("'fea_precond'"),
             std::string::npos);
   // The committed example manifest uses only known fields.
   const auto sweep =

@@ -246,8 +246,7 @@ TEST(Telemetry, WatchdogFlagsStalledJobAndDumpsBlackBox) {
   ASSERT_TRUE(obs::SetBlackBoxPath(blackbox));
 
   JobEngineOptions options;
-  options.stall_timeout_s = 0.15;
-  options.watchdog_poll_s = 0.03;
+  options.stall_timeout_s = 0.15;  // the watchdog scans every 0.0375 s
   JobEngine engine(options);
 
   TelemetryServer server;

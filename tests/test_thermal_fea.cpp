@@ -9,6 +9,7 @@
 
 #include "linalg/multigrid.h"
 #include "thermal/fea.h"
+#include "util/log.h"
 
 namespace p3d::thermal {
 namespace {
@@ -358,6 +359,90 @@ TEST(FeaGolden, VCycleHashes) {
     EXPECT_EQ(Fnv1a(x), c.hash)
         << c.nx << "x" << c.ny << ": 0x" << std::hex << Fnv1a(x);
   }
+}
+
+/// `n` cells spread over the die and the 4 layers by a fixed LCG.
+Sheet ScatteredCells(const ChipExtent& chip, int n) {
+  Sheet s;
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (int i = 0; i < n; ++i) {
+    s.x.push_back(next() * chip.width);
+    s.y.push_back(next() * chip.height);
+    s.layer.push_back(i % 4);
+    s.power.push_back(1e-4 * (0.5 + next()));
+  }
+  return s;
+}
+
+TEST(FeaSelection, MultigridRequestRunsWhatTheGridAllows) {
+  // A multigrid request on 4 layers: V-cycles where the lateral grid halves,
+  // with a dense or a Jacobi-CG coarsest solve by its size, and IC(0) where
+  // it cannot. Every kind reports IC(0)'s temperatures within CG tolerance.
+  struct Case {
+    int nx, ny;
+    linalg::PreconditionerKind kind;
+    bool coarse_direct;
+    std::int32_t coarse_nodes;  // coarsest level; 0 without a hierarchy
+  };
+  constexpr auto kMg = linalg::PreconditionerKind::kMultigrid;
+  const Case cases[] = {
+      {24, 24, kMg, true, 4 * 4 * 12},
+      {25, 24, linalg::PreconditionerKind::kIc0, false, 0},
+      {36, 36, kMg, false, 10 * 10 * 12},
+      {64, 64, kMg, true, 3 * 3 * 12},
+  };
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const ChipExtent chip{1e-3, 1e-3};
+  const Sheet cells = ScatteredCells(chip, 400);
+  for (const Case& c : cases) {
+    FeaContextOptions opt;
+    opt.fea = GoldenOptions(c.nx, c.ny);
+    FeaContext mg(Stack(4), chip, opt);
+    opt.fea.cg.preconditioner = linalg::PreconditionerKind::kIc0;
+    FeaContext ic0(Stack(4), chip, opt);
+
+    EXPECT_EQ(mg.preconditioner().kind(), c.kind) << c.nx << "x" << c.ny;
+    const auto& h = mg.assembly()->hierarchy;
+    ASSERT_EQ(h != nullptr, c.coarse_nodes > 0) << c.nx << "x" << c.ny;
+    if (h != nullptr) {
+      EXPECT_EQ(h->CoarseDirect(), c.coarse_direct) << c.nx << "x" << c.ny;
+      EXPECT_EQ(h->Grid(h->NumLevels() - 1).NumNodes(), c.coarse_nodes)
+          << c.nx << "x" << c.ny;
+    }
+
+    const FeaResult got = mg.Solve(cells.x, cells.y, cells.layer, cells.power);
+    const FeaResult want =
+        ic0.Solve(cells.x, cells.y, cells.layer, cells.power);
+    ASSERT_TRUE(got.converged) << c.nx << "x" << c.ny;
+    ASSERT_TRUE(want.converged) << c.nx << "x" << c.ny;
+    ASSERT_EQ(got.cell_temp.size(), want.cell_temp.size());
+    for (std::size_t i = 0; i < want.cell_temp.size(); ++i) {
+      EXPECT_NEAR(got.cell_temp[i], want.cell_temp[i],
+                  1e-6 * std::abs(want.cell_temp[i]))
+          << c.nx << "x" << c.ny << " cell " << i;
+    }
+  }
+}
+
+TEST(FeaSelection, OneShotMultigridRequestSolvesWithIc0) {
+  // The one-shot solve has no hierarchy: a multigrid request runs IC(0),
+  // bit for bit the solve of an explicit IC(0) request.
+  const ChipExtent chip{1e-3, 1e-3};
+  const Sheet cells = ScatteredCells(chip, 200);
+  FeaOptions opt = GoldenOptions(16, 16);
+  const FeaResult got = FeaSolver(Stack(4), chip, opt)
+                            .Solve(cells.x, cells.y, cells.layer, cells.power);
+  opt.cg.preconditioner = linalg::PreconditionerKind::kIc0;
+  const FeaResult want = FeaSolver(Stack(4), chip, opt)
+                             .Solve(cells.x, cells.y, cells.layer, cells.power);
+  ASSERT_TRUE(want.converged);
+  EXPECT_EQ(got.cg_iters, want.cg_iters);
+  EXPECT_EQ(got.node_temp, want.node_temp);
+  EXPECT_EQ(got.cell_temp, want.cell_temp);
 }
 
 }  // namespace

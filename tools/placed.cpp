@@ -22,12 +22,15 @@
 //                         stalls, cancellations, and fatal signals
 //     --quiet             errors only
 //
-// Every --flag also accepts the --flag=value spelling. Progress (per-job
+// Every --flag also accepts the --flag=value spelling; a numeric value must
+// be a whole, finite number in the flag's range. Progress (per-job
 // completion and heartbeat lines) streams to stderr; stdout carries only
 // the batch summary, so piping it stays clean.
 //
 // Exit codes: 0 all jobs placed, 1 runtime error or any job failed,
-// 2 usage error, 4 jobs cancelled (deadline misses) but none failed.
+// 2 usage error (a bad flag, or a manifest the loader rejects as malformed,
+// such as one with an unknown field), 4 jobs cancelled (deadline misses) but
+// none failed.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +38,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "flags.h"
 
 #include "obs/metrics.h"
 #include "obs/ring.h"
@@ -69,61 +74,29 @@ void PrintUsage() {
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (a.size() > 2 && a[0] == '-' && a[1] == '-') {
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_value = a.substr(eq + 1);
-        a.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  p3d::tools::FlagReader flags(argc, argv);
+  while (flags.Next()) {
+    const std::string& a = flags.name();
+    bool ok = true;
     if (a == "--help" || a == "-h") {
       PrintUsage();
       std::exit(0);
     } else if (a == "--manifest") {
-      const char* v = next("--manifest");
-      if (!v) return false;
-      args->manifest = v;
+      ok = flags.Text(&args->manifest);
     } else if (a == "--report") {
-      const char* v = next("--report");
-      if (!v) return false;
-      args->report = v;
+      ok = flags.Text(&args->report);
     } else if (a == "--workers") {
-      const char* v = next("--workers");
-      if (!v) return false;
-      args->workers = std::atoi(v);
+      ok = flags.Number(&args->workers, 1);
     } else if (a == "--thread-budget") {
-      const char* v = next("--thread-budget");
-      if (!v) return false;
-      args->thread_budget = std::atoi(v);
+      ok = flags.Number(&args->thread_budget, 0);
     } else if (a == "--telemetry-port") {
-      const char* v = next("--telemetry-port");
-      if (!v) return false;
-      args->telemetry_port = std::atoi(v);
+      ok = flags.Number(&args->telemetry_port, 0, 65535);
     } else if (a == "--stall-timeout") {
-      const char* v = next("--stall-timeout");
-      if (!v) return false;
-      args->stall_timeout_s = std::atof(v);
+      ok = flags.Number(&args->stall_timeout_s, 0.0);
     } else if (a == "--heartbeat-interval") {
-      const char* v = next("--heartbeat-interval");
-      if (!v) return false;
-      args->heartbeat_interval_s = std::atof(v);
+      ok = flags.Number(&args->heartbeat_interval_s, 0.0);
     } else if (a == "--blackbox") {
-      const char* v = next("--blackbox");
-      if (!v) return false;
-      args->blackbox = v;
+      ok = flags.Text(&args->blackbox);
     } else if (a == "--quiet") {
       args->quiet = true;
     } else {
@@ -131,14 +104,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       PrintUsage();
       return false;
     }
+    if (!ok) return false;
   }
   if (args->manifest.empty()) {
     std::fprintf(stderr, "--manifest is required\n");
     PrintUsage();
-    return false;
-  }
-  if (args->workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
     return false;
   }
   return true;
@@ -173,8 +143,9 @@ int main(int argc, char** argv) {
   auto manifest_or = p3d::serve::LoadJobsManifest(args.manifest);
   if (!manifest_or.ok()) {
     std::fprintf(stderr, "%s\n", manifest_or.status().ToString().c_str());
-    return manifest_or.status().code() ==
-                   p3d::util::StatusCode::kInvalidArgument
+    const p3d::util::StatusCode code = manifest_or.status().code();
+    return code == p3d::util::StatusCode::kInvalidArgument ||
+                   code == p3d::util::StatusCode::kParseError
                ? 2
                : 1;
   }

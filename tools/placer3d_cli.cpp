@@ -38,18 +38,17 @@
 //     --fea-per-pass          re-solve thermal FEA after every legalization
 //                             pass (observational; every solve reuses the
 //                             run's cached FEA assembly)
-//     --fea-precond NAME      FEA preconditioner: jacobi|ic0|multigrid
-//                             (default multigrid; an odd FEA mesh falls
-//                             back to ic0)
 //     --quiet                 errors only
 //
-// Every --flag also accepts the --flag=value spelling.
+// Every --flag also accepts the --flag=value spelling. A numeric value must
+// be a whole, finite number; anything else exits 2 (usage error).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+
+#include "flags.h"
 
 #include "check/audit.h"
 #include "io/bookshelf.h"
@@ -88,8 +87,6 @@ struct Args {
   bool report = false;
   bool fea = true;
   bool fea_per_pass = false;
-  p3d::linalg::PreconditionerKind fea_precond =
-      p3d::place::RunOptions{}.preconditioner;
   bool quiet = false;
   p3d::place::AuditLevel audit = p3d::place::AuditLevel::kOff;
 };
@@ -100,100 +97,56 @@ void PrintUsage() {
       "                    [--layers N] [--alpha-ilv V] [--alpha-temp V]\n"
       "                    [--seed N] [--threads N] [--out-pl F] [--out-svg F]\n"
       "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
-      "                    [--fea-per-pass] [--fea-precond jacobi|ic0|multigrid]\n"
+      "                    [--fea-per-pass]\n"
       "                    [--trace F] [--metrics F] [--blackbox F]\n"
       "                    [--audit off|phase|paranoid] [--quiet]");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    // Accept both "--flag value" and "--flag=value".
-    std::string inline_value;
-    bool has_inline = false;
-    if (a.size() > 2 && a[0] == '-' && a[1] == '-') {
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_value = a.substr(eq + 1);
-        a.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  p3d::tools::FlagReader flags(argc, argv);
+  while (flags.Next()) {
+    const std::string& a = flags.name();
+    bool ok = true;
     if (a == "--help" || a == "-h") {
       PrintUsage();
       std::exit(0);
     } else if (a == "--circuit") {
-      const char* v = next("--circuit");
-      if (!v) return false;
-      args->circuit = v;
+      ok = flags.Text(&args->circuit);
     } else if (a == "--aux") {
-      const char* v = next("--aux");
-      if (!v) return false;
-      args->aux = v;
+      ok = flags.Text(&args->aux);
     } else if (a == "--scale") {
-      const char* v = next("--scale");
-      if (!v) return false;
-      args->scale = std::atof(v);
+      ok = flags.Number(&args->scale);
+      if (ok && !(args->scale > 0.0)) {
+        std::fprintf(stderr, "--scale must be > 0\n");
+        ok = false;
+      }
     } else if (a == "--layers") {
-      const char* v = next("--layers");
-      if (!v) return false;
-      args->layers = std::atoi(v);
+      ok = flags.Number(&args->layers);
     } else if (a == "--alpha-ilv") {
-      const char* v = next("--alpha-ilv");
-      if (!v) return false;
-      args->alpha_ilv = std::atof(v);
+      ok = flags.Number(&args->alpha_ilv);
     } else if (a == "--alpha-temp") {
-      const char* v = next("--alpha-temp");
-      if (!v) return false;
-      args->alpha_temp = std::atof(v);
+      ok = flags.Number(&args->alpha_temp);
     } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      args->seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = flags.Number(&args->seed);
     } else if (a == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return false;
-      args->threads = std::atoi(v);
+      ok = flags.Number(&args->threads, 0);
     } else if (a == "--export-bookshelf") {
-      const char* v = next("--export-bookshelf");
-      if (!v) return false;
-      args->export_dir = v;
+      ok = flags.Text(&args->export_dir);
     } else if (a == "--out-pl") {
-      const char* v = next("--out-pl");
-      if (!v) return false;
-      args->out_pl = v;
+      ok = flags.Text(&args->out_pl);
     } else if (a == "--out-svg") {
-      const char* v = next("--out-svg");
-      if (!v) return false;
-      args->out_svg = v;
+      ok = flags.Text(&args->out_svg);
     } else if (a == "--out-thermal-svg") {
-      const char* v = next("--out-thermal-svg");
-      if (!v) return false;
-      args->out_thermal_svg = v;
+      ok = flags.Text(&args->out_thermal_svg);
     } else if (a == "--trace") {
-      const char* v = next("--trace");
-      if (!v) return false;
-      args->trace_path = v;
+      ok = flags.Text(&args->trace_path);
     } else if (a == "--metrics") {
-      const char* v = next("--metrics");
-      if (!v) return false;
-      args->metrics_path = v;
+      ok = flags.Text(&args->metrics_path);
     } else if (a == "--blackbox") {
-      const char* v = next("--blackbox");
-      if (!v) return false;
-      args->blackbox_path = v;
+      ok = flags.Text(&args->blackbox_path);
     } else if (a == "--audit") {
-      const char* v = next("--audit");
-      if (!v) return false;
-      const std::string level = v;
+      std::string level;
+      if (!flags.Text(&level)) return false;
       if (level == "off") {
         args->audit = p3d::place::AuditLevel::kOff;
       } else if (level == "phase") {
@@ -201,7 +154,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       } else if (level == "paranoid") {
         args->audit = p3d::place::AuditLevel::kParanoid;
       } else {
-        std::fprintf(stderr, "bad --audit level: %s\n", v);
+        std::fprintf(stderr, "bad --audit level: %s\n", level.c_str());
         return false;
       }
     } else if (a == "--report") {
@@ -210,20 +163,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->fea = false;
     } else if (a == "--fea-per-pass") {
       args->fea_per_pass = true;
-    } else if (a == "--fea-precond") {
-      const char* v = next("--fea-precond");
-      if (!v) return false;
-      const std::string kind = v;
-      if (kind == "jacobi") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kJacobi;
-      } else if (kind == "ic0") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kIc0;
-      } else if (kind == "multigrid") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kMultigrid;
-      } else {
-        std::fprintf(stderr, "bad --fea-precond kind: %s\n", v);
-        return false;
-      }
     } else if (a == "--quiet") {
       args->quiet = true;
     } else {
@@ -231,6 +170,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       PrintUsage();
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -326,7 +266,6 @@ int main(int argc, char** argv) {
 
   p3d::place::RunOptions run_opts;
   run_opts.with_fea = args.fea || !args.out_thermal_svg.empty();
-  run_opts.preconditioner = args.fea_precond;
   // The thermal SVG solves through the run's own FEA context: the same
   // assembly and preconditioner, warm-started from the run's final field.
   std::optional<p3d::thermal::FeaContext> svg_fea;
