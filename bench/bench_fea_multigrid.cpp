@@ -1,10 +1,9 @@
 // Cumulative FEA cost of per-pass thermal: the cached multigrid path vs
-// the one-shot solve sequence it replaces, with IC(0) as the temperature
-// reference.
+// the one-shot solve sequence it replaces.
 //
 // Models the per-pass thermal loop the multigrid work enables: K
 // power/position perturbation steps (placement-like drift, deterministic
-// LCG), each evaluated by three solver setups at the same relative
+// LCG), each evaluated by two solver setups at the same relative
 // tolerance:
 //
 //   oneshot — FeaSolver::Solve per step: fresh Jacobi preconditioner and a
@@ -12,16 +11,15 @@
 //             legalization pass would have cost before the FeaContext +
 //             multigrid work, and the baseline the headline speedup is
 //             measured against.
-//   ic0     — FeaContext (cached assembly, warm starts), IC(0)-PCG. The
-//             temperature reference the other setups must match.
-//   mg_pcg  — FeaContext, CG preconditioned by multigrid V-cycles.
+//   mg_pcg  — FeaContext (cached assembly, warm starts), CG preconditioned
+//             by multigrid V-cycles.
 //
 // Reports cumulative FEA seconds and iteration counts per setup plus the
-// headline fea_mg_speedup = oneshot / mg_pcg, and verifies the multigrid
-// and one-shot paths reproduce the IC(0) max/avg cell temperatures step by
-// step — exiting non-zero on disagreement, so the CI bench-smoke lane gates
-// correctness along with the fea_mg_speedup regression check
-// (bench/baselines/fea_multigrid.json).
+// headline fea_mg_speedup = oneshot / mg_pcg, and verifies that the two
+// setups — different preconditioners, cold vs warm starts — report the
+// same max/avg cell temperatures step by step, exiting non-zero on
+// disagreement, so the CI bench-smoke lane gates correctness along with
+// the fea_mg_speedup regression check (bench/baselines/fea_multigrid.json).
 //
 // Tier: scale1-equivalent mesh (96x96 lateral, 4 tiers) by default;
 // REPRO_FAST drops to 48x48 and fewer steps for the smoke lane.
@@ -136,10 +134,10 @@ SetupRun RunOneshot(const FeaContextOptions& opt, const ThermalStack& stack,
   return run;
 }
 
-/// Step-wise temperature agreement against the reference setup: 1e-3 deg C
-/// absolute or 1e-4 relative, whichever is larger (all solves run to the
-/// same 1e-8 relative residual, so real disagreement means a solver bug,
-/// not roundoff).
+/// Step-wise temperature agreement of two setups: 1e-3 deg C absolute or
+/// 1e-4 relative to `ref`, whichever is larger (all solves run to the same
+/// 1e-8 relative residual, so real disagreement means a solver bug, not
+/// roundoff).
 bool Agrees(const SetupRun& ref, const SetupRun& got) {
   if (ref.max_temp.size() != got.max_temp.size()) return false;
   for (std::size_t s = 0; s < ref.max_temp.size(); ++s) {
@@ -169,9 +167,6 @@ int main() {
   const int cells = fast ? 8000 : 20000;
   const int steps = fast ? 6 : 12;
 
-  FeaContextOptions ic0 = base;
-  ic0.fea.cg.preconditioner = p3d::linalg::PreconditionerKind::kIc0;
-
   FeaContextOptions mg_pcg = base;
   mg_pcg.fea.cg.preconditioner = p3d::linalg::PreconditionerKind::kMultigrid;
 
@@ -183,7 +178,6 @@ int main() {
 
   const SetupRun runs[] = {
       RunOneshot(base, stack, chip, cells, steps),
-      RunContext("ic0", ic0, stack, chip, cells, steps),
       RunContext("mg_pcg", mg_pcg, stack, chip, cells, steps),
   };
   for (const SetupRun& r : runs) {
@@ -199,23 +193,19 @@ int main() {
   }
 
   const SetupRun& oneshot = runs[0];
-  const SetupRun& ref = runs[1];
-  const SetupRun& pcg = runs[2];
-  const bool temps_agree = Agrees(ref, pcg) && Agrees(ref, oneshot);
-  const bool all_converged = oneshot.nonconverged == 0 &&
-                             ref.nonconverged == 0 && pcg.nonconverged == 0;
-  const auto speedup = [&](const SetupRun& r) {
-    return r.seconds > 0.0 ? oneshot.seconds / r.seconds : 0.0;
-  };
+  const SetupRun& pcg = runs[1];
+  const bool temps_agree = Agrees(oneshot, pcg);
+  const bool all_converged = oneshot.nonconverged == 0 && pcg.nonconverged == 0;
+  const double speedup =
+      pcg.seconds > 0.0 ? oneshot.seconds / pcg.seconds : 0.0;
 
-  std::printf("fea_mg_speedup: %.2fx  fea_ic0_speedup: %.2fx  "
-              "temps_agree: %s\n",
-              speedup(pcg), speedup(ref), temps_agree ? "yes" : "NO");
-  setup.Row({{"fea_mg_speedup", speedup(pcg)},
-             {"fea_ic0_speedup", speedup(ref)},
+  std::printf("fea_mg_speedup: %.2fx  temps_agree: %s\n", speedup,
+              temps_agree ? "yes" : "NO");
+  setup.Row({{"fea_mg_speedup", speedup},
              {"mg_pcg_iters_per_solve",
               static_cast<double>(pcg.iters) / steps},
-             {"ic0_iters_per_solve", static_cast<double>(ref.iters) / steps},
+             {"oneshot_iters_per_solve",
+              static_cast<double>(oneshot.iters) / steps},
              {"temps_agree", temps_agree},
              {"all_converged", all_converged}});
   setup.recorder.Flush();
@@ -223,7 +213,7 @@ int main() {
   if (!temps_agree || !all_converged) {
     std::fprintf(stderr, "bench_fea_multigrid: FAIL: %s\n",
                  !temps_agree
-                     ? "temperatures disagree with IC(0)"
+                     ? "multigrid and one-shot temperatures disagree"
                      : "solver(s) hit the iteration cap");
     return 1;
   }

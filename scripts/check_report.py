@@ -22,7 +22,7 @@ import sys
 
 PHASE_NUM_KEYS = ("wl_m", "ilv_cost_m", "thermal_cost_m", "total_m",
                   "ilv", "commits", "t_s")
-PRECONDITIONERS = ("jacobi", "ic0", "multigrid")
+PRECONDITIONERS = ("jacobi", "multigrid")
 
 
 def fail(msg):

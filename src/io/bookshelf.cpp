@@ -14,13 +14,16 @@
 namespace p3d::io {
 namespace {
 
-// Strips comments (# to end of line) and leading/trailing whitespace.
+// Strips comments (# to end of line) and leading/trailing whitespace —
+// every character Tokenize splits on, so a line that is not empty here has
+// at least one token.
 std::string CleanLine(std::string line) {
+  constexpr char kSpace[] = " \t\n\v\f\r";
   const auto hash = line.find('#');
   if (hash != std::string::npos) line.erase(hash);
-  const auto first = line.find_first_not_of(" \t\r\n");
+  const auto first = line.find_first_not_of(kSpace);
   if (first == std::string::npos) return {};
-  const auto last = line.find_last_not_of(" \t\r\n");
+  const auto last = line.find_last_not_of(kSpace);
   return line.substr(first, last - first + 1);
 }
 

@@ -45,120 +45,18 @@ double Norm(runtime::ThreadPool* pool, const std::vector<double>& a) {
 const char* PreconditionerName(PreconditionerKind kind) {
   switch (kind) {
     case PreconditionerKind::kJacobi: return "jacobi";
-    case PreconditionerKind::kIc0: return "ic0";
     case PreconditionerKind::kMultigrid: return "multigrid";
   }
   return "unknown";
 }
 
-bool CgPreconditioner::BuildIc0(const CsrMatrix& a, double shift) {
-  const std::int32_t n = a.Dim();
-  ic_row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  ic_col_.clear();
-  ic_vals_.clear();
-
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& vals = a.values();
-
-  // Copy the lower triangle (diagonal included, shifted) into the factor's
-  // storage; the factorization then runs in place.
-  for (std::int32_t i = 0; i < n; ++i) {
-    bool saw_diag = false;
-    for (std::int32_t k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const std::int32_t c = col_idx[static_cast<std::size_t>(k)];
-      if (c > i) break;  // columns are sorted within a row
-      double v = vals[static_cast<std::size_t>(k)];
-      if (c == i) {
-        if (v <= 0.0) return false;  // not SPD-ish; caller falls back
-        v *= 1.0 + shift;
-        saw_diag = true;
-      }
-      ic_col_.push_back(c);
-      ic_vals_.push_back(v);
-    }
-    if (!saw_diag) return false;  // structurally missing diagonal
-    ic_row_ptr_[static_cast<std::size_t>(i) + 1] =
-        static_cast<std::int32_t>(ic_col_.size());
+const char* CgStopName(CgStop stop) {
+  switch (stop) {
+    case CgStop::kConverged: return "converged";
+    case CgStop::kCap: return "cap";
+    case CgStop::kBreakdown: return "breakdown";
   }
-
-  // Left-looking row factorization. For each entry (i, k):
-  //   l_ik = (a_ik - <L_i, L_k>_{cols < k}) / l_kk        (k < i)
-  //   l_ii = sqrt(a_ii - <L_i, L_i>_{cols < i})
-  // The sparse dots merge two column-sorted row prefixes with two pointers.
-  for (std::int32_t i = 0; i < n; ++i) {
-    const std::int32_t row_lo = ic_row_ptr_[static_cast<std::size_t>(i)];
-    const std::int32_t row_hi = ic_row_ptr_[static_cast<std::size_t>(i) + 1];
-    for (std::int32_t ik = row_lo; ik < row_hi; ++ik) {
-      const std::int32_t k = ic_col_[static_cast<std::size_t>(ik)];
-      if (k < i) {
-        const std::int32_t krow_lo = ic_row_ptr_[static_cast<std::size_t>(k)];
-        const std::int32_t krow_hi =
-            ic_row_ptr_[static_cast<std::size_t>(k) + 1];
-        double dot = 0.0;
-        std::int32_t p = row_lo, q = krow_lo;
-        while (p < ik && q < krow_hi - 1) {  // krow's last entry is l_kk
-          const std::int32_t cp = ic_col_[static_cast<std::size_t>(p)];
-          const std::int32_t cq = ic_col_[static_cast<std::size_t>(q)];
-          if (cp == cq) {
-            dot += ic_vals_[static_cast<std::size_t>(p)] *
-                   ic_vals_[static_cast<std::size_t>(q)];
-            ++p;
-            ++q;
-          } else if (cp < cq) {
-            ++p;
-          } else {
-            ++q;
-          }
-        }
-        const double l_kk = ic_vals_[static_cast<std::size_t>(krow_hi - 1)];
-        ic_vals_[static_cast<std::size_t>(ik)] =
-            (ic_vals_[static_cast<std::size_t>(ik)] - dot) / l_kk;
-      } else {  // k == i: the diagonal closes the row
-        double sq = 0.0;
-        for (std::int32_t p = row_lo; p < ik; ++p) {
-          const double v = ic_vals_[static_cast<std::size_t>(p)];
-          sq += v * v;
-        }
-        const double d = ic_vals_[static_cast<std::size_t>(ik)] - sq;
-        if (!(d > 0.0)) return false;  // breakdown: retry with larger shift
-        ic_vals_[static_cast<std::size_t>(ik)] = std::sqrt(d);
-      }
-    }
-  }
-
-  // Transpose (CSR of L^T) for the backward substitution, plus the hoisted
-  // reciprocal diagonal.
-  icT_row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  icT_col_.assign(ic_col_.size(), 0);
-  icT_vals_.assign(ic_vals_.size(), 0.0);
-  for (const std::int32_t c : ic_col_) {
-    icT_row_ptr_[static_cast<std::size_t>(c) + 1] += 1;
-  }
-  for (std::int32_t r = 0; r < n; ++r) {
-    icT_row_ptr_[static_cast<std::size_t>(r) + 1] +=
-        icT_row_ptr_[static_cast<std::size_t>(r)];
-  }
-  std::vector<std::int32_t> fill(icT_row_ptr_.begin(), icT_row_ptr_.end() - 1);
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t k = ic_row_ptr_[static_cast<std::size_t>(i)];
-         k < ic_row_ptr_[static_cast<std::size_t>(i) + 1]; ++k) {
-      const std::int32_t c = ic_col_[static_cast<std::size_t>(k)];
-      const std::int32_t slot = fill[static_cast<std::size_t>(c)]++;
-      icT_col_[static_cast<std::size_t>(slot)] = i;
-      icT_vals_[static_cast<std::size_t>(slot)] =
-          ic_vals_[static_cast<std::size_t>(k)];
-    }
-  }
-  ic_inv_diag_.resize(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) {
-    ic_inv_diag_[static_cast<std::size_t>(i)] =
-        1.0 / ic_vals_[static_cast<std::size_t>(
-                  ic_row_ptr_[static_cast<std::size_t>(i) + 1] - 1)];
-  }
-  ic_shift_ = shift;
-  return true;
+  return "unknown";
 }
 
 CgPreconditioner CgPreconditioner::BuildMultigrid(
@@ -170,33 +68,8 @@ CgPreconditioner CgPreconditioner::BuildMultigrid(
   return p;
 }
 
-CgPreconditioner CgPreconditioner::Build(const CsrMatrix& a,
-                                         PreconditionerKind kind) {
-  // A bare matrix carries no grid, so no hierarchy can be built from it: a
-  // multigrid request builds IC(0), the preconditioner thermal::FeaAssembly
-  // runs on a grid it cannot coarsen. Callers with a hierarchy go through
-  // BuildMultigrid.
-  if (kind == PreconditionerKind::kMultigrid) kind = PreconditionerKind::kIc0;
+CgPreconditioner CgPreconditioner::Build(const CsrMatrix& a) {
   CgPreconditioner p;
-  p.kind_ = kind;
-  if (kind == PreconditionerKind::kIc0) {
-    // Diagonal-shift restart: IC(0) can break down on matrices that are SPD
-    // but not diagonally dominant. Each failure retries with a 10x larger
-    // relative shift; the FEA matrices factor cleanly at shift 0.
-    for (double shift = 0.0; shift <= 1.0e4;
-         shift = (shift == 0.0 ? 1e-3 : shift * 10.0)) {
-      if (p.BuildIc0(a, shift)) {
-        obs::MetricAdd("cg/ic0_builds", 1);
-        if (shift > 0.0) obs::MetricAdd("cg/ic0_shift_restarts", 1);
-        return p;
-      }
-    }
-    // Pathological matrix: degrade to Jacobi rather than failing the solve.
-    p.ic_row_ptr_.clear();
-    p.ic_col_.clear();
-    p.ic_vals_.clear();
-    p.kind_ = PreconditionerKind::kJacobi;
-  }
   p.inv_diag_ = a.Diagonal();
   for (double& d : p.inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
   return p;
@@ -211,36 +84,9 @@ void CgPreconditioner::Apply(const std::vector<double>& r,
     return;
   }
   const std::size_t n = r.size();
+  assert(inv_diag_.size() == n);
   z->resize(n);
-  if (kind_ == PreconditionerKind::kJacobi) {
-    assert(inv_diag_.size() == n);
-    for (std::size_t i = 0; i < n; ++i) (*z)[i] = inv_diag_[i] * r[i];
-    return;
-  }
-  // Forward substitution L y = r (y lives in *z), rows ascending; each row's
-  // last stored entry is its diagonal.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = r[i];
-    const std::int32_t lo = ic_row_ptr_[i];
-    const std::int32_t hi = ic_row_ptr_[i + 1] - 1;
-    for (std::int32_t k = lo; k < hi; ++k) {
-      acc -= ic_vals_[static_cast<std::size_t>(k)] *
-             (*z)[static_cast<std::size_t>(ic_col_[static_cast<std::size_t>(k)])];
-    }
-    (*z)[i] = acc * ic_inv_diag_[i];
-  }
-  // Backward substitution L^T z = y, rows descending; row i of L^T holds
-  // columns >= i with the diagonal first.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = (*z)[ii];
-    const std::int32_t lo = icT_row_ptr_[ii] + 1;  // skip the diagonal
-    const std::int32_t hi = icT_row_ptr_[ii + 1];
-    for (std::int32_t k = lo; k < hi; ++k) {
-      acc -= icT_vals_[static_cast<std::size_t>(k)] *
-             (*z)[static_cast<std::size_t>(icT_col_[static_cast<std::size_t>(k)])];
-    }
-    (*z)[ii] = acc * ic_inv_diag_[ii];
-  }
+  for (std::size_t i = 0; i < n; ++i) (*z)[i] = inv_diag_[i] * r[i];
 }
 
 namespace {
@@ -262,6 +108,10 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
     obs::MetricAdd("cg/iters", res.iters);
     obs::MetricObserve("cg/iters_per_solve", res.iters);
     if (!res.converged) obs::MetricAdd("cg/unconverged", 1);
+    if (res.stop == CgStop::kCap) obs::MetricAdd("cg/stop_cap", 1);
+    if (res.stop == CgStop::kBreakdown) {
+      obs::MetricAdd("cg/stop_breakdown", 1);
+    }
     obs::MetricSet("cg/last_rel_residual", res.residual_norm);
   };
 
@@ -270,6 +120,7 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
   if (bnorm == 0.0) {
     x->assign(n, 0.0);
     result.converged = true;
+    result.stop = CgStop::kConverged;
     record(result);
     return result;
   }
@@ -287,6 +138,7 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
     const double rnorm0 = Norm(pool, r);
     if (rnorm0 / bnorm < options.rel_tolerance) {
       result.converged = true;
+      result.stop = CgStop::kConverged;
       result.residual_norm = rnorm0 / bnorm;
       record(result);
       return result;
@@ -296,10 +148,17 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
   p = z;
   double rz = Dot(pool, r, z);
 
-  for (int it = 0; it < options.max_iters && rz > 0.0; ++it) {
+  // A non-positive r'z means the preconditioner lost positive definiteness
+  // (numerically), a non-positive p'Ap the matrix: stop rather than divide
+  // by it or diverge on a negative step.
+  bool breakdown = !(rz > 0.0);
+  for (int it = 0; it < options.max_iters && !breakdown; ++it) {
     a.Multiply(p, &ap, pool);
     const double pap = Dot(pool, p, ap);
-    if (pap <= 0.0) break;  // matrix not SPD or breakdown
+    if (pap <= 0.0) {
+      breakdown = true;
+      break;
+    }
     const double alpha = rz / pap;
     runtime::ParallelFor(pool, 0, ni, kAxpyGrain, [&](std::int64_t i) {
       const std::size_t u = static_cast<std::size_t>(i);
@@ -310,15 +169,17 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
     const double rnorm = Norm(pool, r);
     if (rnorm / bnorm < options.rel_tolerance) {
       result.converged = true;
+      result.stop = CgStop::kConverged;
       result.residual_norm = rnorm / bnorm;
       record(result);
       return result;
     }
     precond.Apply(r, &z, pool);
     const double rz_new = Dot(pool, r, z);
-    // A non-positive r'z means the preconditioner lost positive definiteness
-    // (numerically); stop rather than diverge on a negative beta.
-    if (!(rz_new > 0.0)) break;
+    if (!(rz_new > 0.0)) {
+      breakdown = true;
+      break;
+    }
     const double beta = rz_new / rz;
     rz = rz_new;
     runtime::ParallelFor(pool, 0, ni, kAxpyGrain, [&](std::int64_t i) {
@@ -328,6 +189,9 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
   }
   result.residual_norm = Norm(pool, r) / bnorm;
   result.converged = result.residual_norm < options.rel_tolerance;
+  result.stop = result.converged ? CgStop::kConverged
+                : breakdown      ? CgStop::kBreakdown
+                                 : CgStop::kCap;
   record(result);
   return result;
 }
@@ -336,9 +200,7 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
 
 CgResult SolveCg(const CsrMatrix& a, const std::vector<double>& b,
                  std::vector<double>* x, const CgOptions& options) {
-  const CgPreconditioner precond =
-      CgPreconditioner::Build(a, options.preconditioner);
-  return SolveImpl(a, precond, b, x, options);
+  return SolveImpl(a, CgPreconditioner::Build(a), b, x, options);
 }
 
 CgResult SolveCgPreconditioned(const CsrMatrix& a,

@@ -1,27 +1,24 @@
 // Preconditioned conjugate gradient for symmetric positive-definite systems
 // (the FEA thermal matrices).
 //
-// Three preconditioners are available:
+// Two preconditioners are available:
 //   * Jacobi    — M = diag(A); free to build, modest iteration savings.
-//   * IC(0)     — incomplete Cholesky on the sparsity pattern of A, with an
-//     automatic diagonal-shift restart on breakdown. Costs one factorization
-//     per matrix, then cuts iteration counts several-fold on the FEA meshes.
+//     CgPreconditioner::Build makes it from any matrix, and SolveCg always
+//     solves with it.
 //   * Multigrid — one geometric V-cycle per application, against a prebuilt
 //     linalg::MultigridHierarchy (BuildMultigrid). Mesh-size-independent
-//     iteration counts on the FEA matrices; only reachable through a
-//     prebuilt hierarchy — Build(a, kMultigrid) has no grid information and
-//     builds IC(0), as thermal::FeaAssembly does on a grid it cannot coarsen.
+//     iteration counts on the FEA matrices; the hierarchy needs the grid
+//     the matrix was assembled on, which thermal::FeaSolver supplies.
 // A CgPreconditioner can be built once per matrix and reused across solves
-// (see thermal::FeaContext), which is where IC(0)'s build cost amortizes.
+// (see thermal::FeaContext), which is where the hierarchy's build cost
+// amortizes.
 //
 // Determinism: SpMV / dot / axpy run on the deterministic parallel runtime
-// (fixed chunking, ordered combination); the preconditioner application is
-// serial (Jacobi's scaling loop runs through ParallelFor with fixed chunks,
-// IC(0)'s triangular solves are inherently sequential). Every solve is
-// bit-identical for any thread count.
+// (fixed chunking, ordered combination); Jacobi's scaling is serial and the
+// V-cycle's kernels use the same runtime. Every solve is bit-identical for
+// any thread count.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -33,11 +30,10 @@ class MultigridHierarchy;
 
 enum class PreconditionerKind {
   kJacobi,
-  kIc0,
   kMultigrid,
 };
 
-/// Returns "jacobi" / "ic0" / "multigrid".
+/// Returns "jacobi" / "multigrid".
 const char* PreconditionerName(PreconditionerKind kind);
 
 struct CgOptions {
@@ -47,18 +43,31 @@ struct CgOptions {
   // The solve is bit-identical for every value: reductions use fixed
   // chunking with ordered combination (see src/runtime/parallel.h).
   int threads = 1;
-  // Preconditioner built internally by SolveCg. Callers that solve the same
-  // matrix repeatedly should build a CgPreconditioner once and use
-  // SolveCgPreconditioned instead.
+  // The preconditioner a caller that owns the grid should build (see
+  // thermal::FeaPreconditioner). SolveCg and SolveCgPreconditioned ignore
+  // it: the first always solves with Jacobi, the second with the
+  // preconditioner it is given.
   PreconditionerKind preconditioner = PreconditionerKind::kJacobi;
 
   friend bool operator==(const CgOptions&, const CgOptions&) = default;
 };
 
+/// Why a CG solve stopped.
+enum class CgStop {
+  kConverged,  // the relative residual went below the tolerance
+  kCap,        // max_iters iterations ran without converging
+  kBreakdown,  // p'Ap <= 0 or r'z <= 0: the matrix or the preconditioner
+               // is not positive definite (numerically)
+};
+
+/// Returns "converged" / "cap" / "breakdown".
+const char* CgStopName(CgStop stop);
+
 struct CgResult {
   int iters = 0;
   double residual_norm = 0.0;  // final ||b - Ax|| / ||b||
-  bool converged = false;
+  bool converged = false;      // stop == CgStop::kConverged
+  CgStop stop = CgStop::kCap;
 };
 
 /// A preconditioner prebuilt from one matrix, reusable across any number of
@@ -67,13 +76,9 @@ class CgPreconditioner {
  public:
   CgPreconditioner() = default;
 
-  /// Factors `a` (Jacobi: inverts the diagonal; IC(0): incomplete Cholesky
-  /// with diagonal-shift restart on breakdown — never fails on an SPD-ish
-  /// matrix, the shift grows until the factorization completes). kMultigrid
-  /// needs grid information a bare matrix does not carry, so this overload
-  /// builds IC(0) for it (kind() reports kIc0) — build the hierarchy and use
-  /// BuildMultigrid.
-  static CgPreconditioner Build(const CsrMatrix& a, PreconditionerKind kind);
+  /// Jacobi: inverts the diagonal of `a` (a zero diagonal entry scales by
+  /// 1).
+  static CgPreconditioner Build(const CsrMatrix& a);
 
   /// Wraps a prebuilt geometric-multigrid hierarchy (one V-cycle per Apply).
   /// The hierarchy's finest matrix must be the matrix later solved with.
@@ -82,21 +87,17 @@ class CgPreconditioner {
   static CgPreconditioner BuildMultigrid(
       std::shared_ptr<const MultigridHierarchy> hierarchy);
 
-  /// z = M^-1 r. Deterministic for any thread count; Jacobi / IC(0) ignore
-  /// `pool` (serial application), multigrid runs its V-cycle kernels on it.
+  /// z = M^-1 r. Deterministic for any thread count; Jacobi ignores `pool`
+  /// (serial application), multigrid runs its V-cycle kernels on it.
   void Apply(const std::vector<double>& r, std::vector<double>* z,
              runtime::ThreadPool* pool = nullptr) const;
 
   PreconditionerKind kind() const { return kind_; }
-  bool empty() const {
-    return inv_diag_.empty() && ic_vals_.empty() && mg_ == nullptr;
-  }
+  bool empty() const { return inv_diag_.empty() && mg_ == nullptr; }
   /// The wrapped hierarchy (null unless built via BuildMultigrid).
   const std::shared_ptr<const MultigridHierarchy>& hierarchy() const {
     return mg_;
   }
-  /// Diagonal shift the IC(0) factorization needed (0.0 = clean factor).
-  double ic_shift() const { return ic_shift_; }
 
  private:
   PreconditionerKind kind_ = PreconditionerKind::kJacobi;
@@ -104,23 +105,12 @@ class CgPreconditioner {
   // Jacobi: 1 / diag(A).
   std::vector<double> inv_diag_;
 
-  // IC(0): lower-triangular factor L (pattern of lower(A), diagonal
-  // included) in CSR, plus its transpose for the backward solve.
-  std::vector<std::int32_t> ic_row_ptr_, ic_col_;
-  std::vector<double> ic_vals_;
-  std::vector<std::int32_t> icT_row_ptr_, icT_col_;
-  std::vector<double> icT_vals_;
-  std::vector<double> ic_inv_diag_;  // 1 / L_ii, hoisted out of the solves
-  double ic_shift_ = 0.0;
-
   // Multigrid: shared immutable hierarchy (V-cycle per Apply).
   std::shared_ptr<const MultigridHierarchy> mg_;
-
-  bool BuildIc0(const CsrMatrix& a, double shift);
 };
 
-/// Solves A x = b; `x` is used as the initial guess and receives the result.
-/// Builds the preconditioner selected by `options` internally.
+/// Solves A x = b with Jacobi-preconditioned CG; `x` is used as the initial
+/// guess and receives the result. `options.preconditioner` is ignored.
 CgResult SolveCg(const CsrMatrix& a, const std::vector<double>& b,
                  std::vector<double>* x, const CgOptions& options = {});
 

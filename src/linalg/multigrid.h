@@ -1,21 +1,29 @@
 // Geometric multigrid for SPD systems assembled on tensor-product hex grids
 // (the FEA thermal matrices).
 //
-// The hierarchy coarsens the LATERAL grid by 2x per level and keeps every z
-// plane: the thermal mesh has few vertical elements (one per device layer /
-// interlayer plus a handful through the bulk), and conductivity varies only
-// with z, so the coarse trilinear spaces are exactly nested in the fine one.
-// With exact 2x2x2 Gauss quadrature that makes the re-assembled coarse
-// operators equal the Galerkin triple products P^T A P — variational
-// multigrid at assembly cost, without materializing the triple product.
+// The hierarchy coarsens the LATERAL grid and keeps every z plane: the
+// thermal mesh has few vertical elements (one per device layer / interlayer
+// plus a handful through the bulk) and conductivity varies only with z.
+// Each lateral axis of n elements goes to ceil(n/2): coarse node c sits on
+// fine node 2c, except that on an odd axis the last fine node is injected
+// into the last coarse node, so the last coarse interval is one fine element
+// wide. Prolongation P is lateral-bilinear in index space (every other fine
+// node takes 1/2 from each coarse neighbour) and the identity in z;
+// restriction is R = P^T. Every coarse operator is the Galerkin product
+// P^T A P, so the hierarchy is variational on any lateral size. Coarsening
+// stops once both lateral sizes are <= 2 elements; that coarsest level (at
+// most 3x3 lateral nodes) is solved exactly by a dense Cholesky factor.
 //
-// Storage: conductivity varies only with z, so every row of a level's
-// operator is fixed by its z plane and its lateral boundary class — first,
-// interior or last node in x and in y. Build reads the CSR operator it is
-// given into one 27-point stencil row per (plane, class) and keeps no
-// per-level matrix; it verifies every row against its class and returns an
-// empty hierarchy when any differs (the operator is then no lateral stencil,
-// and callers fall back to a single-level preconditioner).
+// Storage: on every level all lateral intervals but the last have one
+// shape, and conductivity varies only with z, so every operator row is fixed
+// by its z plane and its lateral boundary class on each axis — first,
+// interior, second-to-last or last node. Build reads the fine CSR operator
+// into one 27-point stencil row per (plane, class), verifying every row
+// against its class: it returns an empty hierarchy when any differs (the
+// operator is then no lateral stencil, and callers fall back to a
+// single-level preconditioner). Each coarse level's rows are then the
+// Galerkin product taken on the finer level's rows — O(planes x classes)
+// work, with no sparse matrix product and no per-level matrix.
 //
 // Components per level:
 //   * 4-color Z-LINE Gauss-Seidel smoothing: each lateral node column's
@@ -38,15 +46,11 @@
 //     and a fixed color order — bit-identical at any thread count.
 //     Post-smoothing runs the colors in REVERSE order, making the V-cycle
 //     a symmetric operator, required for use inside CG,
-//   * lateral-bilinear prolongation (identity in z) and its exact adjoint as
-//     restriction (full weighting up to the nested-space scaling),
-//   * a coarsest-grid solve: dense Cholesky when the coarse system is small
-//     (the common case — a 24x24 lateral grid bottoms out at 3x3), else a
-//     tight-tolerance Jacobi-CG fallback on the coarsest CSR operator, the
-//     only matrix the hierarchy keeps.
+//   * the transfers P and R = P^T above,
+//   * the dense Cholesky solve on the coarsest level.
 //
 // V-cycles run as a CG preconditioner (PrecondApply via
-// linalg::CgPreconditioner::kMultigrid).
+// linalg::CgPreconditioner::BuildMultigrid).
 //
 // Determinism and sharing: every kernel uses the deterministic parallel
 // runtime (fixed chunking, per-index writes, ordered reduction) — results
@@ -60,7 +64,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/cg.h"
 #include "linalg/csr.h"
 
 namespace p3d::linalg {
@@ -83,23 +86,20 @@ class MultigridHierarchy {
  public:
   MultigridHierarchy() = default;
 
-  /// The level shapes Build expects for a given fine grid: plan[0] is `fine`,
-  /// each following level halves nx/ny and keeps nz_nodes, until a lateral
-  /// dimension goes odd or would drop below 2 elements, or at 8 levels. Size
-  /// 1 means the grid cannot be coarsened — callers should fall back to a
-  /// single-level preconditioner instead of building a degenerate hierarchy.
+  /// The level shapes Build produces for a given fine grid: plan[0] is
+  /// `fine`, each following level takes nx and ny to ceil(n/2) and keeps
+  /// nz_nodes, until both lateral sizes are <= 2 elements. Size 1 means
+  /// `fine` is itself the coarsest level.
   static std::vector<MgGrid> CoarsenPlan(const MgGrid& fine);
 
-  /// Builds a hierarchy from per-level operators. `matrices[l]` must be the
-  /// (re-assembled or Galerkin) operator on `grids[l]`; grids must follow a
-  /// CoarsenPlan-shaped sequence (each level halves nx/ny, same nz_nodes).
-  /// The coarsest level gets a dense Cholesky factor up to 1,024 nodes and
-  /// Jacobi-CG solves above that. Returns an empty hierarchy when a smoothed
-  /// level's operator is not a lateral stencil: a row whose columns or
-  /// coefficient bits differ from the first row of its plane and boundary
-  /// class.
-  static MultigridHierarchy Build(std::vector<CsrMatrix> matrices,
-                                  std::vector<MgGrid> grids);
+  /// Builds the hierarchy of `fine`, the operator assembled on `grid`: every
+  /// CoarsenPlan level after the first is the Galerkin product P^T A P of
+  /// the level above it, and the last one gets a dense Cholesky factor.
+  /// Returns an empty hierarchy when `fine` is not a lateral stencil (a row
+  /// whose columns or coefficient bits differ from the first row of its
+  /// plane and boundary class) or its coarsest operator is not positive
+  /// definite.
+  static MultigridHierarchy Build(const CsrMatrix& fine, const MgGrid& grid);
 
   /// One V-cycle improving `x` (used as the initial iterate) toward
   /// A x = b on the finest level.
@@ -120,7 +120,8 @@ class MultigridHierarchy {
   const MgGrid& Grid(int level) const {
     return levels_[static_cast<std::size_t>(level)].grid;
   }
-  /// True when the coarsest level solves through the dense Cholesky factor.
+  /// True when the coarsest level solves through the dense Cholesky factor
+  /// (on every non-empty hierarchy).
   bool CoarseDirect() const { return !coarse_chol_.empty(); }
 
  private:
@@ -135,8 +136,8 @@ class MultigridHierarchy {
 
   struct Level {
     MgGrid grid;
-    // Indexed by (iz * 3 + cy) * 3 + cx, where cx and cy are the lateral
-    // boundary classes (0 first, 1 interior, 2 last).
+    // Indexed by (iz * 4 + cy) * 4 + cx, where cx and cy are the lateral
+    // boundary classes (0 first, 1 interior, 2 second-to-last, 3 last).
     // Empty on the coarsest level, which is never smoothed.
     std::vector<StencilRow> rows;
     // LDL^T factors of the z-line tridiagonal blocks, same indexing:
@@ -154,6 +155,12 @@ class MultigridHierarchy {
 
   /// Reads `a` into lvl->rows; false when some row is not its class's.
   static bool ExtractStencil(const CsrMatrix& a, Level* lvl);
+  /// The next coarser level: its rows are the Galerkin product P^T A P
+  /// taken on `fine`'s rows, one representative node per class.
+  static Level Coarsen(const Level& fine);
+  /// Dense Cholesky factor of the level's operator (see coarse_chol_);
+  /// empty when the operator is not positive definite.
+  static std::vector<double> FactorDense(const Level& lvl);
   /// LDL^T-factors the z-line tridiagonal blocks of lvl->rows.
   static void FactorLines(Level* lvl);
 
@@ -181,15 +188,12 @@ class MultigridHierarchy {
                 std::vector<double>* coarse, runtime::ThreadPool* pool) const;
   void ProlongAdd(int fine_level, const std::vector<double>& coarse,
                   std::vector<double>* fine, runtime::ThreadPool* pool) const;
-  void CoarseSolve(const std::vector<double>& b, std::vector<double>* x,
-                   runtime::ThreadPool* pool) const;
+  void CoarseSolve(const std::vector<double>& b, std::vector<double>* x) const;
 
   std::vector<Level> levels_;
   // Dense Cholesky factor of the coarsest operator, lower triangle packed
-  // row-major (row i holds i+1 entries). Empty = CG coarse solve on
-  // coarse_a_, which is kept only then.
+  // row-major (row i holds i+1 entries).
   std::vector<double> coarse_chol_;
-  CsrMatrix coarse_a_;
 };
 
 }  // namespace p3d::linalg

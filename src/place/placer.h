@@ -77,11 +77,11 @@ struct PlacementResult {
   // This run's share of its thermal::FeaContext::Stats.
   long long fea_solves = 0;        // thermal solves run during the flow
   long long fea_cg_iters = 0;      // CG iterations across them
-  long long fea_nonconverged = 0;  // solves that hit the iteration cap
+  long long fea_nonconverged = 0;  // solves that stopped unconverged
                                    // (also surfaced as fea/nonconverged in
                                    // the metrics registry and run-report QoR)
-  /// The preconditioner those solves used, after the assembly's fallbacks;
-  /// empty when the run solved no FEA.
+  /// The preconditioner those solves used (thermal::FeaPreconditioner's
+  /// choice); empty when the run solved no FEA.
   std::optional<linalg::PreconditionerKind> fea_precond;
 };
 
@@ -103,9 +103,9 @@ struct RunOptions {
 
   /// Seed each FEA solve from the previous temperature field.
   bool warm_start = true;
-  /// CG preconditioner for the FEA solves. Multigrid by default; a lateral
-  /// mesh that cannot be halved (odd fea_nx or fea_ny) solves with IC(0)
-  /// instead (PlacementResult::fea_precond reports which one ran).
+  /// CG preconditioner for the FEA solves: multigrid V-cycles on any mesh
+  /// by default, or Jacobi (PlacementResult::fea_precond reports which one
+  /// ran).
   linalg::PreconditionerKind preconditioner =
       linalg::PreconditionerKind::kMultigrid;
 

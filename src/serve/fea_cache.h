@@ -4,8 +4,7 @@
 // placements over ONE chip: every job shares the thermal stack, the die
 // extent, and the FEA mesh, so the expensive part of the PR-4 solver reuse
 // layer — stiffness-matrix assembly plus the preconditioner build (the
-// multigrid hierarchy, or the IC(0) factorization) — is
-// identical across jobs. This cache shares that immutable product
+// multigrid hierarchy) — is identical across jobs. This cache shares that immutable product
 // (thermal::FeaAssembly) between concurrent jobs keyed by exact geometry,
 // while each job keeps its own thermal::FeaContext so warm-start temperature
 // history never leaks between jobs (determinism contract: a job's solves are

@@ -298,10 +298,14 @@ FeaResult FeaSolver::Solve(const std::vector<double>& x,
   obs::MetricAdd("fea/solves", 1);
   std::vector<double> rhs = BuildRhs(x, y, layer, cell_power);
   std::vector<double> temp(static_cast<std::size_t>(NumNodes()), 0.0);
-  const linalg::CgResult cg = linalg::SolveCg(k_matrix_, rhs, &temp, options_.cg);
+  const linalg::CgResult cg = linalg::SolveCgPreconditioned(
+      k_matrix_,
+      FeaPreconditioner(options_.cg.preconditioner, k_matrix_, Grid()), rhs,
+      &temp, options_.cg);
   if (!cg.converged) {
-    util::LogWarn("fea: CG did not converge (residual %.3g after %d iters)",
-                  cg.residual_norm, cg.iters);
+    util::LogWarn("fea: CG did not converge (%s; residual %.3g after %d "
+                  "iters)",
+                  linalg::CgStopName(cg.stop), cg.residual_norm, cg.iters);
     obs::MetricAdd("fea/nonconverged", 1);
   }
   FeaResult result = ReadBack(std::move(temp), x, y, layer);
@@ -347,70 +351,23 @@ double FeaSolver::SampleTemp(const std::vector<double>& node_temp, double x,
 
 // --- FeaAssembly / FeaContext: assemble once, solve many ---------------------
 
-namespace {
-
-bool WantsMultigrid(const FeaOptions& options) {
-  return options.cg.preconditioner == linalg::PreconditionerKind::kMultigrid;
-}
-
-/// Builds the mesh hierarchy for `fine` by re-assembling the stiffness
-/// matrix on each 2x-lateral-coarsened grid (same stack, same z planes).
-/// Returns null when multigrid was not requested, when the lateral grid
-/// cannot be halved even once, or when BuildFeaHierarchy rejects a level.
-std::shared_ptr<const linalg::MultigridHierarchy> AssembleHierarchy(
-    const ThermalStack& stack, const ChipExtent& chip,
-    const FeaOptions& options, const FeaSolver& fine) {
-  if (!WantsMultigrid(options)) return nullptr;
-  const linalg::MgGrid fine_grid{fine.NumXElems(), fine.NumYElems(),
-                                 fine.NumZPlanes()};
-  std::vector<linalg::MgGrid> plan =
-      linalg::MultigridHierarchy::CoarsenPlan(fine_grid);
-  if (plan.size() < 2) {
+linalg::CgPreconditioner FeaPreconditioner(linalg::PreconditionerKind kind,
+                                           const linalg::CsrMatrix& matrix,
+                                           const linalg::MgGrid& grid) {
+  if (kind == linalg::PreconditionerKind::kMultigrid) {
+    obs::TraceScope trace("fea.mg_build");
+    linalg::MultigridHierarchy h =
+        linalg::MultigridHierarchy::Build(matrix, grid);
+    if (!h.empty()) {
+      return linalg::CgPreconditioner::BuildMultigrid(
+          std::make_shared<const linalg::MultigridHierarchy>(std::move(h)));
+    }
     util::LogWarn(
-        "fea: %dx%d lateral grid cannot be coarsened; multigrid disabled "
-        "(falling back to IC(0)-preconditioned CG)",
-        fine.NumXElems(), fine.NumYElems());
-    return nullptr;
+        "fea: %dx%d stiffness matrix admits no multigrid hierarchy; solving "
+        "with Jacobi-preconditioned CG",
+        grid.nx, grid.ny);
   }
-  obs::TraceScope trace("fea.mg_build");
-  std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(plan.size());
-  matrices.push_back(fine.matrix());
-  for (std::size_t l = 1; l < plan.size(); ++l) {
-    FeaOptions coarse_options = options;
-    coarse_options.nx = plan[l].nx;
-    coarse_options.ny = plan[l].ny;
-    const FeaSolver coarse(stack, chip, coarse_options);
-    assert(coarse.NumZPlanes() == fine.NumZPlanes());
-    matrices.push_back(coarse.matrix());
-  }
-  return BuildFeaHierarchy(std::move(matrices), std::move(plan));
-}
-
-}  // namespace
-
-std::shared_ptr<const linalg::MultigridHierarchy> BuildFeaHierarchy(
-    std::vector<linalg::CsrMatrix> levels, std::vector<linalg::MgGrid> plan) {
-  const linalg::MgGrid fine = plan.front();
-  linalg::MultigridHierarchy h =
-      linalg::MultigridHierarchy::Build(std::move(levels), std::move(plan));
-  if (h.empty()) {
-    util::LogWarn(
-        "fea: %dx%d stiffness matrix is not a lateral stencil; multigrid "
-        "disabled (falling back to IC(0)-preconditioned CG)",
-        fine.nx, fine.ny);
-    return nullptr;
-  }
-  return std::make_shared<const linalg::MultigridHierarchy>(std::move(h));
-}
-
-linalg::CgPreconditioner BuildFeaPreconditioner(
-    const FeaOptions& options, const linalg::CsrMatrix& matrix,
-    const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy) {
-  if (hierarchy != nullptr) {
-    return linalg::CgPreconditioner::BuildMultigrid(hierarchy);
-  }
-  return linalg::CgPreconditioner::Build(matrix, options.cg.preconditioner);
+  return linalg::CgPreconditioner::Build(matrix);
 }
 
 FeaAssembly::FeaAssembly(const ThermalStack& stack_in,
@@ -418,8 +375,9 @@ FeaAssembly::FeaAssembly(const ThermalStack& stack_in,
     : stack(stack_in),
       chip(chip_in),
       solver(stack_in, chip_in, options),
-      hierarchy(AssembleHierarchy(stack_in, chip_in, options, solver)),
-      precond(BuildFeaPreconditioner(options, solver.matrix(), hierarchy)) {}
+      precond(FeaPreconditioner(options.cg.preconditioner, solver.matrix(),
+                                solver.Grid())),
+      hierarchy(precond.hierarchy()) {}
 
 FeaContext::FeaContext(const ThermalStack& stack, const ChipExtent& chip,
                        const FeaContextOptions& options)
@@ -487,9 +445,9 @@ FeaResult FeaContext::Solve(const std::vector<double>& x,
   const linalg::CgResult cg = linalg::SolveCgPreconditioned(
       solver.matrix(), assembly_->precond, rhs, &temp, options_.fea.cg);
   if (!cg.converged) {
-    util::LogWarn("fea: thermal solve did not converge (residual %.3g after "
-                  "%d iters)",
-                  cg.residual_norm, cg.iters);
+    util::LogWarn("fea: thermal solve did not converge (%s; residual %.3g "
+                  "after %d iters)",
+                  linalg::CgStopName(cg.stop), cg.residual_norm, cg.iters);
     obs::MetricAdd("fea/nonconverged", 1);
     ++stats_.nonconverged;
   }

@@ -13,14 +13,12 @@
 // convective (Robin) on the bottom heat-sink face with h_sink, convective
 // with h_ambient on the top face, adiabatic sides. The assembled system is
 // symmetric positive definite and solved with preconditioned CG, as set by
-// FeaOptions::cg.preconditioner: Jacobi (the CgOptions default), IC(0), or
-// multigrid V-cycles (the placer's default,
-// place::RunOptions::preconditioner). Placement flows solve through
-// FeaContext, which builds the preconditioner once per geometry and can
-// warm-start each solve from the previous field. Multigrid needs that
-// context: the one-shot FeaSolver::Solve has no mesh hierarchy and solves a
-// multigrid request with IC(0) (linalg::SolveCg), as FeaContext does on a
-// grid it cannot coarsen.
+// FeaOptions::cg.preconditioner: multigrid V-cycles (the placer's default,
+// place::RunOptions::preconditioner) on any mesh, or Jacobi (the CgOptions
+// default). FeaPreconditioner is the one rule both solve paths follow.
+// Placement flows solve through FeaContext, which builds the preconditioner
+// once per geometry and can warm-start each solve from the previous field;
+// the one-shot FeaSolver::Solve builds it afresh on every call.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +38,8 @@ struct FeaOptions {
   int nx = 24;         // lateral elements in x
   int ny = 24;         // lateral elements in y
   int bulk_elems = 4;  // vertical elements through the bulk substrate
-  /// cg.preconditioner = kMultigrid makes FeaAssembly build a mesh
-  /// hierarchy by repeated 2x lateral coarsening (z planes kept) and share it
-  /// like the IC(0) factorization.
+  /// cg.preconditioner = kMultigrid makes FeaAssembly build a Galerkin mesh
+  /// hierarchy (lateral coarsening, z planes kept) and share it.
   linalg::CgOptions cg{.max_iters = 4000, .rel_tolerance = 1e-8};
 
   friend bool operator==(const FeaOptions&, const FeaOptions&) = default;
@@ -76,8 +73,9 @@ class FeaSolver {
 
   /// Solves for the temperature field given per-cell powers (W) and cell
   /// placements (center coordinates in metres, layer indices). One-shot:
-  /// builds a fresh preconditioner and cold-starts CG every call. Flows that
-  /// solve repeatedly should go through FeaContext below.
+  /// builds a fresh preconditioner (FeaPreconditioner) and cold-starts CG
+  /// every call. Flows that solve repeatedly should go through FeaContext
+  /// below.
   FeaResult Solve(const std::vector<double>& x, const std::vector<double>& y,
                   const std::vector<int>& layer,
                   const std::vector<double>& cell_power) const;
@@ -105,6 +103,8 @@ class FeaSolver {
   int NumXElems() const { return nx_; }
   int NumYElems() const { return ny_; }
   int NumZPlanes() const { return static_cast<int>(z_planes_.size()); }
+  /// The mesh as the multigrid hierarchy sees it.
+  linalg::MgGrid Grid() const { return {nx_, ny_, NumZPlanes()}; }
   const std::vector<double>& ZPlanes() const { return z_planes_; }
   /// Vertical element index of device layer `t`.
   int DeviceElemZ(int t) const { return device_elem_z_[static_cast<std::size_t>(t)]; }
@@ -153,20 +153,13 @@ struct FeaContextOptions {
                          const FeaContextOptions&) = default;
 };
 
-/// Multigrid over FEA stiffness matrices: `levels[l]` is assembled on
-/// `plan[l]`, a linalg::MultigridHierarchy::CoarsenPlan with at least two
-/// levels. Returns null, after a warning, when Build rejects a level that is
-/// not a lateral stencil; FeaAssembly then falls back to IC(0) as for a grid
-/// that cannot be coarsened.
-std::shared_ptr<const linalg::MultigridHierarchy> BuildFeaHierarchy(
-    std::vector<linalg::CsrMatrix> levels, std::vector<linalg::MgGrid> plan);
-
-/// The CG preconditioner an FeaAssembly solves `matrix` with: V-cycles over
-/// `hierarchy` when it is non-null, else linalg::CgPreconditioner::Build of
-/// the kind `options` requests (which builds IC(0) for a multigrid request).
-linalg::CgPreconditioner BuildFeaPreconditioner(
-    const FeaOptions& options, const linalg::CsrMatrix& matrix,
-    const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy);
+/// The CG preconditioner FEA solves `matrix`, assembled on `grid`, with:
+/// multigrid V-cycles for a kMultigrid request, on every mesh, and Jacobi
+/// for a kJacobi request. A matrix that is no lateral stencil on `grid`
+/// gets Jacobi, with a warning; kind() names the one built.
+linalg::CgPreconditioner FeaPreconditioner(linalg::PreconditionerKind kind,
+                                           const linalg::CsrMatrix& matrix,
+                                           const linalg::MgGrid& grid);
 
 /// The immutable product of one geometry assembly: the mesh solver (with its
 /// stiffness matrix) plus the prebuilt CG preconditioner, tagged with the
@@ -183,16 +176,10 @@ struct FeaAssembly {
   const ThermalStack stack;
   const ChipExtent chip;
   const FeaSolver solver;
-  /// Geometric-multigrid hierarchy over the solver's mesh (2x lateral
-  /// coarsening per level, z planes kept; coarse operators re-assembled on
-  /// the coarse meshes, which equals the Galerkin triple product here —
-  /// conductivity varies only with z, so the coarse spaces are nested).
-  /// Built only when `options` selects the multigrid preconditioner; null
-  /// otherwise, and null when the lateral grid cannot be halved even once
-  /// (odd nx/ny) or a level's matrix is not a lateral stencil — then the
-  /// solve falls back to IC(0)-preconditioned CG.
-  const std::shared_ptr<const linalg::MultigridHierarchy> hierarchy;
   const linalg::CgPreconditioner precond;
+  /// The Galerkin multigrid hierarchy over the solver's mesh that `precond`
+  /// runs V-cycles on; null when `precond` is Jacobi.
+  const std::shared_ptr<const linalg::MultigridHierarchy> hierarchy;
 };
 
 /// Solver reuse layer: holds a FeaAssembly (FeaSolver + prebuilt CG
@@ -251,7 +238,7 @@ class FeaContext {
     long long warm_starts = 0;   // solves seeded from a previous field
     long long iters_total = 0;   // CG iterations across all solves
     long long iters_saved = 0;   // vs. the first (cold) solve's iterations
-    long long nonconverged = 0;  // solves that hit the iteration cap
+    long long nonconverged = 0;  // solves that stopped unconverged
     double solve_seconds = 0.0;  // wall time in Solve() (reporting only —
                                  // never enters the metrics registry)
   };

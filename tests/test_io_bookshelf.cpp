@@ -109,6 +109,18 @@ TEST_F(BookshelfTest, ParseNetsWithDirectionsAndOffsets) {
   EXPECT_EQ(nl.DriverCell(1), 1);
 }
 
+TEST_F(BookshelfTest, ControlWhitespaceLinesAreBlank) {
+  // \v and \f split tokens like a space does, so a line of nothing else
+  // is blank: no parser may ask it for a first token.
+  WriteFile("d.nodes", kNodes);
+  WriteFile("d.nets", std::string(kNets) + "\v\f\n \v\n");
+  netlist::Netlist nl;
+  ASSERT_TRUE(ParseNodesFile(dir_ + "/d.nodes", 1e-6, &nl).ok());
+  ASSERT_TRUE(ParseNetsFile(dir_ + "/d.nets", 1e-6, &nl).ok());
+  EXPECT_EQ(nl.NumNets(), 2);
+  EXPECT_EQ(nl.NumPins(), 5);
+}
+
 TEST_F(BookshelfTest, ParsePlWithLayerColumn) {
   WriteFile("d.nodes", kNodes);
   WriteFile("d.nets", kNets);

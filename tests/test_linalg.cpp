@@ -8,6 +8,7 @@
 #include "linalg/cg.h"
 #include "linalg/csr.h"
 #include "linalg/multigrid.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -193,8 +194,7 @@ TEST_P(CgRandomSpd, RecoversKnownSolution) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CgRandomSpd, ::testing::Values(5, 20, 100, 400));
 
 
-/// 2D Laplacian (5-point stencil) on an nx * ny grid: the same structure as
-/// the FEA thermal matrices, where IC(0) is meant to earn its keep.
+/// 2D Laplacian (5-point stencil) on an nx * ny grid, shifted to stay SPD.
 CsrMatrix Laplacian2d(int nx, int ny) {
   CooBuilder coo(nx * ny);
   for (int j = 0; j < ny; ++j) {
@@ -210,102 +210,40 @@ CsrMatrix Laplacian2d(int nx, int ny) {
   return CsrMatrix::FromCoo(coo);
 }
 
-TEST(CgIc0, ConvergesAndBeatsJacobiOnLaplacian) {
-  const CsrMatrix a = Laplacian2d(24, 24);
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()), 0.0);
-  util::Rng rng(7);
-  for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
-  std::vector<double> b;
-  a.Multiply(truth, &b);
-
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  std::vector<double> x_j;
-  opt.preconditioner = PreconditionerKind::kJacobi;
-  const CgResult rj = SolveCg(a, b, &x_j, opt);
-  std::vector<double> x_ic;
-  opt.preconditioner = PreconditionerKind::kIc0;
-  const CgResult ric = SolveCg(a, b, &x_ic, opt);
-
-  ASSERT_TRUE(rj.converged);
-  ASSERT_TRUE(ric.converged);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(x_j[i], truth[i], 1e-6);
-    EXPECT_NEAR(x_ic[i], truth[i], 1e-6);
-  }
-  // The point of IC(0): materially fewer iterations than Jacobi.
-  EXPECT_LT(ric.iters, rj.iters);
-}
-
-TEST(CgIc0, CleanFactorNeedsNoShift) {
-  const CsrMatrix a = Laplacian2d(8, 8);
-  const CgPreconditioner p = CgPreconditioner::Build(a, PreconditionerKind::kIc0);
-  EXPECT_EQ(p.kind(), PreconditionerKind::kIc0);
-  EXPECT_FALSE(p.empty());
-  EXPECT_DOUBLE_EQ(p.ic_shift(), 0.0);
-}
-
-TEST(CgIc0, PrebuiltPreconditionerReusesAcrossRhs) {
-  const CsrMatrix a = Laplacian2d(16, 16);
-  const CgPreconditioner p = CgPreconditioner::Build(a, PreconditionerKind::kIc0);
-  util::Rng rng(11);
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  for (int rhs = 0; rhs < 3; ++rhs) {
-    std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
-    for (auto& v : truth) v = rng.NextDouble(-5.0, 5.0);
-    std::vector<double> b;
-    a.Multiply(truth, &b);
-    std::vector<double> x;
-    const CgResult r = SolveCgPreconditioned(a, p, b, &x, opt);
-    ASSERT_TRUE(r.converged) << "rhs " << rhs;
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-      EXPECT_NEAR(x[i], truth[i], 1e-6);
-    }
-  }
-}
-
-TEST(CgIc0, WarmStartFromSolutionExitsImmediately) {
+TEST(Cg, RecordsWhyItStopped) {
+  // Converged, the iteration cap, or a breakdown (p'Ap <= 0 or r'z <= 0),
+  // each also counted as a deterministic metric.
+  obs::MetricsRegistry registry;
+  obs::InstallMetrics(&registry);
   const CsrMatrix a = Laplacian2d(12, 12);
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()), 1.0), b;
-  a.Multiply(truth, &b);
-  CgOptions opt;
-  opt.preconditioner = PreconditionerKind::kIc0;
+  const std::vector<double> b(static_cast<std::size_t>(a.Dim()), 1.0);
   std::vector<double> x;
-  const CgResult cold = SolveCg(a, b, &x, opt);
-  ASSERT_TRUE(cold.converged);
-  EXPECT_GT(cold.iters, 0);
-  // Seeding with the previous solution: the initial residual is already
-  // below tolerance, so the solve must early-exit without iterating.
-  const CgResult warm = SolveCg(a, b, &x, opt);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_EQ(warm.iters, 0);
-}
+  const CgResult done = SolveCg(a, b, &x, {.rel_tolerance = 1e-10});
+  EXPECT_TRUE(done.converged);
+  EXPECT_EQ(done.stop, CgStop::kConverged);
 
-TEST(CgIc0, MatchesJacobiBitwiseAcrossThreadCounts) {
-  // The determinism contract: for a fixed preconditioner, the solution bytes
-  // do not depend on the thread count.
-  const CsrMatrix a = Laplacian2d(10, 14);
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim())), b;
-  util::Rng rng(3);
-  for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
-  a.Multiply(truth, &b);
-  for (const PreconditionerKind kind :
-       {PreconditionerKind::kJacobi, PreconditionerKind::kIc0}) {
-    CgOptions opt;
-    opt.preconditioner = kind;
-    opt.threads = 1;
-    std::vector<double> x1;
-    const CgResult r1 = SolveCg(a, b, &x1, opt);
-    opt.threads = 4;
-    std::vector<double> x4;
-    const CgResult r4 = SolveCg(a, b, &x4, opt);
-    ASSERT_TRUE(r1.converged);
-    EXPECT_EQ(r1.iters, r4.iters);
-    for (std::size_t i = 0; i < x1.size(); ++i) {
-      EXPECT_EQ(x1[i], x4[i]) << PreconditionerName(kind) << " row " << i;
-    }
-  }
+  x.clear();
+  const CgResult capped = SolveCg(a, b, &x, {.max_iters = 1});
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(capped.stop, CgStop::kCap);
+  EXPECT_EQ(capped.iters, 1);
+
+  // diag(1, -1): the Jacobi-preconditioned r'z of b = (1, 1) is 0.
+  CooBuilder coo(2);
+  coo.Add(0, 0, 1.0);
+  coo.Add(1, 1, -1.0);
+  x.clear();
+  const CgResult broke = SolveCg(CsrMatrix::FromCoo(coo), {1.0, 1.0}, &x);
+  EXPECT_FALSE(broke.converged);
+  EXPECT_EQ(broke.stop, CgStop::kBreakdown);
+  obs::InstallMetrics(nullptr);
+
+  EXPECT_EQ(registry.Counter("cg/solves"), 3);
+  EXPECT_EQ(registry.Counter("cg/stop_cap"), 1);
+  EXPECT_EQ(registry.Counter("cg/stop_breakdown"), 1);
+  EXPECT_EQ(registry.Counter("cg/unconverged"), 2);
+  EXPECT_STREQ(CgStopName(CgStop::kCap), "cap");
+  EXPECT_STREQ(CgStopName(CgStop::kBreakdown), "breakdown");
 }
 
 // --- geometric multigrid ----------------------------------------------------
@@ -389,20 +327,12 @@ struct PoissonMg {
   std::shared_ptr<const MultigridHierarchy> mg;
 };
 
-/// `plan` is a CoarsenPlan or a prefix of one.
-PoissonMg BuildPoissonHierarchy(const std::vector<MgGrid>& plan) {
-  std::vector<CsrMatrix> mats;
-  mats.reserve(plan.size());
-  for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
-  PoissonMg p{mats.front(), nullptr};
-  p.mg = std::make_shared<const MultigridHierarchy>(
-      MultigridHierarchy::Build(std::move(mats), plan));
-  return p;
-}
-
 PoissonMg BuildPoissonHierarchy(int nx, int ny, int nz_nodes) {
-  return BuildPoissonHierarchy(
-      MultigridHierarchy::CoarsenPlan({nx, ny, nz_nodes}));
+  const MgGrid grid{nx, ny, nz_nodes};
+  PoissonMg p{PoissonHex(grid, 0.25), nullptr};
+  p.mg = std::make_shared<const MultigridHierarchy>(
+      MultigridHierarchy::Build(p.a, grid));
+  return p;
 }
 
 /// CG on the fine operator, preconditioned by the hierarchy's V-cycle.
@@ -415,19 +345,28 @@ CgResult SolveMgPcg(const PoissonMg& p, const std::vector<double>& b,
 
 TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
   const auto plan = MultigridHierarchy::CoarsenPlan({24, 24, 12});
-  ASSERT_EQ(plan.size(), 4u);  // 24 -> 12 -> 6 -> 3 (odd: stop)
+  ASSERT_EQ(plan.size(), 5u);  // 24 -> 12 -> 6 -> 3 -> 2
   EXPECT_EQ(plan[1].nx, 12);
   EXPECT_EQ(plan[3].nx, 3);
-  EXPECT_EQ(plan[3].ny, 3);
+  EXPECT_EQ(plan[4].nx, 2);
+  EXPECT_EQ(plan[4].ny, 2);
   for (const auto& g : plan) EXPECT_EQ(g.nz_nodes, 12);
-  // Odd lateral grids cannot be coarsened at all.
-  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({25, 24, 12}).size(), 1u);
-  // Coarsening stops before a lateral dimension drops below 2 elements...
-  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({8, 4, 3}).size(), 2u);
-  // ... and at 8 levels.
+  // Odd sizes go to ceil(n/2), each axis on its own.
+  const auto odd = MultigridHierarchy::CoarsenPlan({25, 24, 12});
+  ASSERT_EQ(odd.size(), 5u);  // x: 25 -> 13 -> 7 -> 4 -> 2
+  EXPECT_EQ(odd[1], (MgGrid{13, 12, 12}));
+  EXPECT_EQ(odd[2], (MgGrid{7, 6, 12}));
+  EXPECT_EQ(odd[3], (MgGrid{4, 3, 12}));
+  // Coarsening stops once both lateral sizes are <= 2, however small one
+  // of them got...
+  const auto flat = MultigridHierarchy::CoarsenPlan({8, 4, 3});
+  ASSERT_EQ(flat.size(), 3u);
+  EXPECT_EQ(flat.back(), (MgGrid{2, 1, 3}));
+  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({2, 2, 5}).size(), 1u);
+  // ... and only then: no level cap.
   const auto deep = MultigridHierarchy::CoarsenPlan({512, 512, 2});
-  ASSERT_EQ(deep.size(), 8u);
-  EXPECT_EQ(deep.back().nx, 4);
+  ASSERT_EQ(deep.size(), 9u);
+  EXPECT_EQ(deep.back().nx, 2);
 }
 
 TEST(Multigrid, PreconditionedSolveConvergesFast) {
@@ -456,59 +395,69 @@ TEST(Multigrid, PreconditionedSolveConvergesFast) {
 
 TEST(Multigrid, PreconditionerIsSymmetric) {
   // CG requires a symmetric preconditioner: check <B u, v> == <u, B v> for
-  // random vectors (equal pre/post weighted-Jacobi sweeps keep it so).
-  const PoissonMg p = BuildPoissonHierarchy(8, 8, 3);
-  util::Rng rng(23);
-  const std::size_t n = static_cast<std::size_t>(p.mg->Dim());
-  std::vector<double> u(n), v(n), bu, bv;
-  for (auto& e : u) e = rng.NextDouble(-1.0, 1.0);
-  for (auto& e : v) e = rng.NextDouble(-1.0, 1.0);
-  p.mg->PrecondApply(u, &bu);
-  p.mg->PrecondApply(v, &bv);
-  double buv = 0.0, ubv = 0.0, scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    buv += bu[i] * v[i];
-    ubv += u[i] * bv[i];
-    scale += std::abs(bu[i] * v[i]);
+  // random vectors (the post-smoothing sweep is the pre-smoothing one's
+  // adjoint and R = P^T). The odd grid injects its last fine node on
+  // both axes at every level.
+  for (const MgGrid g : {MgGrid{8, 8, 3}, MgGrid{9, 7, 3}}) {
+    const PoissonMg p = BuildPoissonHierarchy(g.nx, g.ny, g.nz_nodes);
+    util::Rng rng(23);
+    const std::size_t n = static_cast<std::size_t>(p.mg->Dim());
+    std::vector<double> u(n), v(n), bu, bv;
+    for (auto& e : u) e = rng.NextDouble(-1.0, 1.0);
+    for (auto& e : v) e = rng.NextDouble(-1.0, 1.0);
+    p.mg->PrecondApply(u, &bu);
+    p.mg->PrecondApply(v, &bv);
+    double buv = 0.0, ubv = 0.0, scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      buv += bu[i] * v[i];
+      ubv += u[i] * bv[i];
+      scale += std::abs(bu[i] * v[i]);
+    }
+    EXPECT_NEAR(buv, ubv, 1e-10 * scale + 1e-14) << g.nx << "x" << g.ny;
   }
-  EXPECT_NEAR(buv, ubv, 1e-10 * scale + 1e-14);
 }
 
-TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
-  const PoissonMg p = BuildPoissonHierarchy(32, 32, 4);
-  const CsrMatrix& a = p.a;
-  util::Rng rng(5);
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
-  for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
-  std::vector<double> b;
-  a.Multiply(truth, &b);
+TEST(Multigrid, PreconditionedCgMatchesJacobiReference) {
+  // Multigrid-preconditioned CG at 1e-10 against a Jacobi-CG reference at
+  // 1e-12, on an even and an odd grid.
+  for (const MgGrid g : {MgGrid{32, 32, 4}, MgGrid{25, 19, 4}}) {
+    const PoissonMg p = BuildPoissonHierarchy(g.nx, g.ny, g.nz_nodes);
+    const CsrMatrix& a = p.a;
+    util::Rng rng(5);
+    std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
+    for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
+    std::vector<double> b;
+    a.Multiply(truth, &b);
 
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  std::vector<double> x_ic;
-  opt.preconditioner = PreconditionerKind::kIc0;
-  const CgResult ric = SolveCg(a, b, &x_ic, opt);
+    std::vector<double> want;
+    const CgResult rj =
+        SolveCg(a, b, &want, {.max_iters = 20000, .rel_tolerance = 1e-12});
 
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(p.mg);
-  EXPECT_EQ(pmg.kind(), PreconditionerKind::kMultigrid);
-  EXPECT_FALSE(pmg.empty());
-  std::vector<double> x_mg;
-  const CgResult rmg = SolveCgPreconditioned(a, pmg, b, &x_mg, opt);
+    const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(p.mg);
+    EXPECT_EQ(pmg.kind(), PreconditionerKind::kMultigrid);
+    EXPECT_FALSE(pmg.empty());
+    std::vector<double> x_mg;
+    const CgResult rmg =
+        SolveCgPreconditioned(a, pmg, b, &x_mg, {.rel_tolerance = 1e-10});
 
-  ASSERT_TRUE(ric.converged);
-  ASSERT_TRUE(rmg.converged);
-  EXPECT_LE(rmg.iters, ric.iters);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(x_mg[i], x_ic[i], 1e-7);
+    ASSERT_TRUE(rj.converged) << g.nx << "x" << g.ny;
+    ASSERT_TRUE(rmg.converged) << g.nx << "x" << g.ny;
+    EXPECT_LE(rmg.iters, 15) << g.nx << "x" << g.ny;
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      EXPECT_NEAR(x_mg[i], want[i], 1e-7) << g.nx << "x" << g.ny;
+    }
   }
 }
 
 TEST(Multigrid, DeterministicAcrossThreadCounts) {
-  // 10x6 coarsens once (to 5x3) and has first, interior and last nodes on
-  // both lateral axes, so every one of the nine boundary classes runs
-  // through the smoother, the residual and the transfers.
-  const PoissonMg p = BuildPoissonHierarchy(10, 6, 4);
-  ASSERT_EQ(p.mg->NumLevels(), 2);
+  // 13x7 coarsens to 7x4, 4x2 and 2x1. Both odd axes inject their last
+  // node, and the fine and first coarse levels have first, interior,
+  // second-to-last and last nodes on both axes, so all sixteen lateral
+  // boundary classes run through the smoother, the residual and the
+  // transfers.
+  const PoissonMg p = BuildPoissonHierarchy(13, 7, 4);
+  ASSERT_EQ(p.mg->NumLevels(), 4);
+  EXPECT_EQ(p.mg->Grid(1), (MgGrid{7, 4, 4}));
   util::Rng rng(29);
   std::vector<double> truth(static_cast<std::size_t>(p.mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-3.0, 3.0);
@@ -545,15 +494,9 @@ TEST(Multigrid, NonStencilMatrixYieldsEmptyHierarchy) {
   // ulp off, or one column missing — must reject the whole hierarchy
   // instead of smoothing with the wrong operator.
   const MgGrid fine{8, 8, 3};
-  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine);
-  const auto levels = [&] {
-    std::vector<CsrMatrix> mats;
-    for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
-    return mats;
-  };
-  EXPECT_FALSE(MultigridHierarchy::Build(levels(), plan).empty());
-
   const CsrMatrix a = PoissonHex(fine, 0.25);
+  EXPECT_FALSE(MultigridHierarchy::Build(a, fine).empty());
+
   const std::int32_t row = 4 + 9 * (4 + 9 * 1);  // an interior node
   const std::size_t k = static_cast<std::size_t>(a.row_ptr()[row]) + 3;
   for (const bool drop : {false, true}) {
@@ -570,65 +513,32 @@ TEST(Multigrid, NonStencilMatrixYieldsEmptyHierarchy) {
     } else {
       vals[k] = std::nextafter(vals[k], 1.0);
     }
-    std::vector<CsrMatrix> mats = levels();
-    mats[0] = CsrMatrix(a.Dim(), std::move(row_ptr), std::move(cols),
+    const CsrMatrix bad(a.Dim(), std::move(row_ptr), std::move(cols),
                         std::move(vals));
-    const MultigridHierarchy h =
-        MultigridHierarchy::Build(std::move(mats), plan);
+    const MultigridHierarchy h = MultigridHierarchy::Build(bad, fine);
     EXPECT_TRUE(h.empty()) << (drop ? "dropped column" : "perturbed value");
     EXPECT_EQ(h.NumLevels(), 0);
     EXPECT_EQ(h.Dim(), 0);
   }
 }
 
-TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
-  // The full plan of a 40x40 grid bottoms out at 5x5 (180 nodes, dense
-  // Cholesky); its two-level prefix stops at 20x20, whose 2,205 nodes are
-  // above the 1,024-node limit of the direct coarse solve.
-  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan({40, 40, 5});
-  ASSERT_EQ(plan.size(), 4u);
-  const PoissonMg direct = BuildPoissonHierarchy(plan);
-  const PoissonMg iterative =
-      BuildPoissonHierarchy({plan.begin(), plan.begin() + 2});
-  EXPECT_TRUE(direct.mg->CoarseDirect());
-  EXPECT_FALSE(iterative.mg->CoarseDirect());
-
+TEST(Multigrid, CoarsestGridSolvesExactly) {
+  // A grid already at the coarsest size is one level: the V-cycle is the
+  // dense Cholesky solve, and CG converges in one iteration.
+  const PoissonMg p = BuildPoissonHierarchy(2, 1, 3);
+  ASSERT_EQ(p.mg->NumLevels(), 1);
+  EXPECT_TRUE(p.mg->CoarseDirect());
+  std::vector<double> truth(static_cast<std::size_t>(p.mg->Dim()));
   util::Rng rng(31);
-  std::vector<double> truth(static_cast<std::size_t>(direct.mg->Dim()));
   for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
-  std::vector<double> b;
-  direct.a.Multiply(truth, &b);
-  std::vector<double> xd, xi;
-  const CgResult rd = SolveMgPcg(direct, b, &xd);
-  const CgResult ri = SolveMgPcg(iterative, b, &xi);
-  ASSERT_TRUE(rd.converged);
-  ASSERT_TRUE(ri.converged);
-  for (std::size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xd[i], xi[i], 1e-8);
-}
-
-TEST(Multigrid, BareMatrixBuildDegradesToIc0) {
-  // Build(a, kMultigrid) has no grid information: it builds IC(0), the
-  // preconditioner the FEA runs on a grid it cannot coarsen.
-  const CsrMatrix a = Laplacian2d(8, 8);
-  const CgPreconditioner p =
-      CgPreconditioner::Build(a, PreconditionerKind::kMultigrid);
-  EXPECT_EQ(p.kind(), PreconditionerKind::kIc0);
-  EXPECT_FALSE(p.empty());
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()), 1.0), b, x;
-  a.Multiply(truth, &b);
-  const CgResult r = SolveCgPreconditioned(a, p, b, &x, {.rel_tolerance = 1e-10});
-  EXPECT_TRUE(r.converged);
-  // Bit for bit the solve of an explicit IC(0) request, through SolveCg too.
-  std::vector<double> want, got;
-  const CgOptions ic0{.rel_tolerance = 1e-10,
-                      .preconditioner = PreconditionerKind::kIc0};
-  CgOptions mg = ic0;
-  mg.preconditioner = PreconditionerKind::kMultigrid;
-  const CgResult r_ic0 = SolveCg(a, b, &want, ic0);
-  const CgResult r_mg = SolveCg(a, b, &got, mg);
-  EXPECT_EQ(r_mg.iters, r_ic0.iters);
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(got, x);
+  std::vector<double> b, x;
+  p.a.Multiply(truth, &b);
+  p.mg->VCycle(b, &x);
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_NEAR(x[i], truth[i], 1e-9);
+  }
+  x.clear();
+  EXPECT_EQ(SolveMgPcg(p, b, &x).iters, 1);
 }
 
 }  // namespace

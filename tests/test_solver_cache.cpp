@@ -116,7 +116,7 @@ TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
   // EvaluatePlacement solves through a fresh FeaContext with the default
   // (multigrid) options; its one cold solve is bit for bit the solve of any
   // other fresh context built from those options. It agrees with a one-shot
-  // IC(0) solve to CG tolerance.
+  // Jacobi solve to CG tolerance.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(200, 28);
   place::PlacerParams params = ThermalParams();
@@ -146,10 +146,10 @@ TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
   EXPECT_EQ(r.max_temp_c, want.max_cell_temp);
   EXPECT_EQ(r.fea_cg_iters, want.cg_iters);
 
-  thermal::FeaOptions ic0 = place::FeaOptionsFor(params, {});
-  ic0.cg.preconditioner = linalg::PreconditionerKind::kIc0;
+  thermal::FeaOptions jacobi = place::FeaOptionsFor(params, {});
+  jacobi.cg.preconditioner = linalg::PreconditionerKind::kJacobi;
   const thermal::FeaResult oneshot =
-      thermal::FeaSolver(params.stack, extent, ic0)
+      thermal::FeaSolver(params.stack, extent, jacobi)
           .Solve(placed.placement.x, placed.placement.y,
                  placed.placement.layer, power.cell_power);
   EXPECT_NEAR(r.avg_temp_c, oneshot.avg_cell_temp,
@@ -160,8 +160,8 @@ TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
 
 TEST(SolverCache, RunReportNamesThePreconditionerThatRan) {
   // The report names the preconditioner the assembly actually built: the
-  // multigrid default on an even mesh, IC(0) where the lateral grid cannot
-  // be halved. A run without FEA names none.
+  // multigrid default, on an odd mesh too, and Jacobi on request. A run
+  // without FEA names none.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(150, 30);
   const auto report_of = [&](const place::PlacerParams& params,
@@ -183,7 +183,11 @@ TEST(SolverCache, RunReportNamesThePreconditionerThatRan) {
   params.fea_nx = 25;
   const obs::JsonValue odd = report_of(params, {.with_fea = true});
   ASSERT_NE(odd.Find("params")->Find("fea_precond"), nullptr);
-  EXPECT_EQ(odd.Find("params")->Find("fea_precond")->AsString(), "ic0");
+  EXPECT_EQ(odd.Find("params")->Find("fea_precond")->AsString(), "multigrid");
+  const obs::JsonValue jacobi = report_of(
+      params, {.with_fea = true,
+               .preconditioner = linalg::PreconditionerKind::kJacobi});
+  EXPECT_EQ(jacobi.Find("params")->Find("fea_precond")->AsString(), "jacobi");
 
   params.fea_per_pass = false;
   const obs::JsonValue none = report_of(params, {.with_fea = false});
@@ -244,20 +248,21 @@ TEST(SolverCache, PreconditionerChoiceDoesNotAffectPlacement) {
   const netlist::Netlist nl = Circuit(250, 23);
   const place::PlacerParams params = ThermalParams();
 
-  const RunOutput ic0 = RunWith(
+  const RunOutput mg = RunWith(
       nl, params,
-      {.with_fea = true, .preconditioner = linalg::PreconditionerKind::kIc0});
+      {.with_fea = true,
+       .preconditioner = linalg::PreconditionerKind::kMultigrid});
   const RunOutput jacobi =
       RunWith(nl, params,
               {.with_fea = true,
                .preconditioner = linalg::PreconditionerKind::kJacobi});
 
-  ExpectSamePlacement(ic0.result, jacobi.result);
-  ASSERT_TRUE(ic0.result.fea_valid);
+  ExpectSamePlacement(mg.result, jacobi.result);
+  ASSERT_TRUE(mg.result.fea_valid);
   ASSERT_TRUE(jacobi.result.fea_valid);
-  EXPECT_NEAR(ic0.result.avg_temp_c, jacobi.result.avg_temp_c, 1e-4);
-  // IC(0) is the one doing less work.
-  EXPECT_LT(ic0.result.fea_cg_iters, jacobi.result.fea_cg_iters);
+  EXPECT_NEAR(mg.result.avg_temp_c, jacobi.result.avg_temp_c, 1e-4);
+  // Multigrid is the one doing less work.
+  EXPECT_LT(mg.result.fea_cg_iters, jacobi.result.fea_cg_iters);
 }
 
 TEST(SolverCache, ReuseIsVisibleInSolverMetrics) {
@@ -287,14 +292,14 @@ TEST(SolverCache, ReuseIsVisibleInSolverMetrics) {
 TEST(SolverCache, FeaContextWarmStartConvergesWithEveryPreconditioner) {
   // FeaContext on a thermal fixture: one assembly, warm-started re-solves,
   // deterministic cold restart after a geometry change. Multigrid rides the
-  // same contract as Jacobi/IC(0) — here as the CG preconditioner (the
-  // 10-elem lateral grid still halves once, to 5x5).
+  // same contract as Jacobi — here as the CG preconditioner (the 10-elem
+  // lateral grid coarsens 10 -> 5 -> 3 -> 2).
   thermal::ThermalStack stack;
   stack.num_layers = 3;
   const thermal::ChipExtent chip{1e-3, 1e-3};
 
   for (const linalg::PreconditionerKind kind :
-       {linalg::PreconditionerKind::kJacobi, linalg::PreconditionerKind::kIc0,
+       {linalg::PreconditionerKind::kJacobi,
         linalg::PreconditionerKind::kMultigrid}) {
     thermal::FeaContextOptions opt;
     opt.fea.nx = 10;
@@ -396,15 +401,14 @@ TEST(SolverCache, AnomalyMonitorFlagsFeaNonconvergence) {
   EXPECT_EQ(registry.Counter("anomaly/fea_nonconverged"), 1);
 }
 
-TEST(SolverCache, MultigridMatchesIc0AtEqualTolerance) {
-  // Same FEA system, same 1e-8 relative tolerance: multigrid-preconditioned
-  // CG and IC(0)-preconditioned CG must agree on the temperatures they
-  // report.
+TEST(SolverCache, MultigridMatchesJacobiReference) {
+  // Same FEA system: multigrid-preconditioned CG at the 1e-8 default
+  // tolerance must report the temperatures of a Jacobi-CG solve at 1e-12.
   thermal::ThermalStack stack;
   stack.num_layers = 4;
   const thermal::ChipExtent chip{1e-3, 1e-3};
   thermal::FeaContextOptions base;
-  base.fea.nx = 24;  // coarsens 24 -> 12 -> 6 -> 3
+  base.fea.nx = 24;  // coarsens 24 -> 12 -> 6 -> 3 -> 2
   base.fea.ny = 24;
   base.fea.bulk_elems = 4;
 
@@ -413,53 +417,33 @@ TEST(SolverCache, MultigridMatchesIc0AtEqualTolerance) {
   const std::vector<int> layer{0, 2, 3};
   const std::vector<double> power{0.05, 0.08, 0.03};
 
-  thermal::FeaContextOptions ic0 = base;
-  ic0.fea.cg.preconditioner = linalg::PreconditionerKind::kIc0;
-  thermal::FeaContext ctx_ic0(stack, chip, ic0);
-  const thermal::FeaResult want = ctx_ic0.Solve(x, y, layer, power);
+  thermal::FeaContextOptions jacobi = base;
+  jacobi.fea.cg = {.max_iters = 50000,
+                   .rel_tolerance = 1e-12,
+                   .preconditioner = linalg::PreconditionerKind::kJacobi};
+  thermal::FeaContext ctx_jacobi(stack, chip, jacobi);
+  const thermal::FeaResult want = ctx_jacobi.Solve(x, y, layer, power);
   ASSERT_TRUE(want.converged);
 
   thermal::FeaContextOptions mgpc = base;
   mgpc.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
   thermal::FeaContext ctx_mgpc(stack, chip, mgpc);
   ASSERT_NE(ctx_mgpc.assembly()->hierarchy, nullptr);
-  EXPECT_EQ(ctx_mgpc.assembly()->hierarchy->NumLevels(), 4);
+  EXPECT_EQ(ctx_mgpc.assembly()->hierarchy->NumLevels(), 5);
   const thermal::FeaResult precond = ctx_mgpc.Solve(x, y, layer, power);
   ASSERT_TRUE(precond.converged);
-  // V-cycle preconditioning converges in fewer iterations than IC(0).
-  EXPECT_LT(precond.cg_iters, want.cg_iters);
+  EXPECT_LE(precond.cg_iters, 15);
 
   EXPECT_NEAR(precond.avg_cell_temp, want.avg_cell_temp,
-              std::abs(want.avg_cell_temp) * 1e-4 + 1e-6);
+              std::abs(want.avg_cell_temp) * 1e-6);
   EXPECT_NEAR(precond.max_cell_temp, want.max_cell_temp,
-              std::abs(want.max_cell_temp) * 1e-4 + 1e-6);
-}
-
-TEST(SolverCache, MultigridFallsBackWhenGridCannotCoarsen) {
-  // An odd lateral grid cannot be halved even once; the assembly must
-  // degrade to IC(0)-preconditioned CG instead of failing.
-  thermal::ThermalStack stack;
-  stack.num_layers = 2;
-  const thermal::ChipExtent chip{1e-3, 1e-3};
-  thermal::FeaContextOptions opt;
-  opt.fea.nx = 11;
-  opt.fea.ny = 11;
-  opt.fea.bulk_elems = 2;
-  opt.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
-
-  util::ScopedLogLevel quiet(util::LogLevel::kError);
-  thermal::FeaContext ctx(stack, chip, opt);
-  EXPECT_EQ(ctx.assembly()->hierarchy, nullptr);
-  EXPECT_EQ(ctx.preconditioner().kind(), linalg::PreconditionerKind::kIc0);
-  const thermal::FeaResult r =
-      ctx.Solve({0.3e-3}, {0.4e-3}, {1}, {0.05});
-  EXPECT_TRUE(r.converged);
+              std::abs(want.max_cell_temp) * 1e-6);
 }
 
 TEST(SolverCache, MultigridFallsBackOnNonStencilMatrix) {
   // The hierarchy stores each level as lateral stencil rows. A stiffness
-  // matrix with one row off its stencil yields no hierarchy, and the
-  // assembly's preconditioner degrades to IC(0), as for an odd grid.
+  // matrix with one row off its stencil yields no hierarchy, and the FEA
+  // preconditioner degrades to Jacobi, with a warning.
   thermal::ThermalStack stack;
   stack.num_layers = 2;
   const thermal::ChipExtent chip{1e-3, 1e-3};
@@ -469,34 +453,24 @@ TEST(SolverCache, MultigridFallsBackOnNonStencilMatrix) {
   opt.bulk_elems = 2;
   opt.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
   const thermal::FeaSolver fine(stack, chip, opt);
-  const std::vector<linalg::MgGrid> plan =
-      linalg::MultigridHierarchy::CoarsenPlan(
-          {fine.NumXElems(), fine.NumYElems(), fine.NumZPlanes()});
-  ASSERT_EQ(plan.size(), 3u);  // 8 -> 4 -> 2
-  std::vector<linalg::CsrMatrix> levels;
-  for (const linalg::MgGrid& g : plan) {
-    thermal::FeaOptions level = opt;
-    level.nx = g.nx;
-    level.ny = g.ny;
-    levels.push_back(thermal::FeaSolver(stack, chip, level).matrix());
-  }
-  ASSERT_NE(thermal::BuildFeaHierarchy(levels, plan), nullptr);
-
+  const linalg::MgGrid grid = fine.Grid();
   const linalg::CsrMatrix& a = fine.matrix();
+  EXPECT_EQ(thermal::FeaPreconditioner(opt.cg.preconditioner, a, grid).kind(),
+            linalg::PreconditionerKind::kMultigrid);
+
   std::vector<double> vals = a.values();
   const int interior_node = 4 + 9 * (4 + 9 * 3);  // (4, 4) on plane 3
   vals[static_cast<std::size_t>(a.row_ptr()[interior_node])] *= 1.0 + 1e-12;
-  levels[0] = linalg::CsrMatrix(a.Dim(), a.row_ptr(), a.col_idx(), vals);
+  const linalg::CsrMatrix bad(a.Dim(), a.row_ptr(), a.col_idx(), vals);
+  EXPECT_TRUE(linalg::MultigridHierarchy::Build(bad, grid).empty());
   util::ScopedLogLevel quiet(util::LogLevel::kError);
-  const auto hierarchy = thermal::BuildFeaHierarchy(levels, plan);
-  EXPECT_EQ(hierarchy, nullptr);
   const linalg::CgPreconditioner precond =
-      thermal::BuildFeaPreconditioner(opt, levels[0], hierarchy);
-  EXPECT_EQ(precond.kind(), linalg::PreconditionerKind::kIc0);
+      thermal::FeaPreconditioner(opt.cg.preconditioner, bad, grid);
+  EXPECT_EQ(precond.kind(), linalg::PreconditionerKind::kJacobi);
+  EXPECT_EQ(precond.hierarchy(), nullptr);
   std::vector<double> b(static_cast<std::size_t>(a.Dim()), 1e-3), x;
   EXPECT_TRUE(
-      linalg::SolveCgPreconditioned(levels[0], precond, b, &x, opt.cg)
-          .converged);
+      linalg::SolveCgPreconditioned(bad, precond, b, &x, opt.cg).converged);
 }
 
 TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
@@ -506,7 +480,7 @@ TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
   stack.num_layers = 2;
   const thermal::ChipExtent chip{1e-3, 1e-3};
   thermal::FeaContextOptions opt;
-  opt.fea.nx = 12;  // coarsens 12 -> 6 -> 3
+  opt.fea.nx = 12;  // coarsens 12 -> 6 -> 3 -> 2
   opt.fea.ny = 12;
   opt.fea.bulk_elems = 3;
   opt.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
@@ -514,7 +488,7 @@ TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
 
   const auto h1 = ctx.assembly()->hierarchy;
   ASSERT_NE(h1, nullptr);
-  EXPECT_EQ(h1->NumLevels(), 3);
+  EXPECT_EQ(h1->NumLevels(), 4);
   EXPECT_EQ(h1->Dim(), ctx.solver().NumNodes());
   const std::vector<double> x{0.3e-3}, y{0.4e-3}, power{0.05};
   ASSERT_TRUE(ctx.Solve(x, y, {1}, power).converged);
