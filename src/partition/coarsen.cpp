@@ -2,20 +2,65 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 
 namespace p3d::partition {
 namespace {
 
 /// Hash of a sorted vertex list, used to merge parallel coarse nets.
-struct VecHash {
-  std::size_t operator()(const std::vector<std::int32_t>& v) const {
-    std::size_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-    for (const std::int32_t x : v) {
-      h ^= static_cast<std::size_t>(x) + 0x9e3779b9 + (h << 6) + (h >> 2);
-    }
-    return h;
+std::uint64_t PinHash(std::span<const std::int32_t> pins) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ pins.size();
+  for (const std::int32_t x : pins) {
+    h ^= static_cast<std::uint64_t>(x) + 0x9e3779b9 + (h << 6) + (h >> 2);
   }
+  return h;
+}
+
+/// The distinct coarse nets of one level, in first-seen order: their pins in
+/// one flat array and an open-addressing (linear probing) table of net ids
+/// keyed by pin list, so merging a parallel net allocates nothing.
+class NetMerger {
+ public:
+  explicit NetMerger(std::int32_t max_nets) {
+    std::size_t slots = 16;
+    while (slots < 2 * static_cast<std::size_t>(max_nets)) slots *= 2;
+    table_.assign(slots, -1);
+  }
+
+  /// Adds `weight` to the net with these sorted, distinct pins, creating it
+  /// if it is new.
+  void Add(std::span<const std::int32_t> pins, double weight) {
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = PinHash(pins) & mask;; i = (i + 1) & mask) {
+      std::int32_t& slot = table_[i];
+      if (slot < 0) {
+        slot = static_cast<std::int32_t>(weight_.size());
+        weight_.push_back(weight);
+        pins_.insert(pins_.end(), pins.begin(), pins.end());
+        ptr_.push_back(static_cast<std::int32_t>(pins_.size()));
+        return;
+      }
+      if (std::ranges::equal(Pins(slot), pins)) {
+        weight_[static_cast<std::size_t>(slot)] += weight;
+        return;
+      }
+    }
+  }
+
+  std::int32_t NumNets() const { return static_cast<std::int32_t>(weight_.size()); }
+  double Weight(std::int32_t n) const { return weight_[static_cast<std::size_t>(n)]; }
+  std::span<const std::int32_t> Pins(std::int32_t n) const {
+    const auto b = static_cast<std::size_t>(ptr_[static_cast<std::size_t>(n)]);
+    const auto e = static_cast<std::size_t>(ptr_[static_cast<std::size_t>(n) + 1]);
+    return {pins_.data() + b, e - b};
+  }
+
+ private:
+  std::vector<std::int32_t> table_;  // net id per slot, -1 if empty
+  std::vector<double> weight_;
+  std::vector<std::int32_t> ptr_{0};
+  std::vector<std::int32_t> pins_;
 };
 
 }  // namespace
@@ -99,10 +144,8 @@ CoarseLevel CoarsenOnce(const Hypergraph& fine, std::int64_t max_vert_weight_q,
   }
 
   // Coarse nets: remap, drop degenerate, merge parallel.
-  std::unordered_map<std::vector<std::int32_t>, std::int32_t, VecHash> seen;
+  NetMerger merged(fine.NumNets());
   std::vector<std::int32_t> mapped;
-  std::vector<double> merged_weight;
-  std::vector<std::vector<std::int32_t>> merged_verts;
   for (std::int32_t n = 0; n < fine.NumNets(); ++n) {
     mapped.clear();
     for (const std::int32_t u : fine.NetVerts(n)) {
@@ -111,17 +154,10 @@ CoarseLevel CoarsenOnce(const Hypergraph& fine, std::int64_t max_vert_weight_q,
     std::sort(mapped.begin(), mapped.end());
     mapped.erase(std::unique(mapped.begin(), mapped.end()), mapped.end());
     if (mapped.size() < 2) continue;  // swallowed by a cluster
-    const auto [it, inserted] =
-        seen.emplace(mapped, static_cast<std::int32_t>(merged_weight.size()));
-    if (inserted) {
-      merged_weight.push_back(fine.NetWeight(n));
-      merged_verts.push_back(mapped);
-    } else {
-      merged_weight[static_cast<std::size_t>(it->second)] += fine.NetWeight(n);
-    }
+    merged.Add(mapped, fine.NetWeight(n));
   }
-  for (std::size_t i = 0; i < merged_weight.size(); ++i) {
-    level.hg.AddNet(merged_weight[i], merged_verts[i]);
+  for (std::int32_t n = 0; n < merged.NumNets(); ++n) {
+    level.hg.AddNet(merged.Weight(n), merged.Pins(n));
   }
   level.hg.Finalize();
   return level;

@@ -20,10 +20,13 @@ constexpr int kEarlyExitMoves = 300;
 /// have ~25 free vertices but gains up to ~1e5).
 class GainHeap {
  public:
-  explicit GainHeap(std::int32_t num_verts)
-      : key_(static_cast<std::size_t>(num_verts)),
-        pos_(static_cast<std::size_t>(num_verts), -1) {
-    heap_.reserve(static_cast<std::size_t>(num_verts));
+  /// Sizes the heap for `num_verts` vertices and empties it. Reuses the
+  /// storage of earlier calls.
+  void Reset(std::int32_t num_verts) {
+    key_.resize(static_cast<std::size_t>(num_verts));
+    pos_.assign(static_cast<std::size_t>(num_verts), -1);
+    heap_.clear();
+    stamp_ = 0;
   }
 
   /// Empties the heap and restarts the stamp.
@@ -125,19 +128,23 @@ class GainHeap {
   std::uint32_t stamp_ = 0;
 };
 
-/// FM workspace, allocated once per RefineFm call and cleared per pass.
-struct PassState {
-  PassState(std::int32_t num_verts, std::int32_t num_nets)
-      : locked(static_cast<std::size_t>(num_verts)),
-        cnt0(static_cast<std::size_t>(num_nets)),
-        cnt1(static_cast<std::size_t>(num_nets)),
-        heap0(num_verts),
-        heap1(num_verts) {
-    moves.reserve(static_cast<std::size_t>(num_verts));
+/// FM workspace, one per thread: Reset() sizes it for each RefineFm call
+/// without giving memory back, and Clear() empties it for each pass.
+struct Workspace {
+  void Reset(std::int32_t num_verts, std::int32_t num_nets) {
+    locked.resize(static_cast<std::size_t>(num_verts));
+    cnt0.resize(static_cast<std::size_t>(num_nets));
+    cnt1.resize(static_cast<std::size_t>(num_nets));
+    heap0.Reset(num_verts);
+    heap1.Reset(num_verts);
+    order.resize(static_cast<std::size_t>(num_verts));
+    for (std::int32_t v = 0; v < num_verts; ++v) {
+      order[static_cast<std::size_t>(v)] = v;
+    }
   }
 
   void Clear() {
-    std::fill(locked.begin(), locked.end(), false);
+    std::fill(locked.begin(), locked.end(), 0);
     std::fill(cnt0.begin(), cnt0.end(), 0);
     std::fill(cnt1.begin(), cnt1.end(), 0);
     heap0.Clear();
@@ -147,12 +154,13 @@ struct PassState {
 
   GainHeap& Heap(int s) { return s == 0 ? heap0 : heap1; }
 
-  std::vector<bool> locked;
+  std::vector<std::uint8_t> locked;
   std::vector<std::int32_t> cnt0;  // free+fixed vertices per net on side 0
   std::vector<std::int32_t> cnt1;
   GainHeap heap0;  // unlocked free vertices currently on side 0
   GainHeap heap1;
   std::vector<std::int32_t> moves;  // moved vertices in order, for rollback
+  std::vector<std::int32_t> order;  // visit order, reshuffled every pass
 };
 
 }  // namespace
@@ -180,11 +188,10 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
     return 0;
   };
 
-  PassState st(nv, hg.NumNets());
-
-  // Visit order randomization decorrelates repeated runs.
-  std::vector<std::int32_t> order(static_cast<std::size_t>(nv));
-  for (std::int32_t v = 0; v < nv; ++v) order[static_cast<std::size_t>(v)] = v;
+  // The global placer refines tens of thousands of small regions per run;
+  // reusing one workspace per thread saves their allocations.
+  thread_local Workspace st;
+  st.Reset(nv, hg.NumNets());
 
   std::int64_t cur_cut = stats.initial_cut_q;
   stats.stop = FmStop::kCap;
@@ -204,8 +211,9 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
       }
     }
 
-    rng.Shuffle(order);
-    for (const std::int32_t v : order) {
+    // Visit order randomization decorrelates repeated runs.
+    rng.Shuffle(st.order);
+    for (const std::int32_t v : st.order) {
       if (hg.Fixed(v) != FixedSide::kFree) continue;
       std::int64_t g = 0;
       const int from = side[static_cast<std::size_t>(v)];
@@ -265,7 +273,7 @@ FmStats RefineFm(const Hypergraph& hg, std::vector<std::int8_t>* side_ptr,
 
       // Execute the move.
       st.Heap(from).Remove(v);
-      st.locked[static_cast<std::size_t>(v)] = true;
+      st.locked[static_cast<std::size_t>(v)] = 1;
       const std::int64_t wv = hg.VertWeightQ(v);
       pw0 += from == 0 ? -wv : wv;
       cur_cut -= g;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 namespace p3d::partition {
@@ -28,11 +29,13 @@ std::int32_t Hypergraph::AddNet(double weight,
                                 std::span<const std::int32_t> verts) {
   assert(!finalized_);
   net_weight_.push_back(weight);
-  // Deduplicate pins (a net may touch a cell through several pins).
-  std::vector<std::int32_t> unique(verts.begin(), verts.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  net_verts_.insert(net_verts_.end(), unique.begin(), unique.end());
+  // Deduplicate pins (a net may touch a cell through several pins) in
+  // place, at the tail of the pin array.
+  const auto first = static_cast<std::ptrdiff_t>(net_verts_.size());
+  net_verts_.insert(net_verts_.end(), verts.begin(), verts.end());
+  std::sort(net_verts_.begin() + first, net_verts_.end());
+  net_verts_.erase(std::unique(net_verts_.begin() + first, net_verts_.end()),
+                   net_verts_.end());
   net_ptr_.push_back(static_cast<std::int32_t>(net_verts_.size()));
   return NumNets() - 1;
 }
