@@ -1,9 +1,9 @@
 // Multilevel min-cut bipartitioner — the drop-in replacement for hMetis [15]
 // used by the placer's recursive bisection (paper Section 3).
 //
-// Pipeline per start: coarsen until the graph is small, build several random
-// greedy initial partitions at the coarsest level, refine with FM, then
-// uncoarsen with FM refinement at every level. Multiple independent starts
+// Pipeline per start: coarsen until the graph is small, grow several random
+// greedy initial partitions at the coarsest level, refine the best-ranked
+// few with FM, then uncoarsen with FM refinement at every level. Multiple independent starts
 // (the knob the paper's Section 7 runtime/quality ablation turns) keep the
 // best feasible result.
 #pragma once
