@@ -3,7 +3,7 @@
 // Runs one fixed alpha_ILV x alpha_TEMP sweep over ibm01 through
 // serve::JobEngine at 1, 2, 4, and 8 workers and measures batch throughput
 // (jobs/sec). Every job solves FEA over the same chip geometry, so the
-// cross-job FeaContextCache should build the stiffness matrix + multigrid
+// cross-job FeaAssemblyCache should build the stiffness matrix + multigrid
 // hierarchy exactly once per engine and hit for every later job.
 //
 // Three gates ride on the output (scripts/check_bench_regression.py,

@@ -9,7 +9,7 @@
 // byte-identical to the old serial loop (per-job seeds and the grid order
 // are pure functions of the sweep spec). The thermal sweep additionally
 // shares one FEA assembly + multigrid hierarchy across all its jobs via the
-// engine's FeaContextCache.
+// engine's FeaAssemblyCache.
 //
 //   ./tradeoff_explorer [num_cells] [num_layers] [workers]
 #include <cstdio>

@@ -29,14 +29,14 @@ std::string AuditReport::Summary() const {
 }
 
 PlacementAuditor::PlacementAuditor(const netlist::Netlist& nl,
-                                   place::AuditLevel level)
+                                   AuditLevel level)
     : nl_(nl), level_(level) {
   snapshot_ = ConservationSnapshot::Of(nl_);
 }
 
 void PlacementAuditor::Attach(place::Placer3D* placer) {
   placer->AddPhaseObserver(this);
-  if (level_ == place::AuditLevel::kParanoid) {
+  if (level_ == AuditLevel::kParanoid) {
     placer->mutable_evaluator()->AddCommitListener(&log_);
   }
 }
@@ -54,9 +54,9 @@ void PlacementAuditor::SetFixedBaseline(const place::Placement& initial) {
 void PlacementAuditor::OnPhase(const char* phase, int round,
                                const place::ObjectiveEvaluator& eval,
                                const place::GlobalPlaceStats* global_stats) {
-  if (level_ == place::AuditLevel::kOff) return;
+  if (level_ == AuditLevel::kOff) return;
   RunChecks(phase, round, eval, global_stats);
-  if (level_ == place::AuditLevel::kParanoid) {
+  if (level_ == AuditLevel::kParanoid) {
     // Replay the commit history accumulated since the previous boundary
     // against from-scratch evaluations, then re-anchor for the next phase.
     if (log_.has_start() && !log_.ops().empty()) {

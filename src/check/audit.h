@@ -40,16 +40,22 @@ struct AuditReport {
   std::string Summary() const;
 };
 
+/// How much of the audit runs during a flow (see DESIGN.md "Placement audit
+/// subsystem").
+enum class AuditLevel {
+  kOff,       // OnPhase checks nothing
+  kPhase,     // legality + conservation + objective recompute per phase
+  kParanoid,  // kPhase plus commit recording and per-op delta replay
+};
+
 class PlacementAuditor final : public place::PhaseObserver {
  public:
-  PlacementAuditor(const netlist::Netlist& nl, place::AuditLevel level);
+  PlacementAuditor(const netlist::Netlist& nl, AuditLevel level);
 
   /// Wires this auditor into a placer: phase observer, plus the evaluator's
-  /// commit listener when the level is paranoid. Call before Run(); the
-  /// placer's params.audit_level should match `level` (hooks are gated on
-  /// it). Also snapshots the conservation baseline. Attaching ADDS observers
-  /// (other observers, e.g. the metrics sampler, stay attached); undo with
-  /// Detach.
+  /// commit listener when the level is paranoid. Call before Run(). Also
+  /// snapshots the conservation baseline. Attaching ADDS observers (other
+  /// observers, e.g. the metrics sampler, stay attached); undo with Detach.
   void Attach(place::Placer3D* placer);
 
   /// Unhooks this auditor (phase observer and commit listener) from a placer
@@ -71,7 +77,7 @@ class PlacementAuditor final : public place::PhaseObserver {
 
   const AuditReport& report() const { return report_; }
   bool ok() const { return report_.ok(); }
-  place::AuditLevel level() const { return level_; }
+  AuditLevel level() const { return level_; }
 
  private:
   void RunChecks(const char* phase, int round,
@@ -79,7 +85,7 @@ class PlacementAuditor final : public place::PhaseObserver {
                  const place::GlobalPlaceStats* global_stats);
 
   const netlist::Netlist& nl_;
-  place::AuditLevel level_;
+  AuditLevel level_;
   ConservationSnapshot snapshot_;
   place::Placement fixed_baseline_;
   bool have_fixed_baseline_ = false;

@@ -10,6 +10,8 @@ namespace p3d::check {
 namespace {
 
 constexpr double kAreaPerCell = 4.9e-12;  // Table 1 average, m^2
+// Every fuzz case runs under the strictest audit.
+constexpr AuditLevel kFuzzAuditLevel = AuditLevel::kParanoid;
 
 }  // namespace
 
@@ -40,7 +42,6 @@ FuzzCase MakeFuzzCase(std::uint64_t seed) {
   static constexpr int kResync[] = {256, 1024, 4096};
   c.params.objective_resync_interval = kResync[rng.NextBounded(3)];
   c.params.seed = rng.NextU64();
-  c.params.audit_level = place::AuditLevel::kParanoid;
   return c;
 }
 
@@ -81,7 +82,7 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
     io::PlacePadRing(nl, placer.chip().width(), placer.chip().height(),
                      &initial);
   }
-  PlacementAuditor auditor(nl, c.params.audit_level);
+  PlacementAuditor auditor(nl, kFuzzAuditLevel);
   auditor.Attach(&placer);
   auditor.SetFixedBaseline(initial);
   out.result = *placer.Run({.initial = initial, .with_fea = false});
@@ -103,7 +104,6 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
   // Determinism property: threads and auditing are pure observers.
   place::PlacerParams replay_params = c.params;
   replay_params.threads = 1;
-  replay_params.audit_level = place::AuditLevel::kOff;
   place::Placer3D p1 = *place::Placer3D::Create(nl, replay_params);
   const place::PlacementResult r1 = *p1.Run({.initial = initial, .with_fea = false});
   if (r1.placement.x != out.result.placement.x ||

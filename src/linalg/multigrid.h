@@ -57,7 +57,7 @@
 // are bit-identical for any thread count. All state is immutable after
 // Build; scratch vectors live on the caller's stack, so one hierarchy may
 // serve any number of concurrent solves (thermal::FeaAssembly shares one
-// across jobs through serve::FeaContextCache).
+// across jobs through serve::FeaAssemblyCache).
 #pragma once
 
 #include <array>

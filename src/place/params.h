@@ -12,16 +12,6 @@
 
 namespace p3d::place {
 
-/// How much of the src/check audit subsystem runs during a flow (see
-/// DESIGN.md "Placement audit subsystem"). The knob lives here so the placer
-/// can gate its phase hooks, but the checks themselves are implemented by
-/// check::PlacementAuditor, which callers attach via Placer3D::AddPhaseObserver.
-enum class AuditLevel {
-  kOff,       // no phase hooks fire
-  kPhase,     // legality + conservation + objective recompute per phase
-  kParanoid,  // kPhase plus commit recording and per-op delta replay
-};
-
 // ----- epsilon policy of the move engines (DESIGN.md §5) --------------------
 //
 // Every coarse/detailed move engine (moveswap, shift, rowopt, legalize)
@@ -133,7 +123,6 @@ struct PlacerParams {
   int legalize_window_rows = 32;
 
   // ----- verification ---------------------------------------------------------
-  AuditLevel audit_level = AuditLevel::kOff;
   // The evaluator's running totals are incrementally maintained; after this
   // many accepted moves/swaps they are resummed from the (exact) per-net and
   // per-cell caches so float accumulation error stays bounded regardless of

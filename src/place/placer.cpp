@@ -1,6 +1,9 @@
 #include "place/placer.h"
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/ring.h"
@@ -17,33 +20,23 @@
 namespace p3d::place {
 namespace {
 
-PlacerParams Synced(PlacerParams params) {
-  params.SyncStack();
-  return params;
-}
-
-/// Runs this flow's FEA thermal solves through one FeaContext: the caller's
-/// (RunOptions::fea_context) or one built here. Builds nothing when the run
-/// solves no FEA. The context's stats are cumulative and a caller-owned
-/// context can outlive this run, so Report() takes this run's deltas.
+/// Runs this flow's FEA thermal solves through the one FeaContext it owns,
+/// which adopts RunOptions::fea_assembly or assembles its own. Builds
+/// nothing when the run solves no FEA.
 class FeaRunner {
  public:
   FeaRunner(const netlist::Netlist& nl, const PlacerParams& params,
             const Chip& chip, const RunOptions& opts)
       : nl_(nl), params_(params) {
     if (!RunSolvesFea(params, opts)) return;
-    const thermal::ChipExtent extent{chip.width(), chip.height()};
-    if (opts.fea_context != nullptr) {
-      opts.fea_context->Refresh(params.stack, extent);
-      ctx_ = opts.fea_context;
+    const thermal::FeaContextOptions copt{.fea = FeaOptionsFor(params, opts),
+                                          .warm_start = opts.warm_start};
+    if (opts.fea_assembly != nullptr) {
+      ctx_.emplace(opts.fea_assembly, copt);
     } else {
-      owned_ = std::make_unique<thermal::FeaContext>(
-          params.stack, extent,
-          thermal::FeaContextOptions{.fea = FeaOptionsFor(params, opts),
-                                     .warm_start = opts.warm_start});
-      ctx_ = owned_.get();
+      ctx_.emplace(params.stack,
+                   thermal::ChipExtent{chip.width(), chip.height()}, copt);
     }
-    before_ = ctx_->stats();
   }
 
   /// Full solve from a placement: per-net metrics -> powers -> temperature.
@@ -61,24 +54,43 @@ class FeaRunner {
     return ctx_->Solve(p.x, p.y, p.layer, cell_power);
   }
 
-  /// Fills the FEA accounting of `r` with this run's solves.
+  /// Fills the FEA accounting of `r` with the context's solves.
   void Report(PlacementResult* r) const {
-    if (ctx_ == nullptr) return;
-    const thermal::FeaContext::Stats& now = ctx_->stats();
-    r->t_fea = now.solve_seconds - before_.solve_seconds;
-    r->fea_solves = now.solves - before_.solves;
-    r->fea_cg_iters = now.iters_total - before_.iters_total;
-    r->fea_nonconverged = now.nonconverged - before_.nonconverged;
+    if (!ctx_.has_value()) return;
+    const thermal::FeaContext::Stats& stats = ctx_->stats();
+    r->t_fea = stats.solve_seconds;
+    r->fea_solves = stats.solves;
+    r->fea_cg_iters = stats.iters_total;
+    r->fea_nonconverged = stats.nonconverged;
     r->fea_precond = ctx_->preconditioner().kind();
   }
 
  private:
   const netlist::Netlist& nl_;
   const PlacerParams& params_;
-  std::unique_ptr<thermal::FeaContext> owned_;  // no external context
-  thermal::FeaContext* ctx_ = nullptr;          // owned_ or the external one
-  thermal::FeaContext::Stats before_;
+  std::optional<thermal::FeaContext> ctx_;  // empty when the run solves no FEA
 };
+
+/// Ok when `assembly` was built for this run's stack, chip extent and FEA
+/// options, so the run's context may adopt it.
+util::Status CheckAssembly(const thermal::FeaAssembly& assembly,
+                           const PlacerParams& params, const Chip& chip,
+                           const RunOptions& options) {
+  const char* mismatch = nullptr;
+  if (!(assembly.stack == params.stack)) {
+    mismatch = "thermal stack";
+  } else if (!(assembly.chip ==
+               thermal::ChipExtent{chip.width(), chip.height()})) {
+    mismatch = "chip extent";
+  } else if (!thermal::SameAssembly(assembly.solver.options(),
+                                    FeaOptionsFor(params, options))) {
+    mismatch = "FEA mesh or preconditioner";
+  }
+  if (mismatch == nullptr) return util::Status::Ok();
+  return util::InvalidArgumentError(
+      std::string("Placer3D::Run: fea_assembly was built for another ") +
+      mismatch);
+}
 
 void FillMetrics(const netlist::Netlist& nl, const PlacerParams& params,
                  const Chip& chip, const Placement& p, FeaRunner* fea,
@@ -100,10 +112,11 @@ void FillMetrics(const netlist::Netlist& nl, const PlacerParams& params,
   r->total_power_w = power.total;
 
   if (fea != nullptr) {
-    const thermal::FeaResult ft = fea->SolveWithPower(p, power.cell_power);
+    thermal::FeaResult ft = fea->SolveWithPower(p, power.cell_power);
     r->avg_temp_c = ft.avg_cell_temp;
     r->max_temp_c = ft.max_cell_temp;
     r->fea_valid = ft.converged;
+    r->cell_temp_c = std::move(ft.cell_temp);
   }
 
   r->overlaps = DetailedLegalizer::CountOverlaps(nl, p);
@@ -138,7 +151,8 @@ util::StatusOr<Placer3D> Placer3D::Create(const netlist::Netlist& nl,
     return util::InvalidArgumentError(
         "Placer3D::Create: netlist has no movable cells");
   }
-  const PlacerParams synced = Synced(params);
+  PlacerParams synced = params;
+  synced.SyncStack();
   util::StatusOr<Chip> chip = Chip::Build(
       nl, synced.num_layers, synced.whitespace, synced.inter_row_space);
   if (!chip.ok()) return chip.status();
@@ -180,6 +194,13 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
         "Placer3D::Run: initial placement has " +
         std::to_string(initial.size()) + " cells, netlist has " +
         std::to_string(nl_.NumCells()));
+  }
+  if (options.fea_assembly != nullptr) {
+    if (util::Status s =
+            CheckAssembly(*options.fea_assembly, params_, chip_, options);
+        !s.ok()) {
+      return s;
+    }
   }
 
   // Cooperative cancellation: polled at the same phase boundaries where
@@ -330,21 +351,6 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
       result.legal ? "legal," : "NOT LEGAL,", result.objective, result.t_total,
       result.t_fea, result.fea_solves);
   return result;
-}
-
-PlacementResult EvaluatePlacement(const netlist::Netlist& nl,
-                                  const PlacerParams& params, const Chip& chip,
-                                  const Placement& placement, bool with_fea) {
-  const PlacerParams p = Synced(params);
-  PlacementResult r;
-  r.placement = placement;
-  FeaRunner fea(nl, p, chip, {.with_fea = with_fea});
-  FillMetrics(nl, p, chip, placement, with_fea ? &fea : nullptr, &r);
-  fea.Report(&r);
-  ObjectiveEvaluator eval(nl, chip, p);
-  eval.SetPlacement(placement);
-  r.objective = eval.Total();
-  return r;
 }
 
 }  // namespace p3d::place

@@ -25,7 +25,7 @@
 #include "util/status.h"
 
 namespace p3d::thermal {
-class FeaContext;
+struct FeaAssembly;
 struct FeaOptions;
 }  // namespace p3d::thermal
 
@@ -62,6 +62,9 @@ struct PlacementResult {
   double avg_temp_c = 0.0;       // FEA average cell temperature
   double max_temp_c = 0.0;       // FEA maximum cell temperature
   bool fea_valid = false;
+  /// Per-cell temperatures (deg C) of the final report solve; empty when
+  /// the run solved no report FEA.
+  std::vector<double> cell_temp_c;
 
   // Health.
   bool legal = false;            // no overlaps, cells in rows
@@ -74,7 +77,7 @@ struct PlacementResult {
   double t_fea = 0.0;            // FEA (RHS + CG + readback) time
   double t_total = 0.0;
 
-  // This run's share of its thermal::FeaContext::Stats.
+  // The run's thermal::FeaContext::Stats.
   long long fea_solves = 0;        // thermal solves run during the flow
   long long fea_cg_iters = 0;      // CG iterations across them
   long long fea_nonconverged = 0;  // solves that stopped unconverged
@@ -97,7 +100,7 @@ struct RunOptions {
 
   /// Run the report-only FEA temperature solve at the end of the flow.
   /// PlacerParams::fea_per_pass adds observational solves after every
-  /// legalization pass; every solve of a run goes through one
+  /// legalization pass; every solve of a run goes through the run's one
   /// thermal::FeaContext (assembly + preconditioner built once).
   bool with_fea = true;
 
@@ -116,12 +119,13 @@ struct RunOptions {
   /// cancelled. The pointee must outlive the Run call.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Externally owned solver-reuse context (non-owning). When set, the run
-  /// Refresh()es and solves through this context instead of building its
-  /// own — the serve engine passes a context whose assembly is shared across
-  /// jobs with identical stack geometry. Must outlive the Run call. The
-  /// run's FEA fields in PlacementResult count only this run's solves.
-  thermal::FeaContext* fea_context = nullptr;
+  /// A prebuilt FEA assembly for the run's own thermal::FeaContext to adopt
+  /// instead of assembling one — the serve engine shares one across jobs
+  /// with identical stack geometry. It must have been built for this run's
+  /// stack, chip extent and FeaOptionsFor (thermal::SameAssembly);
+  /// otherwise Run returns kInvalidArgument. Null = the run assembles its
+  /// own.
+  std::shared_ptr<const thermal::FeaAssembly> fea_assembly;
 };
 
 class Placer3D {
@@ -164,7 +168,7 @@ class Placer3D {
 
 /// True when a run with these parameters and options solves FEA at all
 /// (the final report solve or the per-pass solves). The serve engine asks
-/// this before leasing a shared FEA context for a job.
+/// this before acquiring a shared FEA assembly for a job.
 bool RunSolvesFea(const PlacerParams& params, const RunOptions& options);
 
 /// The FEA mesh and CG options every solve of such a run uses. Options with
@@ -172,11 +176,5 @@ bool RunSolvesFea(const PlacerParams& params, const RunOptions& options);
 /// interchangeable FEA assemblies (serve::FeaKeyFor).
 thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
                                   const RunOptions& options);
-
-/// Convenience: evaluates an existing placement (HPWL/ILV/power/FEA) without
-/// running the placer. Used by benches to compare initial vs final quality.
-PlacementResult EvaluatePlacement(const netlist::Netlist& nl,
-                                  const PlacerParams& params, const Chip& chip,
-                                  const Placement& placement, bool with_fea);
 
 }  // namespace p3d::place

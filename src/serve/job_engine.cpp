@@ -364,17 +364,14 @@ void JobEngine::RunJob(Job* job) {
   place::RunOptions options = job->spec.options;
   options.cancel = &job->cancel;
 
-  // Lease the shared FEA assembly BEFORE installing the per-job metrics
+  // Acquire the shared FEA assembly BEFORE installing the per-job metrics
   // scope: cache hit/miss counters are engine-level and must not enter the
-  // job's deterministic dump. The lease outlives the scope below (declared
-  // first => destroyed last), so its release also stays out of the dump.
-  FeaContextLease lease;
-  if (place::RunSolvesFea(job->spec.params, options)) {
-    lease = fea_cache_.Acquire(
-        FeaKeyFor(job->spec.params, options, placer.chip()),
-        options.warm_start);
-    options.fea_context = lease.context();
-  }
+  // job's deterministic dump.
+  options.fea_assembly =
+      place::RunSolvesFea(job->spec.params, options)
+          ? fea_cache_.Acquire(
+                FeaKeyFor(job->spec.params, options, placer.chip()))
+          : nullptr;
 
   // Clamp the job's inner parallelism while it shares the machine with
   // sibling jobs (DESIGN.md §5). Budget 0 = serial engine, job runs free.

@@ -49,7 +49,7 @@
 namespace p3d::serve {
 
 /// One placement job. The netlist must outlive the engine; the RunOptions'
-/// `cancel` and `fea_context` fields are engine-owned and any caller-set
+/// `cancel` and `fea_assembly` fields are engine-owned and any caller-set
 /// values are overwritten.
 struct JobSpec {
   std::string name;  // report label; "job-<id>" when empty
@@ -149,7 +149,7 @@ class JobEngine {
     long long cancelled = 0;  // IsCancelled(status)
     long long failed = 0;     // any other non-OK status
     long long stalled = 0;    // watchdog stall detections (flag events)
-    FeaContextCache::Stats fea_cache;
+    FeaAssemblyCache::Stats fea_cache;
   };
   Stats GetStats() const;
 
@@ -197,7 +197,7 @@ class JobEngine {
   const int thread_budget_;
   const double stall_timeout_s_;
   const double watchdog_poll_s_;
-  FeaContextCache fea_cache_;
+  FeaAssemblyCache fea_cache_;
   util::Timer clock_;  // engine epoch; heartbeat timestamps live on it
 
   mutable std::mutex mutex_;
@@ -220,9 +220,9 @@ class JobEngine {
   std::thread watchdog_;
 };
 
-/// The FeaContextCache key a run with these parameters/options uses. Its
-/// FeaOptions come from place::FeaOptionsFor, like the context the placer
-/// would build itself, so an engine-leased context is interchangeable.
+/// The FeaAssemblyCache key a run with these parameters/options uses. Its
+/// FeaOptions come from place::FeaOptionsFor, like the assembly the placer
+/// would build itself, so the engine-acquired one is interchangeable.
 FeaCacheKey FeaKeyFor(const place::PlacerParams& params,
                       const place::RunOptions& options,
                       const place::Chip& chip);

@@ -382,38 +382,16 @@ FeaAssembly::FeaAssembly(const ThermalStack& stack_in,
 FeaContext::FeaContext(const ThermalStack& stack, const ChipExtent& chip,
                        const FeaContextOptions& options)
     : options_(options) {
-  Rebuild(stack, chip);
+  obs::TraceScope trace("fea.assemble");
+  assembly_ = std::make_shared<const FeaAssembly>(stack, chip, options_.fea);
 }
 
 FeaContext::FeaContext(std::shared_ptr<const FeaAssembly> assembly,
                        const FeaContextOptions& options)
-    : options_(options), assembly_(std::move(assembly)), adopted_(true) {
+    : options_(options), assembly_(std::move(assembly)) {
   assert(assembly_ != nullptr);
   assert(SameAssembly(options_.fea, assembly_->solver.options()) &&
          "adopted assembly was built for a different mesh or preconditioner");
-  // No rebuild happened here, so stats_.rebuilds stays 0 and every solve
-  // through the adopted assembly counts as a cache hit (see Solve()).
-}
-
-bool FeaContext::MatchesGeometry(const ThermalStack& stack,
-                                 const ChipExtent& chip) const {
-  return assembly_->stack == stack && assembly_->chip == chip;
-}
-
-void FeaContext::Rebuild(const ThermalStack& stack, const ChipExtent& chip) {
-  obs::TraceScope trace("fea.context_rebuild");
-  assembly_ = std::make_shared<const FeaAssembly>(stack, chip, options_.fea);
-  adopted_ = false;
-  InvalidateWarmStart();
-  cold_iters_ = 0;
-  ++stats_.rebuilds;
-  obs::MetricAdd("solver/fea_rebuilds", 1);
-}
-
-bool FeaContext::Refresh(const ThermalStack& stack, const ChipExtent& chip) {
-  if (MatchesGeometry(stack, chip)) return false;
-  Rebuild(stack, chip);
-  return true;
 }
 
 void FeaContext::InvalidateWarmStart() {
@@ -452,24 +430,12 @@ FeaResult FeaContext::Solve(const std::vector<double>& x,
     ++stats_.nonconverged;
   }
 
-  // Reuse accounting. The first solve after a (re)build is the cold
-  // baseline; warm solves count iterations saved against it.
   ++stats_.solves;
   stats_.iters_total += cg.iters;
-  obs::MetricAdd("solver/fea_solves", 1);
   obs::MetricAdd("fea/solves", 1);
-  if (adopted_ || stats_.solves > stats_.rebuilds) {
-    ++stats_.cache_hits;
-    obs::MetricAdd("solver/fea_cache_hits", 1);
-  }
   if (warm) {
     ++stats_.warm_starts;
     obs::MetricAdd("solver/warm_starts", 1);
-    const long long saved = std::max(0, cold_iters_ - cg.iters);
-    stats_.iters_saved += saved;
-    obs::MetricAdd("solver/warm_iters_saved", saved);
-  } else {
-    cold_iters_ = cg.iters;
   }
   obs::MetricObserve("solver/fea_iters_per_solve", cg.iters);
 

@@ -16,9 +16,9 @@
 // FeaOptions::cg.preconditioner: multigrid V-cycles (the placer's default,
 // place::RunOptions::preconditioner) on any mesh, or Jacobi (the CgOptions
 // default). FeaPreconditioner is the one rule both solve paths follow.
-// Placement flows solve through FeaContext, which builds the preconditioner
-// once per geometry and can warm-start each solve from the previous field;
-// the one-shot FeaSolver::Solve builds it afresh on every call.
+// Placement flows solve through FeaContext, which holds the preconditioner
+// for all of a flow's solves and can warm-start each solve from the previous
+// field; the one-shot FeaSolver::Solve builds it afresh on every call.
 #pragma once
 
 #include <cstdint>
@@ -145,12 +145,8 @@ class FeaSolver {
 struct FeaContextOptions {
   FeaOptions fea;
   /// Seed each solve from the previous temperature field. Deterministic:
-  /// the warm-start state is a pure function of the solve sequence, and a
-  /// geometry rebuild always falls back to the cold start.
+  /// the warm-start state is a pure function of the solve sequence.
   bool warm_start = true;
-
-  friend bool operator==(const FeaContextOptions&,
-                         const FeaContextOptions&) = default;
 };
 
 /// The CG preconditioner FEA solves `matrix`, assembled on `grid`, with:
@@ -166,8 +162,8 @@ linalg::CgPreconditioner FeaPreconditioner(linalg::PreconditionerKind kind,
 /// geometry they were built for. Every member is read-only after
 /// construction, so one assembly may back any number of FeaContexts on any
 /// number of threads concurrently — this is what the cross-job cache
-/// (serve::FeaContextCache) shares between placement jobs with identical
-/// stack geometry. Mutable per-flow state (warm-start field, reuse stats)
+/// (serve::FeaAssemblyCache) shares between placement jobs with identical
+/// stack geometry. Mutable per-flow state (warm-start field, solve stats)
 /// stays in the owning FeaContext.
 struct FeaAssembly {
   FeaAssembly(const ThermalStack& stack, const ChipExtent& chip,
@@ -182,31 +178,24 @@ struct FeaAssembly {
   const std::shared_ptr<const linalg::MultigridHierarchy> hierarchy;
 };
 
-/// Solver reuse layer: holds a FeaAssembly (FeaSolver + prebuilt CG
-/// preconditioner) and keeps it alive across every solve in a placement
-/// flow — either built here or adopted from a cross-job cache. The
-/// stiffness matrix and preconditioner are assembled ONCE per mesh geometry
-/// (stack + chip extent + mesh options); per-solve work is only the power
+/// Solver reuse layer of one placement flow: holds a FeaAssembly (FeaSolver
+/// + prebuilt CG preconditioner), built here or adopted from a cross-job
+/// cache, and keeps it across every solve of the flow. The stiffness matrix
+/// and preconditioner are assembled once; per-solve work is only the power
 /// RHS rebuild, the (warm-started) CG solve, and the cell-temperature
-/// read-back. `Refresh` makes the reuse contract explicit: it is a no-op
-/// while the geometry matches and a deterministic full rebuild (matrix,
-/// preconditioner, warm-start state) when it does not.
+/// read-back. A context belongs to one flow: its warm-start field and stats
+/// describe that flow's solves alone.
 class FeaContext {
  public:
   FeaContext(const ThermalStack& stack, const ChipExtent& chip,
              const FeaContextOptions& options = {});
 
   /// Adopts an assembly built elsewhere (the cross-job cache) instead of
-  /// assembling here. Requires `options.fea` to equal the options the
-  /// assembly was built with. Warm-start state starts empty — a shared
-  /// assembly never leaks temperature history between jobs.
+  /// assembling here. Requires `options.fea` to build the same assembly
+  /// (SameAssembly). Warm-start state starts empty — a shared assembly never
+  /// leaks temperature history between jobs.
   FeaContext(std::shared_ptr<const FeaAssembly> assembly,
              const FeaContextOptions& options = {});
-
-  /// Ensures the context matches `stack`/`chip`. Returns true if a rebuild
-  /// was needed (which also drops the warm-start field — cold start next).
-  bool Refresh(const ThermalStack& stack, const ChipExtent& chip);
-  bool MatchesGeometry(const ThermalStack& stack, const ChipExtent& chip) const;
 
   /// One thermal solve through the cached matrix + preconditioner. Seeds CG
   /// from the previous solution when warm starts are enabled and a previous
@@ -215,29 +204,21 @@ class FeaContext {
                   const std::vector<int>& layer,
                   const std::vector<double>& cell_power);
 
-  /// Drops the warm-start field; the next solve cold-starts. Deterministic
-  /// escape hatch for flows that want reproducible solo solves.
-  void InvalidateWarmStart();
-
   const FeaSolver& solver() const { return assembly_->solver; }
   const linalg::CgPreconditioner& preconditioner() const {
     return assembly_->precond;
   }
-  const FeaContextOptions& options() const { return options_; }
   /// The (possibly shared) assembly backing this context.
   const std::shared_ptr<const FeaAssembly>& assembly() const {
     return assembly_;
   }
 
-  /// Cumulative reuse accounting, mirrored into the metrics registry as
-  /// solver/* counters on every solve.
+  /// Cumulative accounting of this context's solves; solves, warm starts
+  /// and iterations are mirrored into the metrics registry on every solve.
   struct Stats {
     long long solves = 0;        // total Solve() calls
-    long long cache_hits = 0;    // solves that reused the cached assembly
-    long long rebuilds = 0;      // geometry rebuilds (ctor counts as one)
     long long warm_starts = 0;   // solves seeded from a previous field
     long long iters_total = 0;   // CG iterations across all solves
-    long long iters_saved = 0;   // vs. the first (cold) solve's iterations
     long long nonconverged = 0;  // solves that stopped unconverged
     double solve_seconds = 0.0;  // wall time in Solve() (reporting only —
                                  // never enters the metrics registry)
@@ -245,14 +226,13 @@ class FeaContext {
   const Stats& stats() const { return stats_; }
 
  private:
-  void Rebuild(const ThermalStack& stack, const ChipExtent& chip);
+  /// Drops the warm-start field; the next solve cold-starts.
+  void InvalidateWarmStart();
 
   FeaContextOptions options_;
   std::shared_ptr<const FeaAssembly> assembly_;
-  bool adopted_ = false;  // assembly came from outside (cache hit accounting)
   std::vector<double> last_temp_;  // previous node field (warm-start seed)
   bool have_last_ = false;
-  int cold_iters_ = 0;  // iterations of the last cold solve (savings baseline)
   Stats stats_;
 };
 

@@ -19,8 +19,13 @@
 namespace p3d::partition::fixtures {
 
 /// Builds a finalized region-shaped hypergraph: `free_verts` movable cells
-/// (ids 0..free_verts-1), then a side-0 and a side-1 fixed terminal.
-inline Hypergraph RegionHypergraph(std::uint64_t seed, int free_verts = 25) {
+/// (ids 0..free_verts-1), then a side-0 and a side-1 fixed terminal. Each
+/// net carries each terminal with probability `terminal_prob`; the random
+/// draws do not depend on it, so only terminal membership changes with it.
+/// At the default 0.8 about 64% of the nets carry both terminals, are cut
+/// by every partition, and dominate the cut.
+inline Hypergraph RegionHypergraph(std::uint64_t seed, int free_verts = 25,
+                                   double terminal_prob = 0.8) {
   util::Rng rng(seed);
   Hypergraph hg;
   for (int i = 0; i < free_verts; ++i) hg.AddVertex(1.0 + 2.0 * rng.NextDouble());
@@ -36,8 +41,8 @@ inline Hypergraph RegionHypergraph(std::uint64_t seed, int free_verts = 25) {
     for (int d = 0; d < cells; ++d) {
       verts.push_back((base + rng.NextInt(0, 5)) % free_verts);
     }
-    if (rng.NextDouble() < 0.8) verts.push_back(t0);
-    if (rng.NextDouble() < 0.8) verts.push_back(t1);
+    if (rng.NextDouble() < terminal_prob) verts.push_back(t0);
+    if (rng.NextDouble() < terminal_prob) verts.push_back(t1);
     // Log-uniform over five decades: the heaviest net quantizes to ~2048,
     // and roughly the lightest quarter quantize to 0.
     const double weight = std::pow(10.0, -5.0 * rng.NextDouble());

@@ -359,13 +359,12 @@ TEST(PlacementAuditor, CleanFlowPassesPhaseAudit) {
   place::PlacerParams params;
   params.num_layers = 3;
   params.alpha_temp = 5e-6;
-  params.audit_level = place::AuditLevel::kPhase;
   place::Placer3D placer = *place::Placer3D::Create(nl, params);
   place::Placement initial;
   initial.Resize(static_cast<std::size_t>(nl.NumCells()));
   io::PlacePadRing(nl, placer.chip().width(), placer.chip().height(),
                    &initial);
-  PlacementAuditor auditor(nl, params.audit_level);
+  PlacementAuditor auditor(nl, AuditLevel::kPhase);
   auditor.Attach(&placer);
   auditor.SetFixedBaseline(initial);
   const place::PlacementResult r = *placer.Run({.initial = initial, .with_fea = false});
@@ -380,9 +379,8 @@ TEST(PlacementAuditor, ParanoidFlowReplaysCommits) {
   const netlist::Netlist nl = SmallCircuit(100, 16);
   place::PlacerParams params;
   params.num_layers = 3;
-  params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D placer = *place::Placer3D::Create(nl, params);
-  PlacementAuditor auditor(nl, params.audit_level);
+  PlacementAuditor auditor(nl, AuditLevel::kParanoid);
   auditor.Attach(&placer);
   const place::PlacementResult r = *placer.Run({.with_fea = false});
   EXPECT_TRUE(r.legal);
@@ -401,7 +399,7 @@ TEST(PlacementAuditor, AuditNowFlagsCorruptedState) {
   bad.y[3] = bad.y[2];
   bad.layer[3] = bad.layer[2];
   eval.SetPlacement(bad);
-  PlacementAuditor auditor(f.nl, place::AuditLevel::kPhase);
+  PlacementAuditor auditor(f.nl, AuditLevel::kPhase);
   auditor.AuditNow("final", eval);
   ASSERT_FALSE(auditor.ok());
   const Violation& v = auditor.report().violations.front();
@@ -417,7 +415,7 @@ TEST(PlacementAuditor, SummaryIsActionable) {
   place::Placement bad = f.result.placement;
   bad.x[0] = -1.0;
   eval.SetPlacement(bad);
-  PlacementAuditor auditor(f.nl, place::AuditLevel::kPhase);
+  PlacementAuditor auditor(f.nl, AuditLevel::kPhase);
   auditor.AuditNow("detailed", eval);
   ASSERT_FALSE(auditor.ok());
   const std::string summary = auditor.report().Summary();
@@ -434,7 +432,6 @@ TEST(Fuzz, CaseDerivationIsDeterministicAndVaried) {
   EXPECT_EQ(ReproLine(a), ReproLine(b));
   const FuzzCase c = MakeFuzzCase(43);
   EXPECT_NE(ReproLine(a), ReproLine(c));
-  EXPECT_EQ(place::AuditLevel::kParanoid, a.params.audit_level);
 }
 
 TEST(Fuzz, ReproLineNamesEveryKnob) {

@@ -193,9 +193,8 @@ TEST(Determinism, PlacementByteIdenticalThreads3AndUnderParanoidAudit) {
   EXPECT_EQ(r1.objective, r3.objective);
 
   params.threads = 3;
-  params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D pa = *place::Placer3D::Create(nl, params);
-  check::PlacementAuditor auditor(nl, params.audit_level);
+  check::PlacementAuditor auditor(nl, check::AuditLevel::kParanoid);
   auditor.Attach(&pa);
   const place::PlacementResult ra = *pa.Run({.with_fea = false});
   EXPECT_TRUE(auditor.ok()) << auditor.report().Summary();
@@ -238,9 +237,8 @@ TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
   EXPECT_EQ(r1.objective, r3.objective);
 
   params.threads = 8;
-  params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D p8 = *place::Placer3D::Create(nl, params);
-  check::PlacementAuditor auditor(nl, params.audit_level);
+  check::PlacementAuditor auditor(nl, check::AuditLevel::kParanoid);
   auditor.Attach(&p8);
   const place::PlacementResult r8 = *p8.Run({.with_fea = false});
   EXPECT_TRUE(auditor.ok()) << auditor.report().Summary();

@@ -1,8 +1,8 @@
-// Property-based fuzz harness over the full placement flow (ISSUE 2
-// acceptance): 25 seeded randomized benchmarks + configurations, each run
-// with audit_level=paranoid, must produce zero audit violations, a legal
-// final placement, and a byte-identical threads=1/audit-off rerun. On
-// failure the harness shrinks and prints a one-line repro.
+// Property-based fuzz harness over the full placement flow: 25 seeded
+// randomized benchmarks + configurations, each run under a paranoid audit,
+// must produce zero audit violations, a legal final placement, and a
+// byte-identical threads=1/audit-off rerun. On failure the harness shrinks
+// and prints a one-line repro.
 //
 // Seeds are SeedBase()..SeedBase()+24; the nightly CI job rolls
 // P3D_FUZZ_SEED_BASE so coverage accumulates across runs while any single

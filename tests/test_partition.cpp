@@ -504,22 +504,18 @@ TEST(Bipartition, MoreStartsNeverHurt) {
   EXPECT_LE(cut4, cut1 * 1.15);
 }
 
-// Mean cut of the sweep below at the commit before the partitioner refined
-// only its best-ranked greedy starts: 13.809015692209167.
-constexpr double kRegionSweepParentMeanCut = 13.809015692209167;
-
-TEST(Bipartition, RegionSweepCutStaysNearParent) {
-  // 24 region-shaped hypergraphs of 60 to 290 free vertices, alternating
-  // z-cut and lateral tolerances: the sizes where coarsening stalls above
-  // kCoarsenTo, so the coarsest-level starts are ranked and refined on
-  // graphs of that size.
-  obs::MetricsRegistry registry;
-  obs::InstallMetrics(&registry);
+/// Mean Bipartition cut over 24 region-shaped hypergraphs of 60 to 290 free
+/// vertices, alternating z-cut and lateral tolerances: the sizes where
+/// coarsening stalls above kCoarsenTo, so the coarsest-level starts are
+/// ranked and refined on graphs of that size. `terminal_prob` goes to
+/// fixtures::RegionHypergraph.
+double RegionSweepMeanCut(double terminal_prob) {
   double sum = 0.0;
   int count = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const int free_verts = 60 + 10 * static_cast<int>(seed - 1);
-    const Hypergraph hg = fixtures::RegionHypergraph(seed, free_verts);
+    const Hypergraph hg =
+        fixtures::RegionHypergraph(seed, free_verts, terminal_prob);
     PartitionOptions opt;
     opt.tolerance = seed % 2 == 0 ? 0.02 : 0.1;
     opt.seed = seed;
@@ -528,9 +524,32 @@ TEST(Bipartition, RegionSweepCutStaysNearParent) {
     sum += r.cut_cost;
     ++count;
   }
+  return sum / count;
+}
+
+// Mean cut of the sweep below at the commit before the partitioner refined
+// only its best-ranked greedy starts: 13.809015692209167.
+constexpr double kRegionSweepParentMeanCut = 13.809015692209167;
+
+TEST(Bipartition, RegionSweepCutStaysNearParent) {
+  obs::MetricsRegistry registry;
+  obs::InstallMetrics(&registry);
+  const double mean_cut = RegionSweepMeanCut(0.8);
   obs::InstallMetrics(nullptr);
   EXPECT_GT(registry.Counter("partition/coarsen_stop_stalled"), 0);
-  EXPECT_LE(sum / count, 1.03 * kRegionSweepParentMeanCut);
+  EXPECT_LE(mean_cut, 1.03 * kRegionSweepParentMeanCut);
+}
+
+// Mean cut of the sweep at terminal probability 0.2, recorded with 8 greedy
+// starts of which the best 2 are refined: 1.4071175089287766.
+constexpr double kSparseTerminalSweepMeanCut = 1.4071175089287766;
+
+TEST(Bipartition, SparseTerminalSweepCutStaysNearRecorded) {
+  // At the fixture's default terminal probability both terminals sit on
+  // ~64% of the nets and every partition cuts those. At 0.2 only ~4% of
+  // the nets carry both, so the terminals no longer fix most of the cut.
+  const double mean_cut = RegionSweepMeanCut(0.2);
+  EXPECT_LE(mean_cut, 1.03 * kSparseTerminalSweepMeanCut);
 }
 
 TEST(Bipartition, EmptyAndTinyGraphs) {

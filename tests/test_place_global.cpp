@@ -264,10 +264,9 @@ bool BytesEqual(const Placement& a, const Placement& b) {
 Placement RunAuditedFlow(const Fixture& f, int threads) {
   PlacerParams params = f.params;
   params.threads = threads;
-  params.audit_level = AuditLevel::kParanoid;
   auto placer = Placer3D::Create(f.nl, params);
   EXPECT_TRUE(placer.ok());
-  check::PlacementAuditor auditor(f.nl, AuditLevel::kParanoid);
+  check::PlacementAuditor auditor(f.nl, check::AuditLevel::kParanoid);
   auditor.Attach(&*placer);
   RunOptions opts;
   opts.with_fea = false;

@@ -15,6 +15,7 @@
 #include "place/legalize.h"
 #include "place/monitor.h"
 #include "place/placer.h"
+#include "thermal/power.h"
 #include "util/log.h"
 
 namespace p3d::place {
@@ -159,17 +160,28 @@ TEST(Placer3D, FullFlowProducesLegalPlacement) {
 }
 
 TEST(Placer3D, MetricsConsistentWithEvaluate) {
+  // Run's QoR matches a from-scratch recompute of its placement: a fresh
+  // evaluator for Eq. 3, the per-net metrics and Eq. 4-5 power.
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(400);
-  const PlacerParams params = Params(4);
+  PlacerParams params = Params(4, 1e-5, /*alpha_temp=*/1e-6);
   Placer3D placer = *Placer3D::Create(nl, params);
   const PlacementResult r = *placer.Run({.with_fea = false});
-  const PlacementResult check = EvaluatePlacement(
-      nl, params, placer.chip(), r.placement, /*with_fea=*/false);
-  EXPECT_NEAR(check.hpwl_m, r.hpwl_m, r.hpwl_m * 1e-12);
-  EXPECT_EQ(check.ilv_count, r.ilv_count);
-  EXPECT_NEAR(check.objective, r.objective, r.objective * 1e-9);
-  EXPECT_NEAR(check.total_power_w, r.total_power_w, r.total_power_w * 1e-12);
+  EXPECT_FALSE(r.fea_valid);  // FEA was not requested
+  EXPECT_TRUE(r.cell_temp_c.empty());
+
+  params.SyncStack();
+  ObjectiveEvaluator eval(nl, placer.chip(), params);
+  eval.SetPlacement(r.placement);
+  EXPECT_NEAR(eval.Total(), r.objective, r.objective * 1e-9);
+  EXPECT_NEAR(eval.TotalHpwl(), r.hpwl_m, r.hpwl_m * 1e-12);
+  EXPECT_EQ(eval.TotalIlv(), r.ilv_count);
+  const thermal::NetMetrics metrics = thermal::ComputeNetMetrics(
+      nl, r.placement.x, r.placement.y, r.placement.layer);
+  EXPECT_NEAR(metrics.total_hpwl, r.hpwl_m, r.hpwl_m * 1e-12);
+  EXPECT_EQ(metrics.total_ilv, r.ilv_count);
+  EXPECT_NEAR(thermal::ComputePower(nl, metrics, params.electrical).total,
+              r.total_power_w, r.total_power_w * 1e-12);
 }
 
 // A shifting run that hits shift_max_iters is an iteration_cap anomaly; a

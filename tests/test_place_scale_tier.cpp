@@ -93,9 +93,8 @@ TEST(ScaleTier, LiteFullFlowByteIdenticalAcrossThreadsUnderAudit) {
   EXPECT_TRUE(r1.legal);
 
   params.threads = 2;
-  params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D p2 = *place::Placer3D::Create(nl, params);
-  check::PlacementAuditor auditor(nl, params.audit_level);
+  check::PlacementAuditor auditor(nl, check::AuditLevel::kParanoid);
   auditor.Attach(&p2);
   const place::PlacementResult r2 = *p2.Run({.with_fea = false});
   EXPECT_TRUE(auditor.ok()) << auditor.report().Summary();

@@ -1,10 +1,11 @@
 // Serve-layer tests: JobEngine scheduling semantics (determinism across
-// worker counts, cancellation, priority), the cross-job FeaContextCache,
+// worker counts, cancellation, priority), the cross-job FeaAssemblyCache,
 // the jobs-manifest loader, and the batch report.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
 #include <cstddef>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -204,7 +205,7 @@ TEST(JobEngine, CancelRunningJobStopsAtPhaseBoundaryAndReleasesCacheRef) {
   opts.num_workers = 1;
   JobEngine engine(opts);
 
-  // with_fea = true so the job holds a FeaContextCache lease while running.
+  // with_fea = true so the job holds a cached FEA assembly while running.
   JobSpec spec = SpecFor(nl, "victim", 1e-5, 1e-6, true);
   spec.observers.push_back(&blocker);
   auto h = engine.Submit(std::move(spec));
@@ -222,7 +223,7 @@ TEST(JobEngine, CancelRunningJobStopsAtPhaseBoundaryAndReleasesCacheRef) {
   // of the run.
   EXPECT_NE(r->status.message().find("boundary"), std::string::npos)
       << r->status.message();
-  // The cancelled job's lease is released: the entry is idle, not live.
+  // The cancelled job dropped its assembly: the entry is idle, not live.
   const JobEngine::Stats stats = engine.GetStats();
   EXPECT_EQ(stats.fea_cache.live_entries, 0);
   EXPECT_EQ(stats.fea_cache.idle_entries, 1);
@@ -369,7 +370,10 @@ TEST(JobEngine, FeaCacheSharesAssemblyAcrossThreadCounts) {
 }
 
 TEST(FeaContextCache, EvictsLeastRecentlyUsedIdleEntriesBeyondCap) {
-  FeaContextCache cache;
+  // FeaAssemblyCache: an entry is live while anyone but the cache holds its
+  // assembly. Eviction runs on Acquire and takes the least-recently-used
+  // idle entries beyond 8.
+  FeaAssemblyCache cache;
 
   auto key = [](int layers) {
     FeaCacheKey k;
@@ -381,26 +385,41 @@ TEST(FeaContextCache, EvictsLeastRecentlyUsedIdleEntriesBeyondCap) {
   };
 
   // Nine geometries, one more than the cache keeps idle.
-  std::vector<FeaContextLease> leases;
+  std::vector<std::shared_ptr<const thermal::FeaAssembly>> held;
   for (int layers = 2; layers <= 10; ++layers) {
-    leases.push_back(cache.Acquire(key(layers), /*warm_start=*/false));
-    EXPECT_TRUE(leases.back());
+    held.push_back(cache.Acquire(key(layers)));
+    EXPECT_NE(held.back(), nullptr);
   }
-  EXPECT_EQ(cache.GetStats().live_entries, 9);  // referenced: never evicted
+  EXPECT_EQ(cache.GetStats().live_entries, 9);  // held: never evicted
   EXPECT_EQ(cache.GetStats().evictions, 0);
 
-  for (FeaContextLease& lease : leases) lease.Release();
-  // Idle cap is 8: releasing the ninth entry evicts the LRU (key(2)'s).
-  const FeaContextCache::Stats stats = cache.GetStats();
+  // Dropping the references leaves nine idle entries until the next
+  // Acquire.
+  held.clear();
+  FeaAssemblyCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.live_entries, 0);
-  EXPECT_EQ(stats.idle_entries, 8);
-  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.idle_entries, 9);
+  EXPECT_EQ(stats.evictions, 0);
 
-  // Re-acquiring a surviving key hits; the evicted key rebuilds.
-  FeaContextLease c = cache.Acquire(key(10), false);
+  // A hit refreshes key(2); the acquired entry is live while the cache
+  // evicts, so eight idle entries remain and none goes.
+  cache.Acquire(key(2));
   EXPECT_EQ(cache.GetStats().hits, 1);
-  FeaContextLease d = cache.Acquire(key(2), false);
-  EXPECT_EQ(cache.GetStats().misses, 10);
+  EXPECT_EQ(cache.GetStats().evictions, 0);
+
+  // A tenth geometry leaves nine idle entries: the LRU one, key(3), goes.
+  held.push_back(cache.Acquire(key(11)));
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 10);
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.live_entries, 1);
+  EXPECT_EQ(stats.idle_entries, 8);
+
+  // The refreshed key survived; the evicted one rebuilds.
+  cache.Acquire(key(2));
+  EXPECT_EQ(cache.GetStats().hits, 2);
+  cache.Acquire(key(3));
+  EXPECT_EQ(cache.GetStats().misses, 11);
 }
 
 // ---------------------------------------------------------------------------

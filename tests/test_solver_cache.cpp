@@ -1,12 +1,14 @@
 // The determinism contract of the solver reuse layer (DESIGN.md §8):
-// caching (FeaContext assembly reuse, CG warm starts, incremental net-box
-// kernels) is allowed to change how fast answers arrive, never which
-// placement comes out. Placements must be byte-identical with per-pass FEA
-// on vs. off, at any thread count, and for any CG preconditioner; the reuse
-// itself must be visible as solver/* metrics.
+// reuse (one FEA assembly per run or shared across runs, CG warm starts) is
+// allowed to change how fast answers arrive, never which placement comes
+// out. Placements must be byte-identical with per-pass FEA on vs. off, at
+// any thread count, and for any CG preconditioner; each run owns its
+// FeaContext and reports its own solves, and the reuse itself is visible as
+// fea/ and solver/ metrics.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,50 +114,37 @@ TEST(SolverCache, PlacementByteIdenticalFeaPerPassOnVsOff) {
   EXPECT_FALSE(per_pass.filtered_dump.empty());
 }
 
-TEST(SolverCache, EvaluatePlacementMatchesOneShotSolveBitForBit) {
-  // EvaluatePlacement solves through a fresh FeaContext with the default
-  // (multigrid) options; its one cold solve is bit for bit the solve of any
-  // other fresh context built from those options. It agrees with a one-shot
-  // Jacobi solve to CG tolerance.
+TEST(SolverCache, ReportSolveMatchesFreshContextBitForBit) {
+  // A run without per-pass FEA solves once, cold, through its own context
+  // with the default (multigrid) options. Its temperatures, per cell too,
+  // are bit for bit the solve of a fresh context built from those options
+  // over the final placement.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(200, 28);
   place::PlacerParams params = ThermalParams();
   params.SyncStack();
   place::Placer3D placer = *place::Placer3D::Create(nl, params);
-  const place::PlacementResult placed = *placer.Run({.with_fea = false});
-
-  const place::PlacementResult r = place::EvaluatePlacement(
-      nl, params, placer.chip(), placed.placement, /*with_fea=*/true);
+  const place::PlacementResult r = *placer.Run({.with_fea = true});
   ASSERT_TRUE(r.fea_valid);
   EXPECT_EQ(r.fea_solves, 1);
+  ASSERT_EQ(r.cell_temp_c.size(), static_cast<std::size_t>(nl.NumCells()));
 
   const thermal::NetMetrics metrics = thermal::ComputeNetMetrics(
-      nl, placed.placement.x, placed.placement.y, placed.placement.layer);
+      nl, r.placement.x, r.placement.y, r.placement.layer);
   const thermal::PowerReport power =
       thermal::ComputePower(nl, metrics, params.electrical);
-  const thermal::ChipExtent extent{placer.chip().width(),
-                                   placer.chip().height()};
-  thermal::FeaContext fresh(params.stack, extent,
-                            {.fea = place::FeaOptionsFor(params, {})});
+  thermal::FeaContext fresh(
+      params.stack,
+      thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
+      {.fea = place::FeaOptionsFor(params, {})});
   EXPECT_EQ(fresh.preconditioner().kind(),
             linalg::PreconditionerKind::kMultigrid);
-  const thermal::FeaResult want =
-      fresh.Solve(placed.placement.x, placed.placement.y,
-                  placed.placement.layer, power.cell_power);
+  const thermal::FeaResult want = fresh.Solve(
+      r.placement.x, r.placement.y, r.placement.layer, power.cell_power);
+  EXPECT_EQ(r.cell_temp_c, want.cell_temp);
   EXPECT_EQ(r.avg_temp_c, want.avg_cell_temp);
   EXPECT_EQ(r.max_temp_c, want.max_cell_temp);
   EXPECT_EQ(r.fea_cg_iters, want.cg_iters);
-
-  thermal::FeaOptions jacobi = place::FeaOptionsFor(params, {});
-  jacobi.cg.preconditioner = linalg::PreconditionerKind::kJacobi;
-  const thermal::FeaResult oneshot =
-      thermal::FeaSolver(params.stack, extent, jacobi)
-          .Solve(placed.placement.x, placed.placement.y,
-                 placed.placement.layer, power.cell_power);
-  EXPECT_NEAR(r.avg_temp_c, oneshot.avg_cell_temp,
-              1e-6 * std::abs(oneshot.avg_cell_temp));
-  EXPECT_NEAR(r.max_temp_c, oneshot.max_cell_temp,
-              1e-6 * std::abs(oneshot.max_cell_temp));
 }
 
 TEST(SolverCache, RunReportNamesThePreconditionerThatRan) {
@@ -195,29 +184,80 @@ TEST(SolverCache, RunReportNamesThePreconditionerThatRan) {
   EXPECT_EQ(none.Find("qor")->Find("fea_solves")->AsNumber(), 0.0);
 }
 
-TEST(SolverCache, SharedContextReportsPerRunDeltas) {
-  // A caller-owned context outlives one Run; each run's FEA fields count
-  // only its own solves, not the context's history.
+TEST(SolverCache, SharedAssemblyRunsReportOwnSolves) {
+  // Two runs adopting one assembly each own their context: each reports
+  // only its own solves, no warm-start field crosses from one run to the
+  // next, and both place and solve exactly like a run that assembles its
+  // own.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(150, 29);
   place::PlacerParams params = ThermalParams();
+  params.fea_per_pass = true;
   params.SyncStack();
   place::Placer3D first = *place::Placer3D::Create(nl, params);
   const place::Chip& chip = first.chip();
-  thermal::FeaContext ctx(
+  const auto assembly = std::make_shared<const thermal::FeaAssembly>(
       params.stack, thermal::ChipExtent{chip.width(), chip.height()},
-      {.fea = place::FeaOptionsFor(params, {})});
+      place::FeaOptionsFor(params, {}));
 
-  const place::PlacementResult r1 =
-      *first.Run({.with_fea = true, .fea_context = &ctx});
+  const place::RunOptions shared{.with_fea = true, .fea_assembly = assembly};
+  const place::PlacementResult r1 = *first.Run(shared);
   place::Placer3D second = *place::Placer3D::Create(nl, params);
-  const place::PlacementResult r2 =
-      *second.Run({.with_fea = true, .fea_context = &ctx});
-  EXPECT_EQ(r1.fea_solves, 1);
-  EXPECT_EQ(r2.fea_solves, 1);
-  EXPECT_EQ(ctx.stats().solves, 2);
-  EXPECT_EQ(r1.fea_cg_iters + r2.fea_cg_iters, ctx.stats().iters_total);
-  EXPECT_EQ(r1.placement.x, r2.placement.x);
+  const place::PlacementResult r2 = *second.Run(shared);
+  const RunOutput own = RunWith(nl, params, {.with_fea = true});
+
+  EXPECT_GT(own.result.fea_solves, 1);
+  for (const place::PlacementResult* r : {&r1, &r2}) {
+    ExpectSamePlacement(*r, own.result);
+    EXPECT_EQ(r->fea_solves, own.result.fea_solves);
+    EXPECT_EQ(r->fea_cg_iters, own.result.fea_cg_iters);
+    EXPECT_EQ(r->max_temp_c, own.result.max_temp_c);
+    EXPECT_EQ(r->cell_temp_c, own.result.cell_temp_c);
+  }
+  EXPECT_EQ(assembly.use_count(), 2);  // `shared` and this test's copy
+}
+
+TEST(SolverCache, RunRejectsAssemblyBuiltForAnotherGeometry) {
+  // An assembly for another layer count, chip extent or mesh cannot back
+  // the run's context: Run returns kInvalidArgument and solves nothing.
+  util::ScopedLogLevel quiet(util::LogLevel::kError);
+  const netlist::Netlist nl = Circuit(100, 31);
+  place::PlacerParams params = ThermalParams();
+  params.SyncStack();
+  place::Placer3D placer = *place::Placer3D::Create(nl, params);
+  const thermal::ChipExtent extent{placer.chip().width(),
+                                   placer.chip().height()};
+  const thermal::FeaOptions fea = place::FeaOptionsFor(params, {});
+  thermal::ThermalStack fewer_layers = params.stack;
+  fewer_layers.num_layers = 2;
+  thermal::FeaOptions coarser = fea;
+  coarser.nx = 12;
+  const std::shared_ptr<const thermal::FeaAssembly> mismatched[] = {
+      std::make_shared<const thermal::FeaAssembly>(fewer_layers, extent, fea),
+      std::make_shared<const thermal::FeaAssembly>(
+          params.stack, thermal::ChipExtent{2 * extent.width, extent.height},
+          fea),
+      std::make_shared<const thermal::FeaAssembly>(params.stack, extent,
+                                                   coarser),
+  };
+  for (const auto& assembly : mismatched) {
+    obs::MetricsRegistry registry;
+    obs::InstallMetrics(&registry);
+    const util::StatusOr<place::PlacementResult> r =
+        placer.Run({.with_fea = true, .fea_assembly = assembly});
+    obs::InstallMetrics(nullptr);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument)
+        << r.status().ToString();
+    EXPECT_EQ(registry.Counter("fea/solves"), 0);
+    EXPECT_EQ(registry.Counter("placer/rounds"), 0);
+  }
+  EXPECT_TRUE(placer
+                  .Run({.with_fea = true,
+                        .fea_assembly =
+                            std::make_shared<const thermal::FeaAssembly>(
+                                params.stack, extent, fea)})
+                  .ok());
 }
 
 TEST(SolverCache, PlacementByteIdenticalThreads1Vs4WithCache) {
@@ -279,21 +319,17 @@ TEST(SolverCache, ReuseIsVisibleInSolverMetrics) {
 
   ASSERT_TRUE(r.fea_valid);
   EXPECT_GT(r.fea_solves, 1);
-  // One assembly, many solves: every solve after the first is a cache hit,
-  // and every one of those is warm-started.
-  EXPECT_EQ(registry.Counter("solver/fea_rebuilds"), 1);
-  EXPECT_EQ(registry.Counter("solver/fea_solves"), r.fea_solves);
-  EXPECT_EQ(registry.Counter("solver/fea_cache_hits"), r.fea_solves - 1);
+  // One assembly, many solves: every solve after the first is
+  // warm-started.
+  EXPECT_EQ(registry.Counter("fea/solves"), r.fea_solves);
   EXPECT_EQ(registry.Counter("solver/warm_starts"), r.fea_solves - 1);
-  EXPECT_GE(registry.Counter("solver/warm_iters_saved"), 0);
   EXPECT_GT(registry.Counter("solver/netbox_rescan_evals"), 0);
 }
 
 TEST(SolverCache, FeaContextWarmStartConvergesWithEveryPreconditioner) {
-  // FeaContext on a thermal fixture: one assembly, warm-started re-solves,
-  // deterministic cold restart after a geometry change. Multigrid rides the
-  // same contract as Jacobi — here as the CG preconditioner (the 10-elem
-  // lateral grid coarsens 10 -> 5 -> 3 -> 2).
+  // FeaContext on a thermal fixture: one assembly, warm-started re-solves.
+  // Multigrid rides the same contract as Jacobi — here as the CG
+  // preconditioner (the 10-elem lateral grid coarsens 10 -> 5 -> 3 -> 2).
   thermal::ThermalStack stack;
   stack.num_layers = 3;
   const thermal::ChipExtent chip{1e-3, 1e-3};
@@ -324,19 +360,7 @@ TEST(SolverCache, FeaContextWarmStartConvergesWithEveryPreconditioner) {
     EXPECT_LE(warm.cg_iters, cold.cg_iters);
 
     EXPECT_EQ(ctx.stats().solves, 2);
-    EXPECT_EQ(ctx.stats().rebuilds, 1);
-    EXPECT_EQ(ctx.stats().cache_hits, 1);
     EXPECT_EQ(ctx.stats().warm_starts, 1);
-
-    // Same geometry: Refresh is a no-op. New geometry: full rebuild.
-    EXPECT_FALSE(ctx.Refresh(stack, chip));
-    thermal::ThermalStack taller = stack;
-    taller.num_layers = 4;
-    EXPECT_TRUE(ctx.Refresh(taller, chip));
-    EXPECT_EQ(ctx.stats().rebuilds, 2);
-    std::vector<int> layer2{0, 3};
-    const thermal::FeaResult after = ctx.Solve(x, y, layer2, power);
-    ASSERT_TRUE(after.converged);
   }
 }
 
@@ -474,8 +498,8 @@ TEST(SolverCache, MultigridFallsBackOnNonStencilMatrix) {
 }
 
 TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
-  // A geometry change must rebuild the mesh hierarchy along with the matrix
-  // and preconditioner; a matching Refresh must keep the shared assembly.
+  // A context's assembly carries the Galerkin hierarchy its multigrid
+  // preconditioner runs on, with the fine level sized to the mesh.
   thermal::ThermalStack stack;
   stack.num_layers = 2;
   const thermal::ChipExtent chip{1e-3, 1e-3};
@@ -486,26 +510,12 @@ TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
   opt.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
   thermal::FeaContext ctx(stack, chip, opt);
 
-  const auto h1 = ctx.assembly()->hierarchy;
-  ASSERT_NE(h1, nullptr);
-  EXPECT_EQ(h1->NumLevels(), 4);
-  EXPECT_EQ(h1->Dim(), ctx.solver().NumNodes());
+  const auto h = ctx.assembly()->hierarchy;
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->NumLevels(), 4);
+  EXPECT_EQ(h->Dim(), ctx.solver().NumNodes());
   const std::vector<double> x{0.3e-3}, y{0.4e-3}, power{0.05};
   ASSERT_TRUE(ctx.Solve(x, y, {1}, power).converged);
-
-  EXPECT_FALSE(ctx.Refresh(stack, chip));
-  EXPECT_EQ(ctx.assembly()->hierarchy.get(), h1.get());
-
-  thermal::ThermalStack taller = stack;
-  taller.num_layers = 4;
-  EXPECT_TRUE(ctx.Refresh(taller, chip));
-  const auto h2 = ctx.assembly()->hierarchy;
-  ASSERT_NE(h2, nullptr);
-  EXPECT_NE(h2.get(), h1.get());
-  // The rebuilt fine level matches the new mesh (more z planes).
-  EXPECT_EQ(h2->Dim(), ctx.solver().NumNodes());
-  EXPECT_GT(h2->Dim(), h1->Dim());
-  ASSERT_TRUE(ctx.Solve(x, y, {3}, power).converged);
 }
 
 TEST(SolverCache, MultigridPerPassByteIdenticalThreads1Vs8) {

@@ -45,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "flags.h"
@@ -61,8 +60,6 @@
 #include "place/monitor.h"
 #include "place/placer.h"
 #include "place/report.h"
-#include "thermal/fea.h"
-#include "thermal/power.h"
 #include "util/log.h"
 #include "util/status.h"
 
@@ -88,7 +85,7 @@ struct Args {
   bool fea = true;
   bool fea_per_pass = false;
   bool quiet = false;
-  p3d::place::AuditLevel audit = p3d::place::AuditLevel::kOff;
+  p3d::check::AuditLevel audit = p3d::check::AuditLevel::kOff;
 };
 
 void PrintUsage() {
@@ -148,11 +145,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::string level;
       if (!flags.Text(&level)) return false;
       if (level == "off") {
-        args->audit = p3d::place::AuditLevel::kOff;
+        args->audit = p3d::check::AuditLevel::kOff;
       } else if (level == "phase") {
-        args->audit = p3d::place::AuditLevel::kPhase;
+        args->audit = p3d::check::AuditLevel::kPhase;
       } else if (level == "paranoid") {
-        args->audit = p3d::place::AuditLevel::kParanoid;
+        args->audit = p3d::check::AuditLevel::kParanoid;
       } else {
         std::fprintf(stderr, "bad --audit level: %s\n", level.c_str());
         return false;
@@ -216,7 +213,6 @@ int main(int argc, char** argv) {
   params.seed = args.seed;
   params.threads = args.threads;
   params.fea_per_pass = args.fea_per_pass;
-  params.audit_level = args.audit;
   if (args.aux.empty()) {
     p3d::place::CompensateWireCapForScale(&params, args.scale);
   }
@@ -230,7 +226,7 @@ int main(int argc, char** argv) {
   }
   p3d::place::Placer3D& placer = *placer_or;
   std::unique_ptr<p3d::check::PlacementAuditor> auditor;
-  if (args.audit != p3d::place::AuditLevel::kOff) {
+  if (args.audit != p3d::check::AuditLevel::kOff) {
     auditor = std::make_unique<p3d::check::PlacementAuditor>(netlist,
                                                              args.audit);
     auditor->Attach(&placer);
@@ -265,21 +261,8 @@ int main(int argc, char** argv) {
   }
 
   p3d::place::RunOptions run_opts;
+  // The thermal SVG colors cells by the final report solve's temperatures.
   run_opts.with_fea = args.fea || !args.out_thermal_svg.empty();
-  // The thermal SVG solves through the run's own FEA context: the same
-  // assembly and preconditioner, warm-started from the run's final field.
-  std::optional<p3d::thermal::FeaContext> svg_fea;
-  if (!args.out_thermal_svg.empty()) {
-    p3d::place::PlacerParams synced = params;
-    synced.SyncStack();
-    svg_fea.emplace(
-        synced.stack,
-        p3d::thermal::ChipExtent{placer.chip().width(), placer.chip().height()},
-        p3d::thermal::FeaContextOptions{
-            .fea = p3d::place::FeaOptionsFor(synced, run_opts),
-            .warm_start = run_opts.warm_start});
-    run_opts.fea_context = &*svg_fea;
-  }
   p3d::util::StatusOr<p3d::place::PlacementResult> result_or =
       placer.Run(run_opts);
   if (!result_or.ok()) {
@@ -353,15 +336,9 @@ int main(int argc, char** argv) {
   }
   if (!args.out_thermal_svg.empty()) {
     // Per-cell FEA temperatures drive the color ramp.
-    const auto metrics = p3d::thermal::ComputeNetMetrics(
-        netlist, r.placement.x, r.placement.y, r.placement.layer);
-    const auto power =
-        p3d::thermal::ComputePower(netlist, metrics, params.electrical);
-    const auto ft = svg_fea->Solve(r.placement.x, r.placement.y,
-                                   r.placement.layer, power.cell_power);
     p3d::io::SvgOptions opt;
     opt.title = "placer3d thermal view (blue=cool, red=hot)";
-    opt.cell_scalar = ft.cell_temp;
+    opt.cell_scalar = r.cell_temp_c;
     if (!p3d::io::WritePlacementSvg(args.out_thermal_svg, netlist,
                                     placer.chip(), r.placement, opt)) {
       return 1;
