@@ -64,10 +64,10 @@ bool SolverCacheSection(p3d::bench::BenchSetup& setup) {
                                       placer.chip().height()};
   // The one-shot baseline solves with Jacobi, the cached context with the
   // run default, multigrid; both at the run's mesh and CG tolerance.
-  const p3d::thermal::FeaOptions jacobi = p3d::place::FeaOptionsFor(
-      params, {.preconditioner = p3d::linalg::PreconditionerKind::kJacobi});
+  p3d::thermal::FeaOptions jacobi = p3d::place::FeaOptionsFor(params);
+  jacobi.cg.preconditioner = p3d::linalg::PreconditionerKind::kJacobi;
   p3d::thermal::FeaContext ctx(params.stack, chip,
-                               {.fea = p3d::place::FeaOptionsFor(params, {})});
+                               {.fea = p3d::place::FeaOptionsFor(params)});
   double oneshot_s = 0.0;
   long long oneshot_iters = 0;
   for (const Placement& p : capture.placements) {

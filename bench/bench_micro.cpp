@@ -268,11 +268,12 @@ void BM_ObjectiveMoveDelta(benchmark::State& state) {
     p.layer[i] = rng.NextInt(0, 3);
   }
   eval.SetPlacement(p);
+  place::DeltaView view(&eval);
   std::int32_t c = 0;
   for (auto _ : state) {
     c = (c + 1) % nl.NumCells();
     benchmark::DoNotOptimize(
-        eval.MoveDelta(c, rng.NextDouble(0.0, chip.width()),
+        view.MoveDelta(c, rng.NextDouble(0.0, chip.width()),
                        rng.NextDouble(0.0, chip.height()), rng.NextInt(0, 3)));
   }
   state.SetItemsProcessed(state.iterations());

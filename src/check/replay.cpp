@@ -73,6 +73,7 @@ ReplayResult ReplayAndVerify(const netlist::Netlist& nl,
   }
   place::ObjectiveEvaluator eval(nl, chip, params);
   eval.SetPlacement(log.start());
+  place::DeltaView view(&eval);
 
   auto tol = [&](double scale) {
     return options.abs_tol + options.rel_tol * std::max(std::abs(scale), 1.0);
@@ -82,8 +83,8 @@ ReplayResult ReplayAndVerify(const netlist::Netlist& nl,
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const RecordedOp& op = ops[i];
     const double predicted =
-        op.is_swap ? eval.SwapDelta(op.a, op.b)
-                   : eval.MoveDelta(op.a, op.x, op.y, op.layer);
+        op.is_swap ? view.SwapDelta(op.a, op.b)
+                   : view.MoveDelta(op.a, op.x, op.y, op.layer);
     const double delta_err = std::abs(predicted - op.delta);
     result.max_delta_err = std::max(result.max_delta_err, delta_err);
     const double total_before = eval.Total();

@@ -42,14 +42,6 @@ double Norm(runtime::ThreadPool* pool, const std::vector<double>& a) {
 
 }  // namespace
 
-const char* PreconditionerName(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kJacobi: return "jacobi";
-    case PreconditionerKind::kMultigrid: return "multigrid";
-  }
-  return "unknown";
-}
-
 const char* CgStopName(CgStop stop) {
   switch (stop) {
     case CgStop::kConverged: return "converged";

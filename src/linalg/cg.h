@@ -33,9 +33,6 @@ enum class PreconditionerKind {
   kMultigrid,
 };
 
-/// Returns "jacobi" / "multigrid".
-const char* PreconditionerName(PreconditionerKind kind);
-
 struct CgOptions {
   int max_iters = 2000;
   double rel_tolerance = 1e-9;  // on the true residual norm ||b - Ax|| / ||b||

@@ -380,9 +380,6 @@ util::StatusOr<Placement> GlobalPlacer::Run(const Placement& initial) {
     stats_.bisection.partitioned_cells += s.stats.partitioned_cells;
   }
   obs::MetricAdd("global/levels", stats_.bisection.levels);
-  obs::MetricAdd("global/partitions", stats_.bisection.partitions);
-  obs::MetricAdd("global/infeasible_partitions",
-                 stats_.bisection.infeasible_partitions);
   obs::MetricAdd("global/partitioned_cells", stats_.bisection.partitioned_cells);
   util::LogDebug("global: %d levels, %d partitions", stats_.bisection.levels,
                  stats_.bisection.partitions);

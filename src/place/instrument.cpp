@@ -52,10 +52,6 @@ obs::RunReport BuildRunReport(const netlist::Netlist& nl,
   report.params.emplace_back("seed", params.seed);
   report.params.emplace_back("threads", params.threads);
   report.params.emplace_back("fea_per_pass", params.fea_per_pass);
-  if (r.fea_precond.has_value()) {
-    report.params.emplace_back("fea_precond",
-                               linalg::PreconditionerName(*r.fea_precond));
-  }
   report.phases = std::move(phases);
   report.qor.emplace_back("hpwl_m", r.hpwl_m);
   report.qor.emplace_back("ilv", r.ilv_count);

@@ -45,7 +45,7 @@ void DetailedLegalizer::CandidatesInRow(DeltaView& view, const Row& row,
   Gap best[2] = {{0.0, 1e300}, {0.0, 1e300}};
   auto consider = [&](double g_lo, double g_hi) {
     if (g_hi - g_lo < width) return;
-    const double c = std::clamp(desired_x, g_lo + w_half, g_hi - w_half);
+    const double c = ClampToSpan(desired_x, g_lo + w_half, g_hi - w_half);
     const double d = std::abs(c - desired_x);
     if (d < best[0].dist) {
       best[1] = best[0];
@@ -119,8 +119,8 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
       used += row.items[i].hi - row.items[i].lo;
     }
     if (s.hi - s.lo - used < width) continue;  // no slack
-    const double c = std::clamp(desired_x, s.lo + width / 2.0,
-                                s.hi - width / 2.0);
+    const double c =
+        ClampToSpan(desired_x, s.lo + width / 2.0, s.hi - width / 2.0);
     const double d = std::abs(c - desired_x);
     if (d < best_dist) {
       best_dist = d;
@@ -141,7 +141,7 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
   };
   std::vector<Entry> seq;
   const double desired_lo =
-      std::clamp(desired_x - width / 2.0, s.lo, s.hi - width);
+      ClampToSpan(desired_x - width / 2.0, s.lo, s.hi - width);
   bool inserted = false;
   for (std::size_t i = s.first; i < s.last; ++i) {
     const Item& it = row.items[i];
@@ -396,8 +396,7 @@ LegalizeStats DetailedLegalizer::Run() {
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
 
-  std::vector<DeltaView> views(num_slots);
-  for (DeltaView& v : views) v.Attach(&eval_);
+  std::vector<DeltaView> views(num_slots, DeltaView(&eval_));
 
   // Cells are assigned to the window holding their home row; the global
   // priority order is preserved within each window.
@@ -510,10 +509,7 @@ LegalizeStats DetailedLegalizer::Run() {
 
   // Fold the views' kernel counters back in slot order; the totals are sums
   // of per-window counts, so they are identical for any thread count.
-  for (DeltaView& v : views) {
-    eval_.MergeEvalStats(v.stats());
-    v.ClearStats();
-  }
+  for (const DeltaView& v : views) eval_.MergeEvalStats(v.stats());
 
   obs::MetricAdd("legalize/runs", 1);
   obs::MetricAdd("legalize/windows",

@@ -77,8 +77,7 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
   // Per-slot propose scratch: a DeltaView over the shared evaluator, an
   // occupancy overlay tracking this window's own pending proposals, and the
   // candidate-bin list.
-  std::vector<DeltaView> views(num_slots);
-  for (DeltaView& v : views) v.Attach(&eval_);
+  std::vector<DeltaView> views(num_slots, DeltaView(&eval_));
   std::vector<std::vector<double>> overlays(
       num_slots, std::vector<double>(static_cast<std::size_t>(grid.NumBins()),
                                      0.0));
@@ -222,6 +221,7 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
   };
 
   MoveSwapStats stats;
+  DeltaView commit_view(&eval_);  // revalidates proposals at commit time
   auto commit_window = [&](std::int64_t w) {
     const Placement& p = eval_.placement();
     for (const Proposal& prop : window_props[static_cast<std::size_t>(w)]) {
@@ -239,7 +239,8 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
           ++stats.rejected;
           continue;
         }
-        const double delta = eval_.MoveDelta(cell, prop.x, prop.y, prop.layer);
+        const double delta =
+            commit_view.MoveDelta(cell, prop.x, prop.y, prop.layer);
         if (!StrictlyImproves(delta)) {
           ++stats.rejected;
           continue;
@@ -251,7 +252,7 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
       } else {
         const std::size_t oi = static_cast<std::size_t>(prop.partner);
         const int other_bin = grid.BinOf(p.x[oi], p.y[oi], p.layer[oi]);
-        const double delta = eval_.SwapDelta(cell, prop.partner);
+        const double delta = commit_view.SwapDelta(cell, prop.partner);
         if (!StrictlyImproves(delta)) {
           ++stats.rejected;
           continue;
@@ -273,14 +274,12 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
 
   // Fold the views' kernel counters back in slot order; the totals are sums
   // of per-window counts, so they are identical for any thread count.
-  for (DeltaView& v : views) {
-    eval_.MergeEvalStats(v.stats());
-    v.ClearStats();
-  }
+  for (const DeltaView& v : views) eval_.MergeEvalStats(v.stats());
+  eval_.MergeEvalStats(commit_view.stats());
 
   obs::MetricAdd(global ? "moveswap/global_passes" : "moveswap/local_passes",
                  1);
-  obs::MetricAdd("legalize/windows",
+  obs::MetricAdd("moveswap/windows",
                  static_cast<std::int64_t>(tiling.NumWindows()));
   obs::MetricAdd("moveswap/attempts", static_cast<std::int64_t>(order.size()));
   obs::MetricAdd("moveswap/proposals", stats.proposals);

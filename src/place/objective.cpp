@@ -110,15 +110,14 @@ void ObjectiveEvaluator::ResyncTotals() {
   commits_since_resync_ = 0;
 }
 
-void ObjectiveEvaluator::FinishCommit(double applied_delta, std::int32_t a,
-                                      std::int32_t b, double x, double y,
-                                      int layer, bool is_swap) {
+void ObjectiveEvaluator::FinishCommit(double applied_delta, const Override& o1,
+                                      const Override& o2) {
   ++total_commits_;
   for (CommitListener* l : listeners_) {
-    if (is_swap) {
-      l->OnCommitSwap(a, b, applied_delta);
+    if (o2.cell >= 0) {
+      l->OnCommitSwap(o1.cell, o2.cell, applied_delta);
     } else {
-      l->OnCommitMove(a, x, y, layer, applied_delta);
+      l->OnCommitMove(o1.cell, o1.x, o1.y, o1.layer, applied_delta);
     }
   }
   if (params_.objective_resync_interval > 0 &&
@@ -233,10 +232,8 @@ void ObjectiveEvaluator::CollectNetsInto(EvalScratch& scratch, std::int32_t a,
   }
 }
 
-double ObjectiveEvaluator::MoveDeltaImpl(EvalScratch& scratch,
-                                         EvalStats* stats, std::int32_t cell,
-                                         double x, double y,
-                                         int layer) const {
+double ObjectiveEvaluator::MoveDelta(EvalScratch& scratch, std::int32_t cell,
+                                     double x, double y, int layer) const {
   CollectNetsInto(scratch, cell, -1);
   const Override o{cell, x, y, layer};
   const Override none;
@@ -244,18 +241,24 @@ double ObjectiveEvaluator::MoveDeltaImpl(EvalScratch& scratch,
   for (const std::int32_t n : scratch.nets) {
     delta += EvalNet(n, o, none).cost - cost_[static_cast<std::size_t>(n)];
   }
-  stats->rescan_evals += static_cast<long long>(scratch.nets.size());
+  scratch.stats.rescan_evals += static_cast<long long>(scratch.nets.size());
   return delta;
 }
 
-double ObjectiveEvaluator::MoveDelta(std::int32_t cell, double x, double y,
-                                     int layer) const {
-  return MoveDeltaImpl(scratch_, &eval_stats_, cell, x, y, layer);
-}
-
-double ObjectiveEvaluator::MoveDelta(EvalScratch& scratch, std::int32_t cell,
-                                     double x, double y, int layer) const {
-  return MoveDeltaImpl(scratch, &scratch.stats, cell, x, y, layer);
+double ObjectiveEvaluator::SwapDelta(EvalScratch& scratch, std::int32_t a,
+                                     std::int32_t b) const {
+  const std::size_t ai = static_cast<std::size_t>(a);
+  const std::size_t bi = static_cast<std::size_t>(b);
+  CollectNetsInto(scratch, a, b);
+  const Override oa{a, placement_.x[bi], placement_.y[bi], placement_.layer[bi]};
+  const Override ob{b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]};
+  double delta = LeakDelta(a, oa.x, oa.y, oa.layer) +
+                 LeakDelta(b, ob.x, ob.y, ob.layer);
+  for (const std::int32_t n : scratch.nets) {
+    delta += EvalNet(n, oa, ob).cost - cost_[static_cast<std::size_t>(n)];
+  }
+  scratch.stats.rescan_evals += static_cast<long long>(scratch.nets.size());
+  return delta;
 }
 
 double ObjectiveEvaluator::LeakDelta(std::int32_t cell, double x, double y,
@@ -269,95 +272,44 @@ double ObjectiveEvaluator::LeakDelta(std::int32_t cell, double x, double y,
 
 void ObjectiveEvaluator::CommitMove(std::int32_t cell, double x, double y,
                                     int layer) {
-  const double total_before = total_cost_;
-  CollectNetsInto(scratch_, cell, -1);
-  const Override o{cell, x, y, layer};
-  const Override none;
-  // Evaluate all incident nets before the placement mutates (the override
-  // masks the moved cell, so pre- and post-mutation evaluation agree).
-  eval_scratch_.clear();
-  for (const std::int32_t n : scratch_.nets) {
-    eval_scratch_.push_back(EvalNet(n, o, none));
-  }
-  eval_stats_.rescan_evals += static_cast<long long>(scratch_.nets.size());
-  const std::size_t ci = static_cast<std::size_t>(cell);
-  const double leak_delta = LeakDelta(cell, x, y, layer);
-  placement_.x[ci] = x;
-  placement_.y[ci] = y;
-  placement_.layer[ci] = layer;
-  r_cell_[ci] = Resistance(cell, x, y, layer);
-  cell_leak_cost_[ci] += leak_delta;
-  total_cost_ += leak_delta;
-  total_thermal_ += leak_delta;
-  for (std::size_t k = 0; k < scratch_.nets.size(); ++k) {
-    const std::size_t i = static_cast<std::size_t>(scratch_.nets[k]);
-    const NetEval& e = eval_scratch_[k];
-    total_cost_ += e.cost - cost_[i];
-    total_hpwl_ += e.hpwl - hpwl_[i];
-    total_ilv_ += e.span - span_[i];
-    total_thermal_ += (e.cost - e.hpwl - params_.alpha_ilv * e.span) -
-                      (cost_[i] - hpwl_[i] - params_.alpha_ilv * span_[i]);
-    cost_[i] = e.cost;
-    hpwl_[i] = e.hpwl;
-    span_[i] = e.span;
-  }
-  FinishCommit(total_cost_ - total_before, cell, -1, x, y, layer,
-               /*is_swap=*/false);
-}
-
-double ObjectiveEvaluator::SwapDeltaImpl(EvalScratch& scratch,
-                                         EvalStats* stats, std::int32_t a,
-                                         std::int32_t b) const {
-  const std::size_t ai = static_cast<std::size_t>(a);
-  const std::size_t bi = static_cast<std::size_t>(b);
-  CollectNetsInto(scratch, a, b);
-  const Override oa{a, placement_.x[bi], placement_.y[bi], placement_.layer[bi]};
-  const Override ob{b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]};
-  double delta = LeakDelta(a, oa.x, oa.y, oa.layer) +
-                 LeakDelta(b, ob.x, ob.y, ob.layer);
-  for (const std::int32_t n : scratch.nets) {
-    delta += EvalNet(n, oa, ob).cost - cost_[static_cast<std::size_t>(n)];
-  }
-  stats->rescan_evals += static_cast<long long>(scratch.nets.size());
-  return delta;
-}
-
-double ObjectiveEvaluator::SwapDelta(std::int32_t a, std::int32_t b) const {
-  return SwapDeltaImpl(scratch_, &eval_stats_, a, b);
-}
-
-double ObjectiveEvaluator::SwapDelta(EvalScratch& scratch, std::int32_t a,
-                                     std::int32_t b) const {
-  return SwapDeltaImpl(scratch, &scratch.stats, a, b);
+  Commit({cell, x, y, layer}, Override{});
 }
 
 void ObjectiveEvaluator::CommitSwap(std::int32_t a, std::int32_t b) {
-  const double total_before = total_cost_;
   const std::size_t ai = static_cast<std::size_t>(a);
   const std::size_t bi = static_cast<std::size_t>(b);
-  CollectNetsInto(scratch_, a, b);
-  const Override oa{a, placement_.x[bi], placement_.y[bi], placement_.layer[bi]};
-  const Override ob{b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]};
-  // Evaluate before the swap mutates the placement (both overrides mask the
-  // swapped cells).
+  Commit({a, placement_.x[bi], placement_.y[bi], placement_.layer[bi]},
+         {b, placement_.x[ai], placement_.y[ai], placement_.layer[ai]});
+}
+
+void ObjectiveEvaluator::Commit(const Override& o1, const Override& o2) {
+  const double total_before = total_cost_;
+  CollectNetsInto(scratch_, o1.cell, o2.cell);
+  // Evaluate all incident nets before the placement mutates (the overrides
+  // mask the moved cells, so pre- and post-mutation evaluation agree).
   eval_scratch_.clear();
   for (const std::int32_t n : scratch_.nets) {
-    eval_scratch_.push_back(EvalNet(n, oa, ob));
+    eval_scratch_.push_back(EvalNet(n, o1, o2));
   }
   eval_stats_.rescan_evals += static_cast<long long>(scratch_.nets.size());
-  const double leak_a = LeakDelta(a, oa.x, oa.y, oa.layer);
-  const double leak_b = LeakDelta(b, ob.x, ob.y, ob.layer);
-  cell_leak_cost_[ai] += leak_a;
-  cell_leak_cost_[bi] += leak_b;
-  total_cost_ += leak_a + leak_b;
-  total_thermal_ += leak_a + leak_b;
-  std::swap(placement_.x[ai], placement_.x[bi]);
-  std::swap(placement_.y[ai], placement_.y[bi]);
-  std::swap(placement_.layer[ai], placement_.layer[bi]);
-  r_cell_[ai] = Resistance(a, placement_.x[ai], placement_.y[ai],
-                           placement_.layer[ai]);
-  r_cell_[bi] = Resistance(b, placement_.x[bi], placement_.y[bi],
-                           placement_.layer[bi]);
+  // Both leak deltas are priced before anything mutates; a swap applies
+  // their sum, and a move never prices its absent second cell.
+  const bool swap = o2.cell >= 0;
+  const double leak_1 = LeakDelta(o1.cell, o1.x, o1.y, o1.layer);
+  const double leak_2 = swap ? LeakDelta(o2.cell, o2.x, o2.y, o2.layer) : 0.0;
+  const double leak = swap ? leak_1 + leak_2 : leak_1;
+  const auto place = [this](const Override& o, double leak_delta) {
+    const std::size_t ci = static_cast<std::size_t>(o.cell);
+    placement_.x[ci] = o.x;
+    placement_.y[ci] = o.y;
+    placement_.layer[ci] = o.layer;
+    r_cell_[ci] = Resistance(o.cell, o.x, o.y, o.layer);
+    cell_leak_cost_[ci] += leak_delta;
+  };
+  place(o1, leak_1);
+  if (swap) place(o2, leak_2);
+  total_cost_ += leak;
+  total_thermal_ += leak;
   for (std::size_t k = 0; k < scratch_.nets.size(); ++k) {
     const std::size_t i = static_cast<std::size_t>(scratch_.nets[k]);
     const NetEval& e = eval_scratch_[k];
@@ -370,8 +322,7 @@ void ObjectiveEvaluator::CommitSwap(std::int32_t a, std::int32_t b) {
     hpwl_[i] = e.hpwl;
     span_[i] = e.span;
   }
-  FinishCommit(total_cost_ - total_before, a, b, 0.0, 0.0, 0,
-               /*is_swap=*/true);
+  FinishCommit(total_cost_ - total_before, o1, o2);
 }
 
 }  // namespace p3d::place

@@ -11,9 +11,9 @@
 //
 // with the s coefficients of Eq. 8/11. Every placement phase (cell shifting
 // beta selection, moves/swaps, detailed legalization) evaluates candidate
-// moves through MoveDelta/SwapDelta, which touch only the nets incident to
-// the moved cells — the efficiency the paper gets from replacing T_j by
-// Delta-T_j = R_j * P_j (Eq. 2).
+// moves through DeltaView::MoveDelta/SwapDelta, which touch only the nets
+// incident to the moved cells — the efficiency the paper gets from
+// replacing T_j by Delta-T_j = R_j * P_j (Eq. 2).
 #pragma once
 
 #include <cstdint>
@@ -87,29 +87,24 @@ class ObjectiveEvaluator {
   int NetSpan(std::int32_t n) const { return span_[static_cast<std::size_t>(n)]; }
   double NetCost(std::int32_t n) const { return cost_[static_cast<std::size_t>(n)]; }
 
-  /// Objective change if `cell` moved to (x, y, layer). Does not commit.
-  double MoveDelta(std::int32_t cell, double x, double y, int layer) const;
-  /// Commits the move and updates all caches incrementally.
+  /// Commits the move and updates all caches incrementally. Candidates are
+  /// priced through a DeltaView (below) before they commit.
   void CommitMove(std::int32_t cell, double x, double y, int layer);
-
-  /// Objective change if cells `a` and `b` exchanged positions.
-  double SwapDelta(std::int32_t a, std::int32_t b) const;
+  /// Commits the exchange of cells `a` and `b`'s positions.
   void CommitSwap(std::int32_t a, std::int32_t b);
 
   /// Net-evaluation accounting. `rescan_evals` counts every per-net
   /// evaluation a delta or a commit made; each one scans the net's pins.
-  /// `incremental_evals` is always 0: the incremental net-box kernel it
-  /// counted is gone, and the field stays only because bench/e2e still
-  /// reads it.
+  /// `incremental_evals` is the constant 0: the incremental net-box kernel
+  /// it counted is gone, and the name stays only because bench/e2e reads it.
   struct EvalStats {
-    long long incremental_evals = 0;
+    static constexpr long long incremental_evals = 0;
     long long rescan_evals = 0;
   };
 
-  /// Reusable per-caller scratch for delta evaluation. MoveDelta/SwapDelta
-  /// are logically const but need net-collection buffers; routing those
-  /// through an explicit scratch makes concurrent read-only evaluation safe —
-  /// each parallel worker owns one scratch (see DeltaView below).
+  /// Reusable per-caller scratch for delta evaluation: net-collection
+  /// buffers plus the evaluation count of the deltas priced through it.
+  /// Each DeltaView owns one, so concurrent read-only evaluation is safe.
   struct EvalScratch {
     std::vector<std::int32_t> nets;       // distinct incident nets
     std::vector<std::uint32_t> net_stamp; // lazily sized to NumNets
@@ -117,17 +112,10 @@ class ObjectiveEvaluator {
     EvalStats stats;                      // evaluations done via this scratch
   };
 
-  /// MoveDelta/SwapDelta against caller-owned scratch. Read-only on the
-  /// evaluator: safe to call concurrently from multiple threads as long as
-  /// no commit runs at the same time and each caller passes its own scratch.
-  double MoveDelta(EvalScratch& scratch, std::int32_t cell, double x, double y,
-                   int layer) const;
-  double SwapDelta(EvalScratch& scratch, std::int32_t a, std::int32_t b) const;
-
-  /// Folds a scratch's evaluation counters into the evaluator's running
-  /// eval_stats(). Callers merge their per-worker scratches serially at a
-  /// schedule boundary (sums of per-window counts are thread-count
-  /// independent, so the merged totals stay deterministic).
+  /// Folds a view's evaluation counters into the evaluator's running
+  /// eval_stats(). Engines merge their views serially at a schedule
+  /// boundary (sums of per-window counts are thread-count independent, so
+  /// the merged totals stay deterministic).
   void MergeEvalStats(const EvalStats& stats) {
     eval_stats_.rescan_evals += stats.rescan_evals;
   }
@@ -163,12 +151,21 @@ class ObjectiveEvaluator {
   /// tests can pin its equivalence with RecomputeFull().
   void ResyncTotals();
 
-  /// Accounting of every evaluation done through the evaluator's own
-  /// scratch (serial paths) plus whatever callers folded in via
-  /// MergeEvalStats.
+  /// Accounting of every evaluation the commits made plus whatever the
+  /// engines folded in from their views via MergeEvalStats.
   const EvalStats& eval_stats() const { return eval_stats_; }
 
  private:
+  friend class DeltaView;
+
+  /// Objective change if `cell` moved to (x, y, layer), or if cells `a` and
+  /// `b` exchanged positions; counted into `scratch.stats`. Read-only on the
+  /// evaluator: safe to call concurrently as long as no commit runs at the
+  /// same time and each caller passes its own scratch.
+  double MoveDelta(EvalScratch& scratch, std::int32_t cell, double x, double y,
+                   int layer) const;
+  double SwapDelta(EvalScratch& scratch, std::int32_t a, std::int32_t b) const;
+
   struct Override {
     std::int32_t cell = -1;
     double x = 0.0;
@@ -195,14 +192,6 @@ class ObjectiveEvaluator {
     double cost = 0.0;
   };
   NetEval EvalNet(std::int32_t n, const Override& o1, const Override& o2) const;
-
-  /// Shared body of the two MoveDelta/SwapDelta flavours; `stats` is where
-  /// evaluation counts land (eval_stats_ for the serial flavour, the
-  /// caller's scratch stats for the concurrent one).
-  double MoveDeltaImpl(EvalScratch& scratch, EvalStats* stats,
-                       std::int32_t cell, double x, double y, int layer) const;
-  double SwapDeltaImpl(EvalScratch& scratch, EvalStats* stats, std::int32_t a,
-                       std::int32_t b) const;
 
   double Resistance(std::int32_t cell, double x, double y, int layer) const;
 
@@ -231,16 +220,15 @@ class ObjectiveEvaluator {
   std::vector<int> span_;
   std::vector<double> cost_;
   std::vector<double> r_cell_;
-  mutable EvalStats eval_stats_;  // mutable: deltas are const, like scratch_
+  EvalStats eval_stats_;
   double total_cost_ = 0.0;
   double total_hpwl_ = 0.0;
   long long total_ilv_ = 0;
   double total_thermal_ = 0.0;
 
-  // The evaluator's own scratch, used by the scratch-less (serial) delta
-  // flavours and by the commit paths; its stats field is unused — serial
-  // evaluations count straight into eval_stats_.
-  mutable EvalScratch scratch_;
+  // The commit paths' net-collection scratch; its stats field is unused —
+  // commit evaluations count straight into eval_stats_.
+  EvalScratch scratch_;
   // Commit-path scratch (evals computed before the placement mutates).
   std::vector<NetEval> eval_scratch_;
 
@@ -248,24 +236,25 @@ class ObjectiveEvaluator {
   int commits_since_resync_ = 0;
   long long total_commits_ = 0;
 
-  /// Shared tail of CommitMove/CommitSwap: listener notification and the
-  /// periodic totals resync.
-  void FinishCommit(double applied_delta, std::int32_t a, std::int32_t b,
-                    double x, double y, int layer, bool is_swap);
+  /// Shared body of CommitMove/CommitSwap: moves `o1.cell`, and `o2.cell`
+  /// too unless it is -1 (a move).
+  void Commit(const Override& o1, const Override& o2);
+
+  /// Tail of Commit: listener notification and the periodic totals resync.
+  void FinishCommit(double applied_delta, const Override& o1,
+                    const Override& o2);
 };
 
-/// Thread-slot-local, read-only view of a shared ObjectiveEvaluator: wraps
-/// the evaluator with a privately owned EvalScratch so parallel propose
-/// workers can evaluate candidate deltas concurrently against the frozen
-/// committed state (DESIGN.md §5). A view can never commit; the owning
-/// engine merges each view's evaluation stats back with
-/// ObjectiveEvaluator::MergeEvalStats at the serial commit boundary.
+/// The one way to price a candidate: a read-only view of a shared
+/// ObjectiveEvaluator with a privately owned EvalScratch, so parallel
+/// propose workers can evaluate candidate deltas concurrently against the
+/// frozen committed state, and a serial commit can revalidate against the
+/// live state (DESIGN.md §5). A view can never commit; it lives for one
+/// engine pass, after which the engine merges its evaluation stats back with
+/// ObjectiveEvaluator::MergeEvalStats.
 class DeltaView {
  public:
-  DeltaView() = default;
   explicit DeltaView(const ObjectiveEvaluator* eval) : eval_(eval) {}
-
-  void Attach(const ObjectiveEvaluator* eval) { eval_ = eval; }
 
   double MoveDelta(std::int32_t cell, double x, double y, int layer) {
     return eval_->MoveDelta(scratch_, cell, x, y, layer);
@@ -275,10 +264,9 @@ class DeltaView {
   }
 
   const ObjectiveEvaluator::EvalStats& stats() const { return scratch_.stats; }
-  void ClearStats() { scratch_.stats = {}; }
 
  private:
-  const ObjectiveEvaluator* eval_ = nullptr;
+  const ObjectiveEvaluator* eval_;
   ObjectiveEvaluator::EvalScratch scratch_;
 };
 

@@ -4,6 +4,7 @@
 // constants) plus the effort knobs its Section 7 ablation varies.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -59,6 +60,16 @@ inline constexpr bool BeatsIncumbent(double delta, double incumbent) {
   return delta < incumbent - kTieBreakEps;
 }
 
+/// Clamps a cell position into the range [lo, hi] a free span leaves it.
+/// When the cell exactly fills the span, float rounding of span_lo + w/2 and
+/// span_hi - w/2 can cross the bounds by one ulp, which std::clamp forbids
+/// (a precondition violation, and an abort under _GLIBCXX_ASSERTIONS). This
+/// is libstdc++'s std::clamp body without its check: crossed bounds give
+/// `hi`, and uncrossed ones give exactly what std::clamp gives.
+inline constexpr double ClampToSpan(double v, double lo, double hi) {
+  return std::min(std::max(v, lo), hi);
+}
+
 struct PlacerParams {
   // ----- objective coefficients (Eq. 3) ---------------------------------
   // Interlayer-via coefficient alpha_ILV, in metres of equivalent
@@ -95,11 +106,11 @@ struct PlacerParams {
   // Cell shifting stops when the densest bin is at or below
   // shift_target_density, when the overflow ratio stalls, or after
   // shift_max_iters iterations (place/shift.h). Bins are 2x2 average cells,
-  // so even a legal placement reads ~2.3: the default target is out of
-  // reach on a flow's placement, which ends on the stall. The target ends a
-  // run only when set above the density spreading reaches.
+  // so even a legal placement reads ~2.3: the target is out of reach on a
+  // flow's placement, which ends on the stall. It is a constant because no
+  // caller sets it; CellShifter::Run still takes a target for tests.
   int shift_max_iters = 40;
-  double shift_target_density = 1.05;
+  static constexpr double shift_target_density = 1.05;
   int moveswap_rounds = 1;
   int target_region_bins = 27;  // global move/swap target region size knob
 

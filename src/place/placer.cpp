@@ -29,8 +29,8 @@ class FeaRunner {
             const Chip& chip, const RunOptions& opts)
       : nl_(nl), params_(params) {
     if (!RunSolvesFea(params, opts)) return;
-    const thermal::FeaContextOptions copt{.fea = FeaOptionsFor(params, opts),
-                                          .warm_start = opts.warm_start};
+    const thermal::FeaContextOptions copt{.fea = FeaOptionsFor(params),
+                                          .warm_start = RunOptions::warm_start};
     if (opts.fea_assembly != nullptr) {
       ctx_.emplace(opts.fea_assembly, copt);
     } else {
@@ -62,7 +62,6 @@ class FeaRunner {
     r->fea_solves = stats.solves;
     r->fea_cg_iters = stats.iters_total;
     r->fea_nonconverged = stats.nonconverged;
-    r->fea_precond = ctx_->preconditioner().kind();
   }
 
  private:
@@ -74,8 +73,7 @@ class FeaRunner {
 /// Ok when `assembly` was built for this run's stack, chip extent and FEA
 /// options, so the run's context may adopt it.
 util::Status CheckAssembly(const thermal::FeaAssembly& assembly,
-                           const PlacerParams& params, const Chip& chip,
-                           const RunOptions& options) {
+                           const PlacerParams& params, const Chip& chip) {
   const char* mismatch = nullptr;
   if (!(assembly.stack == params.stack)) {
     mismatch = "thermal stack";
@@ -83,7 +81,7 @@ util::Status CheckAssembly(const thermal::FeaAssembly& assembly,
                thermal::ChipExtent{chip.width(), chip.height()})) {
     mismatch = "chip extent";
   } else if (!thermal::SameAssembly(assembly.solver.options(),
-                                    FeaOptionsFor(params, options))) {
+                                    FeaOptionsFor(params))) {
     mismatch = "FEA mesh or preconditioner";
   }
   if (mismatch == nullptr) return util::Status::Ok();
@@ -129,13 +127,12 @@ bool RunSolvesFea(const PlacerParams& params, const RunOptions& options) {
   return options.with_fea || params.fea_per_pass;
 }
 
-thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
-                                  const RunOptions& options) {
+thermal::FeaOptions FeaOptionsFor(const PlacerParams& params) {
   thermal::FeaOptions fea;
   fea.nx = params.fea_nx;
   fea.ny = params.fea_ny;
   fea.cg.threads = params.threads;
-  fea.cg.preconditioner = options.preconditioner;
+  fea.cg.preconditioner = RunOptions::preconditioner;
   return fea;
 }
 
@@ -196,8 +193,7 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
         std::to_string(nl_.NumCells()));
   }
   if (options.fea_assembly != nullptr) {
-    if (util::Status s =
-            CheckAssembly(*options.fea_assembly, params_, chip_, options);
+    if (util::Status s = CheckAssembly(*options.fea_assembly, params_, chip_);
         !s.ok()) {
       return s;
     }

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "linalg/cg.h"
@@ -83,9 +82,6 @@ struct PlacementResult {
   long long fea_nonconverged = 0;  // solves that stopped unconverged
                                    // (also surfaced as fea/nonconverged in
                                    // the metrics registry and run-report QoR)
-  /// The preconditioner those solves used (thermal::FeaPreconditioner's
-  /// choice); empty when the run solved no FEA.
-  std::optional<linalg::PreconditionerKind> fea_precond;
 };
 
 /// Everything a Placer3D::Run invocation can be configured with (the single
@@ -104,12 +100,11 @@ struct RunOptions {
   /// thermal::FeaContext (assembly + preconditioner built once).
   bool with_fea = true;
 
-  /// Seed each FEA solve from the previous temperature field.
-  bool warm_start = true;
-  /// CG preconditioner for the FEA solves: multigrid V-cycles on any mesh
-  /// by default, or Jacobi (PlacementResult::fea_precond reports which one
-  /// ran).
-  linalg::PreconditionerKind preconditioner =
+  /// Every FEA solve of a run is seeded from the previous temperature
+  /// field and preconditioned with multigrid V-cycles, which run on any
+  /// mesh. Constants, not options: no caller turns them.
+  static constexpr bool warm_start = true;
+  static constexpr linalg::PreconditionerKind preconditioner =
       linalg::PreconditionerKind::kMultigrid;
 
   // ----- serving hooks (src/serve) ----------------------------------------
@@ -171,10 +166,10 @@ class Placer3D {
 /// this before acquiring a shared FEA assembly for a job.
 bool RunSolvesFea(const PlacerParams& params, const RunOptions& options);
 
-/// The FEA mesh and CG options every solve of such a run uses. Options with
-/// the same mesh and preconditioner (thermal::SameAssembly) mean
-/// interchangeable FEA assemblies (serve::FeaKeyFor).
-thermal::FeaOptions FeaOptionsFor(const PlacerParams& params,
-                                  const RunOptions& options);
+/// The FEA mesh and CG options every solve of a run with these parameters
+/// uses. Options with the same mesh and preconditioner
+/// (thermal::SameAssembly) mean interchangeable FEA assemblies
+/// (serve::FeaKeyFor).
+thermal::FeaOptions FeaOptionsFor(const PlacerParams& params);
 
 }  // namespace p3d::place

@@ -21,17 +21,6 @@ namespace {
 constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
     "rowopt.color0", "rowopt.color1", "rowopt.color2", "rowopt.color3"};
 
-// Clamps a cell centre into the centre range [lo, hi] of its free span.
-// When the cell exactly fills the span, float rounding of span_lo + w/2 and
-// span_hi - w/2 can cross the bounds by ~1e-20 m, which std::clamp forbids
-// (a precondition violation, and an abort under _GLIBCXX_ASSERTIONS). This
-// is libstdc++'s std::clamp body without its check: crossed bounds give
-// `hi`, so placements stay byte-identical to the std::clamp calls it
-// replaces.
-double ClampToSpan(double v, double lo, double hi) {
-  return std::min(std::max(v, lo), hi);
-}
-
 }  // namespace
 
 RowRefiner::RowRefiner(ObjectiveEvaluator& eval, std::uint64_t seed)
@@ -98,8 +87,8 @@ RowOptStats RowRefiner::Run(int passes) {
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
   const std::size_t num_windows = static_cast<std::size_t>(tiling.NumWindows());
 
-  std::vector<DeltaView> views(num_slots);
-  for (DeltaView& v : views) v.Attach(&eval_);
+  std::vector<DeltaView> views(num_slots, DeltaView(&eval_));
+  DeltaView commit_view(&eval_);  // revalidates proposals at commit time
 
   const auto sort_row = [](std::vector<Entry>& row) {
     std::sort(row.begin(), row.end(),
@@ -173,7 +162,8 @@ RowOptStats RowRefiner::Run(int passes) {
       const Placement& p = eval_.placement();
       const std::size_t ci = static_cast<std::size_t>(e.cell);
       if (std::abs(target - p.x[ci]) < kGeomEps) continue;
-      const double delta = eval_.MoveDelta(e.cell, target, p.y[ci], p.layer[ci]);
+      const double delta =
+          commit_view.MoveDelta(e.cell, target, p.y[ci], p.layer[ci]);
       if (!StrictlyImproves(delta)) continue;
       eval_.CommitMove(e.cell, target, p.y[ci], p.layer[ci]);
       e.lo = target - cw / 2.0;
@@ -245,9 +235,11 @@ RowOptStats RowRefiner::Run(int passes) {
       const std::size_t bi = static_cast<std::size_t>(b.cell);
       const double a_old_x = p.x[ai];
 
-      const double d1 = eval_.MoveDelta(a.cell, a_new_c, p.y[ai], p.layer[ai]);
+      const double d1 =
+          commit_view.MoveDelta(a.cell, a_new_c, p.y[ai], p.layer[ai]);
       eval_.CommitMove(a.cell, a_new_c, p.y[ai], p.layer[ai]);
-      const double d2 = eval_.MoveDelta(b.cell, b_new_c, p.y[bi], p.layer[bi]);
+      const double d2 =
+          commit_view.MoveDelta(b.cell, b_new_c, p.y[bi], p.layer[bi]);
       if (StrictlyImproves(d1 + d2)) {
         eval_.CommitMove(b.cell, b_new_c, p.y[bi], p.layer[bi]);
         a.lo = a_new_c - wa / 2.0;
@@ -375,9 +367,11 @@ RowOptStats RowRefiner::Run(int passes) {
       const int a_old_layer = p.layer[aidx];
       const double row_y = chip_.RowCenterY(prop.r);
 
-      const double d1 = eval_.MoveDelta(a.cell, a_new_c, row_y, prop.layer + 1);
+      const double d1 =
+          commit_view.MoveDelta(a.cell, a_new_c, row_y, prop.layer + 1);
       eval_.CommitMove(a.cell, a_new_c, row_y, prop.layer + 1);
-      const double d2 = eval_.MoveDelta(b.cell, b_new_c, row_y, prop.layer);
+      const double d2 =
+          commit_view.MoveDelta(b.cell, b_new_c, row_y, prop.layer);
       if (StrictlyImproves(d1 + d2)) {
         eval_.CommitMove(b.cell, b_new_c, row_y, prop.layer);
         const Entry a_entry{a.cell, a_new_c - wa / 2.0, a_new_c + wa / 2.0};
@@ -412,10 +406,8 @@ RowOptStats RowRefiner::Run(int passes) {
 
   // Fold the views' kernel counters back in slot order; the totals are sums
   // of per-window counts, so they are identical for any thread count.
-  for (DeltaView& v : views) {
-    eval_.MergeEvalStats(v.stats());
-    v.ClearStats();
-  }
+  for (const DeltaView& v : views) eval_.MergeEvalStats(v.stats());
+  eval_.MergeEvalStats(commit_view.stats());
 
   obs::MetricAdd("rowopt/runs", 1);
   obs::MetricAdd("rowopt/windows",

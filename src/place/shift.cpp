@@ -159,9 +159,8 @@ void CellShifter::SweepAxis(BinGrid& grid, int axis) {
     std::vector<std::int32_t> occupants;
     std::vector<std::pair<double, std::int32_t>> scored;
   };
-  std::vector<Scratch> scratch(num_slots);
+  std::vector<Scratch> scratch(num_slots, Scratch{.view = DeltaView(&eval_)});
   for (Scratch& s : scratch) {
-    s.view.Attach(&eval_);
     s.density.resize(static_cast<std::size_t>(n_along));
     s.width.resize(static_cast<std::size_t>(n_along));
     s.new_bound.resize(static_cast<std::size_t>(n_along) + 1);
@@ -323,11 +322,8 @@ void CellShifter::SweepAxis(BinGrid& grid, int axis) {
       [&](int color) { return obs::TraceScope(kColorTrace[color]); });
 
   // Fold the views' kernel counters back in slot order (deterministic sums).
-  for (Scratch& s : scratch) {
-    eval_.MergeEvalStats(s.view.stats());
-    s.view.ClearStats();
-  }
-  obs::MetricAdd("legalize/windows",
+  for (const Scratch& s : scratch) eval_.MergeEvalStats(s.view.stats());
+  obs::MetricAdd("shift/windows",
                  static_cast<std::int64_t>(tiling.NumWindows()));
 }
 

@@ -369,8 +369,7 @@ void JobEngine::RunJob(Job* job) {
   // job's deterministic dump.
   options.fea_assembly =
       place::RunSolvesFea(job->spec.params, options)
-          ? fea_cache_.Acquire(
-                FeaKeyFor(job->spec.params, options, placer.chip()))
+          ? fea_cache_.Acquire(FeaKeyFor(job->spec.params, placer.chip()))
           : nullptr;
 
   // Clamp the job's inner parallelism while it shares the machine with
@@ -442,13 +441,12 @@ void JobEngine::FinishJob(Job* job) {
 }
 
 FeaCacheKey FeaKeyFor(const place::PlacerParams& params,
-                      const place::RunOptions& options,
                       const place::Chip& chip) {
   FeaCacheKey key;
   key.stack = params.stack;
   key.stack.num_layers = params.num_layers;  // what SyncStack() enforces
   key.chip = thermal::ChipExtent{chip.width(), chip.height()};
-  key.fea = place::FeaOptionsFor(params, options);
+  key.fea = place::FeaOptionsFor(params);
   return key;
 }
 

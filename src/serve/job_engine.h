@@ -220,11 +220,10 @@ class JobEngine {
   std::thread watchdog_;
 };
 
-/// The FeaAssemblyCache key a run with these parameters/options uses. Its
+/// The FeaAssemblyCache key a run with these parameters uses. Its
 /// FeaOptions come from place::FeaOptionsFor, like the assembly the placer
 /// would build itself, so the engine-acquired one is interchangeable.
 FeaCacheKey FeaKeyFor(const place::PlacerParams& params,
-                      const place::RunOptions& options,
                       const place::Chip& chip);
 
 }  // namespace p3d::serve

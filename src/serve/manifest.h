@@ -18,8 +18,8 @@
 // default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
 // threads, with_fea, fea_per_pass and start_deadline_s. Any other key in a
 // job or in `defaults` is a manifest error (kParseError naming the key). No
-// field selects the FEA preconditioner: jobs solve with
-// place::RunOptions::preconditioner's default, multigrid.
+// field selects the FEA preconditioner: every run solves with the constant
+// place::RunOptions::preconditioner, multigrid.
 // Integer fields (layers, threads, priority, and the top-level and per-job
 // seed) must be whole numbers in their type's range.
 //

@@ -437,7 +437,6 @@ FeaResult FeaContext::Solve(const std::vector<double>& x,
     ++stats_.warm_starts;
     obs::MetricAdd("solver/warm_starts", 1);
   }
-  obs::MetricObserve("solver/fea_iters_per_solve", cg.iters);
 
   if (options_.warm_start) {
     if (cg.converged) {

@@ -13,9 +13,9 @@
 // convective (Robin) on the bottom heat-sink face with h_sink, convective
 // with h_ambient on the top face, adiabatic sides. The assembled system is
 // symmetric positive definite and solved with preconditioned CG, as set by
-// FeaOptions::cg.preconditioner: multigrid V-cycles (the placer's default,
-// place::RunOptions::preconditioner) on any mesh, or Jacobi (the CgOptions
-// default). FeaPreconditioner is the one rule both solve paths follow.
+// FeaOptions::cg.preconditioner: multigrid V-cycles (what every placer
+// run uses, place::RunOptions::preconditioner) on any mesh, or Jacobi (the
+// CgOptions default). FeaPreconditioner is the one rule both solve paths follow.
 // Placement flows solve through FeaContext, which holds the preconditioner
 // for all of a flow's solves and can warm-start each solve from the previous
 // field; the one-shot FeaSolver::Solve builds it afresh on every call.

@@ -23,9 +23,14 @@ namespace p3d::partition::fixtures {
 /// net carries each terminal with probability `terminal_prob`; the random
 /// draws do not depend on it, so only terminal membership changes with it.
 /// At the default 0.8 about 64% of the nets carry both terminals, are cut
-/// by every partition, and dominate the cut.
+/// by every partition, and dominate the cut. Each net draws between
+/// `min_net_cells` and `max_net_cells` cells (duplicates merge) from a
+/// window of 3 * max_net_cells consecutive ids; the default 1..2 keeps the
+/// draws of the fixture's first version.
 inline Hypergraph RegionHypergraph(std::uint64_t seed, int free_verts = 25,
-                                   double terminal_prob = 0.8) {
+                                   double terminal_prob = 0.8,
+                                   int min_net_cells = 1,
+                                   int max_net_cells = 2) {
   util::Rng rng(seed);
   Hypergraph hg;
   for (int i = 0; i < free_verts; ++i) hg.AddVertex(1.0 + 2.0 * rng.NextDouble());
@@ -35,11 +40,12 @@ inline Hypergraph RegionHypergraph(std::uint64_t seed, int free_verts = 25,
   std::vector<std::int32_t> verts;
   for (int n = 0; n < nets; ++n) {
     verts.clear();
-    // One or two cells close in id order (regions are spatially local).
+    // Cells close in id order (regions are spatially local).
     const int base = rng.NextInt(0, free_verts - 1);
-    const int cells = rng.NextInt(1, 2);
+    const int cells = rng.NextInt(min_net_cells, max_net_cells);
     for (int d = 0; d < cells; ++d) {
-      verts.push_back((base + rng.NextInt(0, 5)) % free_verts);
+      verts.push_back((base + rng.NextInt(0, 3 * max_net_cells - 1)) %
+                      free_verts);
     }
     if (rng.NextDouble() < terminal_prob) verts.push_back(t0);
     if (rng.NextDouble() < terminal_prob) verts.push_back(t1);

@@ -299,6 +299,49 @@ TEST(Legalize, NestedWallsNeverSqueezeIntoEncloser) {
   RunWallCase(f, chip, {mid, mid - 0.75e-6});
 }
 
+TEST(Legalize, GapTheCellExactlyFillsKeepsUncrossedClampBounds) {
+  // The only free gap of every row, [3.088e-6, 1.091e-5] m, passes
+  // `g_hi - g_lo >= width` for this 7.818e-6 m cell, yet rounding puts
+  // g_lo + w/2 one ulp above g_hi - w/2. Crossed bounds are a std::clamp
+  // precondition violation (an abort under _GLIBCXX_ASSERTIONS); the cell
+  // must instead land in the gap.
+  const double g_lo = 3.0881506130865378e-06;
+  const double g_hi = 1.0906397865839079e-05;
+  const double width = 7.818247252752542e-06;
+  ASSERT_GE(g_hi - g_lo, width);
+  ASSERT_GT(g_lo + width / 2.0, g_hi - width / 2.0);
+
+  netlist::Netlist nl;
+  const std::int32_t cell = nl.AddCell("c", width, 1.4e-6);
+  // Walls as tall as the die: [0, g_lo] and [g_hi, 3 g_hi], the latter
+  // clipped to the die. Each centre and half-width makes both edges exact.
+  const std::int32_t left = nl.AddCell("left", g_lo, 400e-6, /*fixed=*/true);
+  const std::int32_t right =
+      nl.AddCell("right", 2.0 * g_hi, 400e-6, /*fixed=*/true);
+  ASSERT_TRUE(nl.Finalize());
+  PlacerParams params;
+  params.num_layers = 1;
+  params.SyncStack();
+  const Chip chip = *Chip::Build(nl, 1, params.whitespace,
+                                 params.inter_row_space);
+  ASSERT_GT(chip.width(), g_hi);  // the right wall starts inside the die
+
+  Placement p;
+  p.Resize(static_cast<std::size_t>(nl.NumCells()));
+  p.x = {chip.width() / 2, g_lo / 2.0, 2.0 * g_hi};
+  p.y.assign(3, chip.height() / 2);
+  ObjectiveEvaluator eval(nl, chip, params);
+  eval.SetPlacement(p);
+  DetailedLegalizer legalizer(eval);
+  ASSERT_TRUE(legalizer.Run().success);
+
+  const double x = eval.placement().x[static_cast<std::size_t>(cell)];
+  EXPECT_GE(x - width / 2.0, g_lo - 1e-18);
+  EXPECT_LE(x + width / 2.0, g_hi + 1e-18);
+  EXPECT_EQ(eval.placement().x[static_cast<std::size_t>(left)], g_lo / 2.0);
+  EXPECT_EQ(eval.placement().x[static_cast<std::size_t>(right)], 2.0 * g_hi);
+}
+
 // ----- windowed parallel schedule ------------------------------------------
 
 TEST(Legalize, ThreadCountDoesNotChangePlacementBytes) {

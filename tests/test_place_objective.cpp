@@ -107,9 +107,10 @@ TEST(Objective, MoveDeltaMatchesRecompute) {
   params.SyncStack();
   ObjectiveEvaluator eval(nl, chip, params);
   eval.SetPlacement(TinyPlacement());
+  DeltaView view(&eval);
 
   const double before = eval.Total();
-  const double delta = eval.MoveDelta(1, 2e-6, 2e-6, 3);
+  const double delta = view.MoveDelta(1, 2e-6, 2e-6, 3);
   eval.CommitMove(1, 2e-6, 2e-6, 3);
   const double after_incremental = eval.Total();
   const double after_full = eval.RecomputeFull();
@@ -126,9 +127,10 @@ TEST(Objective, SwapDeltaMatchesRecompute) {
   params.SyncStack();
   ObjectiveEvaluator eval(nl, chip, params);
   eval.SetPlacement(TinyPlacement());
+  DeltaView view(&eval);
 
   const double before = eval.Total();
-  const double delta = eval.SwapDelta(0, 2);
+  const double delta = view.SwapDelta(0, 2);
   eval.CommitSwap(0, 2);
   EXPECT_NEAR(eval.Total(), before + delta, std::abs(before) * 1e-12);
   EXPECT_NEAR(eval.Total(), eval.RecomputeFull(), std::abs(before) * 1e-12);
@@ -167,6 +169,7 @@ TEST_P(ObjectiveIncrementalConsistency, RandomWalkStaysConsistent) {
     p.layer[i] = rng.NextInt(0, 3);
   }
   eval.SetPlacement(p);
+  DeltaView view(&eval);
 
   double running = eval.Total();
   for (int step = 0; step < 300; ++step) {
@@ -176,7 +179,7 @@ TEST_P(ObjectiveIncrementalConsistency, RandomWalkStaysConsistent) {
       const double nx = rng.NextDouble(0.0, chip.width());
       const double ny = rng.NextDouble(0.0, chip.height());
       const int nlayer = rng.NextInt(0, 3);
-      running += eval.MoveDelta(c, nx, ny, nlayer);
+      running += view.MoveDelta(c, nx, ny, nlayer);
       eval.CommitMove(c, nx, ny, nlayer);
     } else {
       const auto a = static_cast<std::int32_t>(
@@ -184,7 +187,7 @@ TEST_P(ObjectiveIncrementalConsistency, RandomWalkStaysConsistent) {
       const auto b = static_cast<std::int32_t>(
           rng.NextBounded(static_cast<std::uint64_t>(nl.NumCells())));
       if (a == b) continue;
-      running += eval.SwapDelta(a, b);
+      running += view.SwapDelta(a, b);
       eval.CommitSwap(a, b);
     }
     ASSERT_NEAR(eval.Total(), running, std::abs(running) * 1e-9) << step;
@@ -247,6 +250,7 @@ TEST(Objective, LeakageIncrementalConsistency) {
     p.layer[i] = rng.NextInt(0, 3);
   }
   eval.SetPlacement(p);
+  DeltaView view(&eval);
   double running = eval.Total();
   for (int step = 0; step < 150; ++step) {
     if (rng.NextBool()) {
@@ -255,7 +259,7 @@ TEST(Objective, LeakageIncrementalConsistency) {
       const double nx = rng.NextDouble(0.0, chip.width());
       const double ny = rng.NextDouble(0.0, chip.height());
       const int nlayer = rng.NextInt(0, 3);
-      running += eval.MoveDelta(c, nx, ny, nlayer);
+      running += view.MoveDelta(c, nx, ny, nlayer);
       eval.CommitMove(c, nx, ny, nlayer);
     } else {
       const auto a = static_cast<std::int32_t>(
@@ -263,7 +267,7 @@ TEST(Objective, LeakageIncrementalConsistency) {
       const auto b = static_cast<std::int32_t>(
           rng.NextBounded(static_cast<std::uint64_t>(nl.NumCells())));
       if (a == b) continue;
-      running += eval.SwapDelta(a, b);
+      running += view.SwapDelta(a, b);
       eval.CommitSwap(a, b);
     }
   }
@@ -293,8 +297,9 @@ TEST(Objective, LeakagePrefersLowerLayers) {
   p.Resize(3);
   p.layer = {3, 3, 3};
   eval.SetPlacement(p);
-  EXPECT_LT(eval.MoveDelta(2, p.x[2], p.y[2], 0), 0.0);
-  EXPECT_DOUBLE_EQ(eval.MoveDelta(2, p.x[2], p.y[2], 3), 0.0);
+  DeltaView view(&eval);
+  EXPECT_LT(view.MoveDelta(2, p.x[2], p.y[2], 0), 0.0);
+  EXPECT_DOUBLE_EQ(view.MoveDelta(2, p.x[2], p.y[2], 3), 0.0);
 }
 
 TEST(Objective, DriverlessNetHasNoThermalCost) {
