@@ -134,7 +134,7 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
       int bx, by;
       if (global) {
         double ox = 0.0, oy = 0.0;
-        OptimalLateralPosition(eval_, cell, &ox, &oy);
+        OptimalLateralPosition(view, cell, &ox, &oy);
         bx = grid.XIndex(ox);
         by = grid.YIndex(oy);
       } else {

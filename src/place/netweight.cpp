@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/geometry.h"
-
 namespace p3d::place {
 namespace {
 
@@ -90,59 +88,52 @@ PekoFloors ComputePekoFloors(const netlist::Netlist& nl, double alpha_ilv) {
   return f;
 }
 
-void OptimalLateralPosition(const ObjectiveEvaluator& eval, std::int32_t cell,
-                            double* x, double* y) {
+void OptimalLateralPosition(DeltaView& view, std::int32_t cell, double* x,
+                            double* y) {
+  const ObjectiveEvaluator& eval = *view.eval_;
   const netlist::Netlist& nl = eval.netlist();
-  const Placement& p = eval.placement();
   const PlacerParams& params = eval.params();
-  std::vector<std::pair<double, double>> xs, ys;
+  view.Admit(cell, -1);
+  const DeltaView::Slot ctx = view.ContextOf(cell);
+  const auto net_box = [&](std::int32_t k) -> const DeltaView::ContextNet& {
+    return view.entries_[static_cast<std::size_t>(ctx.first + k)];
+  };
+  std::vector<std::pair<double, double>>& xs = view.xs_;
+  std::vector<std::pair<double, double>>& ys = view.ys_;
+  xs.clear();
+  ys.clear();
+  // Per pin, so a net the cell holds twice weighs twice. The context lists
+  // the nets in first-pin order; a repeated net is found among the earlier.
+  std::int32_t next = 0;
   for (const std::int32_t pid : nl.CellPinIds(cell)) {
-    const std::int32_t n = nl.pin(pid).net;
-    // Bounding box of the net's *other* pins.
-    geom::BBox3 box;
-    for (const netlist::Pin& pin : nl.NetPins(n)) {
-      if (pin.cell == cell) continue;
-      const std::size_t c = static_cast<std::size_t>(pin.cell);
-      box.Add(geom::Point3{p.x[c] + pin.dx, p.y[c] + pin.dy, p.layer[c]});
+    const std::int32_t n = nl.PinNet(pid);
+    std::int32_t k = 0;
+    if (next < ctx.count && net_box(next).net == n) {
+      k = next++;
+    } else {
+      while (net_box(k).net != n) ++k;
     }
-    if (box.Empty()) continue;
+    // Bounding box of the net's *other* pins.
+    const DeltaView::ContextNet& e = net_box(k);
+    if (!e.HasOthers()) continue;
     double w = 1.0;
     const std::int32_t driver = nl.DriverCell(n);
     if (params.alpha_temp > 0.0 && driver >= 0) {
       w = 1.0 + params.alpha_temp * eval.CellResistance(driver) * eval.SWl(n);
     }
-    xs.emplace_back(box.LateralRect().x_lo, w);
-    xs.emplace_back(box.LateralRect().x_hi, w);
-    ys.emplace_back(box.LateralRect().y_lo, w);
-    ys.emplace_back(box.LateralRect().y_hi, w);
+    xs.emplace_back(e.ox_lo, w);
+    xs.emplace_back(e.ox_hi, w);
+    ys.emplace_back(e.oy_lo, w);
+    ys.emplace_back(e.oy_hi, w);
   }
   const std::size_t i = static_cast<std::size_t>(cell);
   if (xs.empty()) {
-    *x = p.x[i];
-    *y = p.y[i];
+    *x = eval.placement().x[i];
+    *y = eval.placement().y[i];
     return;
   }
   *x = WeightedMedian(xs);
   *y = WeightedMedian(ys);
-}
-
-std::vector<double> ComputeCellPowerWithFloors(const ObjectiveEvaluator& eval,
-                                               const PekoFloors& floors) {
-  const netlist::Netlist& nl = eval.netlist();
-  std::vector<double> power(static_cast<std::size_t>(nl.NumCells()), 0.0);
-  for (std::int32_t n = 0; n < nl.NumNets(); ++n) {
-    const std::int32_t driver = nl.DriverCell(n);
-    if (driver < 0) continue;
-    const std::size_t i = static_cast<std::size_t>(n);
-    // The measured lateral HPWL is compared against the combined x+y floor.
-    const double wl_floor = floors.wl_x[i] + floors.wl_y[i];
-    const double wl = std::max(eval.NetHpwl(n), wl_floor);
-    const double ilv = std::max(static_cast<double>(eval.NetSpan(n)),
-                                floors.ilv[i]);
-    power[static_cast<std::size_t>(driver)] +=
-        eval.SWl(n) * wl + eval.SIlv(n) * ilv + eval.SPinTerm(n);
-  }
-  return power;
 }
 
 }  // namespace p3d::place

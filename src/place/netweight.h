@@ -46,15 +46,11 @@ struct PekoFloors {
 PekoFloors ComputePekoFloors(const netlist::Netlist& nl, double alpha_ilv);
 
 /// Weighted-median optimal lateral position of `cell` over its nets (the
-/// optimal-region center of [14], with Eq. 8 lateral net weights). Used by
-/// global moves/swaps and by legal row refinement.
-void OptimalLateralPosition(const ObjectiveEvaluator& eval, std::int32_t cell,
-                            double* x, double* y);
-
-/// Cell power estimates for Eq. 12 weights (Eq. 10 with PEKO floors):
-/// P_j = sum over driven nets of s_wl*max(WL, WLopt) + s_ilv*max(ILV, ILVopt)
-///       + s_pin-term. Measured WL/ILV come from the evaluator's caches.
-std::vector<double> ComputeCellPowerWithFloors(const ObjectiveEvaluator& eval,
-                                               const PekoFloors& floors);
+/// optimal-region center of [14], with Eq. 8 lateral net weights), read
+/// from the cell's context in `view`, so pricing the cell next through the
+/// same view reuses it. Used by global moves/swaps and by legal row
+/// refinement.
+void OptimalLateralPosition(DeltaView& view, std::int32_t cell, double* x,
+                            double* y);
 
 }  // namespace p3d::place

@@ -13,10 +13,14 @@
 // beta selection, moves/swaps, detailed legalization) evaluates candidate
 // moves through DeltaView::MoveDelta/SwapDelta, which touch only the nets
 // incident to the moved cells — the efficiency the paper gets from
-// replacing T_j by Delta-T_j = R_j * P_j (Eq. 2).
+// replacing T_j by Delta-T_j = R_j * P_j (Eq. 2). A view caches, per priced
+// cell, the bounding box of each incident net's pins on *other* cells, so
+// pricing one cell at many candidate positions scans its nets' pins once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -94,22 +98,14 @@ class ObjectiveEvaluator {
   void CommitSwap(std::int32_t a, std::int32_t b);
 
   /// Net-evaluation accounting. `rescan_evals` counts every per-net
-  /// evaluation a delta or a commit made; each one scans the net's pins.
-  /// `incremental_evals` is the constant 0: the incremental net-box kernel
-  /// it counted is gone, and the name stays only because bench/e2e reads it.
+  /// evaluation a delta or a commit made: a commit scans the net's pins, a
+  /// delta reads the priced cell's cached context (a scan only for a net
+  /// both swapped cells share). `incremental_evals` is the constant 0: the
+  /// incremental net-box kernel it counted is gone, and the name stays only
+  /// because bench/e2e reads it.
   struct EvalStats {
     static constexpr long long incremental_evals = 0;
     long long rescan_evals = 0;
-  };
-
-  /// Reusable per-caller scratch for delta evaluation: net-collection
-  /// buffers plus the evaluation count of the deltas priced through it.
-  /// Each DeltaView owns one, so concurrent read-only evaluation is safe.
-  struct EvalScratch {
-    std::vector<std::int32_t> nets;       // distinct incident nets
-    std::vector<std::uint32_t> net_stamp; // lazily sized to NumNets
-    std::uint32_t stamp = 0;
-    EvalStats stats;                      // evaluations done via this scratch
   };
 
   /// Folds a view's evaluation counters into the evaluator's running
@@ -158,19 +154,36 @@ class ObjectiveEvaluator {
  private:
   friend class DeltaView;
 
-  /// Objective change if `cell` moved to (x, y, layer), or if cells `a` and
-  /// `b` exchanged positions; counted into `scratch.stats`. Read-only on the
-  /// evaluator: safe to call concurrently as long as no commit runs at the
-  /// same time and each caller passes its own scratch.
-  double MoveDelta(EvalScratch& scratch, std::int32_t cell, double x, double y,
-                   int layer) const;
-  double SwapDelta(EvalScratch& scratch, std::int32_t a, std::int32_t b) const;
-
+  /// A cell priced at a position other than its committed one. `r` is the
+  /// cell's resistance there: a commit always fills it, a delta only when
+  /// alpha_TEMP is nonzero (the only case that reads it).
   struct Override {
     std::int32_t cell = -1;
     double x = 0.0;
     double y = 0.0;
     int layer = 0;
+    double r = 0.0;
+  };
+
+  /// Distinct-net collection: a net is new to the current collection while
+  /// its stamp differs from `stamp`.
+  struct NetScratch {
+    std::vector<std::int32_t> nets;       // distinct incident nets
+    std::vector<std::uint32_t> net_stamp; // lazily sized to NumNets
+    std::uint32_t stamp = 0;
+
+    /// Starts a new collection over `num_nets` nets.
+    void Begin(std::size_t num_nets);
+    /// Marks net n; true if it was not yet marked in this collection.
+    bool Mark(std::int32_t n) {
+      std::uint32_t& s = net_stamp[static_cast<std::size_t>(n)];
+      if (s == stamp) return false;
+      s = stamp;
+      return true;
+    }
+    bool Marked(std::int32_t n) const {
+      return net_stamp[static_cast<std::size_t>(n)] == stamp;
+    }
   };
 
   /// Bounding box of one net's pins.
@@ -193,14 +206,19 @@ class ObjectiveEvaluator {
   };
   NetEval EvalNet(std::int32_t n, const Override& o1, const Override& o2) const;
 
+  /// Eq. 3 cost of net n with the given box metrics; the driver's
+  /// resistance is the override's if it is one of the overridden cells.
+  double NetCost(std::int32_t n, double hpwl, int span, const Override& o1,
+                 const Override& o2) const;
+
   double Resistance(std::int32_t cell, double x, double y, int layer) const;
 
-  /// Change in the per-cell leakage thermal term if `cell` moved there.
-  double LeakDelta(std::int32_t cell, double x, double y, int layer) const;
+  /// Change in the per-cell leakage thermal term if `o.cell` moved there.
+  double LeakDelta(const Override& o) const;
 
   /// Collects the distinct nets incident to one or two cells into
   /// `scratch.nets`.
-  void CollectNetsInto(EvalScratch& scratch, std::int32_t a,
+  void CollectNetsInto(NetScratch& scratch, std::int32_t a,
                        std::int32_t b) const;
 
   const netlist::Netlist& nl_;
@@ -226,9 +244,12 @@ class ObjectiveEvaluator {
   long long total_ilv_ = 0;
   double total_thermal_ = 0.0;
 
-  // The commit paths' net-collection scratch; its stats field is unused —
-  // commit evaluations count straight into eval_stats_.
-  EvalScratch scratch_;
+  // Bumped by every commit and placement install: a DeltaView's cached cell
+  // contexts are valid only for the epoch they were built in.
+  std::uint64_t epoch_ = 1;
+
+  // The commit paths' net-collection scratch.
+  NetScratch scratch_;
   // Commit-path scratch (evals computed before the placement mutates).
   std::vector<NetEval> eval_scratch_;
 
@@ -237,8 +258,8 @@ class ObjectiveEvaluator {
   long long total_commits_ = 0;
 
   /// Shared body of CommitMove/CommitSwap: moves `o1.cell`, and `o2.cell`
-  /// too unless it is -1 (a move).
-  void Commit(const Override& o1, const Override& o2);
+  /// too unless it is -1 (a move). Fills in the overrides' resistances.
+  void Commit(Override o1, Override o2);
 
   /// Tail of Commit: listener notification and the periodic totals resync.
   void FinishCommit(double applied_delta, const Override& o1,
@@ -246,28 +267,84 @@ class ObjectiveEvaluator {
 };
 
 /// The one way to price a candidate: a read-only view of a shared
-/// ObjectiveEvaluator with a privately owned EvalScratch, so parallel
-/// propose workers can evaluate candidate deltas concurrently against the
-/// frozen committed state, and a serial commit can revalidate against the
-/// live state (DESIGN.md §5). A view can never commit; it lives for one
-/// engine pass, after which the engine merges its evaluation stats back with
+/// ObjectiveEvaluator with privately owned scratch, so parallel propose
+/// workers can evaluate candidate deltas concurrently against the frozen
+/// committed state, and a serial commit can revalidate against the live
+/// state (DESIGN.md §5). A view can never commit; it lives for one engine
+/// pass, after which the engine merges its evaluation stats back with
 /// ObjectiveEvaluator::MergeEvalStats.
+///
+/// A view keeps a bounded cache of *cell contexts*: for each cell it has
+/// priced, the cell's distinct incident nets, each with the bounding box of
+/// the net's pins on other cells and the extreme offsets of the cell's own
+/// pins. Pricing a cell with a context reads no pins, and min/max are
+/// exact, so every delta is bit-identical to a scan of the nets' pins. The
+/// contexts hold geometry only and are dropped when the evaluator's epoch
+/// moves (any commit or placement install).
 class DeltaView {
  public:
   explicit DeltaView(const ObjectiveEvaluator* eval) : eval_(eval) {}
 
-  double MoveDelta(std::int32_t cell, double x, double y, int layer) {
-    return eval_->MoveDelta(scratch_, cell, x, y, layer);
-  }
-  double SwapDelta(std::int32_t a, std::int32_t b) {
-    return eval_->SwapDelta(scratch_, a, b);
-  }
+  /// Objective change if `cell` moved to (x, y, layer), or if cells `a` and
+  /// `b` exchanged positions. Safe to call concurrently on distinct views
+  /// as long as no commit runs at the same time.
+  double MoveDelta(std::int32_t cell, double x, double y, int layer);
+  double SwapDelta(std::int32_t a, std::int32_t b);
 
-  const ObjectiveEvaluator::EvalStats& stats() const { return scratch_.stats; }
+  const ObjectiveEvaluator::EvalStats& stats() const { return stats_; }
 
  private:
+  friend void OptimalLateralPosition(DeltaView& view, std::int32_t cell,
+                                     double* x, double* y);
+
+  using Override = ObjectiveEvaluator::Override;
+
+  /// One incident net of a cell context. The other-pin box is empty when
+  /// ol_lo > ol_hi (the cell holds every pin of the net).
+  struct ContextNet {
+    double ox_lo, ox_hi, oy_lo, oy_hi;  // pins on other cells
+    double dx_lo, dx_hi, dy_lo, dy_hi;  // offsets of the cell's own pins
+    std::int32_t net;
+    std::int32_t ol_lo, ol_hi;
+    bool HasOthers() const { return ol_lo <= ol_hi; }
+  };
+  /// Index slot of one cached context: entries_[first, first + count).
+  struct Slot {
+    std::int32_t cell = -1;
+    std::uint32_t gen = 0;  // live iff equal to gen_
+    std::int32_t first = 0;
+    std::int32_t count = 0;
+  };
+
+  // The cache empties when full. 4,096 entries (80 bytes each) and a
+  // 2,048-slot index filled to at most 3/4 bound it at 352 KiB per view.
+  static constexpr std::size_t kMaxEntries = 4096;
+  static constexpr int kSlotBits = 11;
+  static constexpr int kMaxContexts = 1536;
+
+  /// Drops every context if the evaluator's epoch moved, or if contexts for
+  /// `a` and `b` (-1: none) might not fit. Called on entry to each pricing
+  /// call, so the contexts one call needs are never split by a flush.
+  void Admit(std::int32_t a, std::int32_t b);
+  void Flush();
+  /// The context of `cell`, built if absent; requires a prior Admit.
+  Slot ContextOf(std::int32_t cell);
+  /// Eq. 3 cost of entry `e`'s net with its cell overridden by `o`.
+  double ContextCost(const ContextNet& e, const Override& o) const;
+  /// An override of `cell` at (x, y, layer), with its resistance when
+  /// alpha_TEMP needs it.
+  Override At(std::int32_t cell, double x, double y, int layer) const;
+
   const ObjectiveEvaluator* eval_;
-  ObjectiveEvaluator::EvalScratch scratch_;
+  ObjectiveEvaluator::EvalStats stats_;
+  ObjectiveEvaluator::NetScratch scratch_;
+  std::vector<ContextNet> entries_;
+  std::vector<Slot> slots_;  // open addressing by cell, sized on first use
+  std::uint32_t gen_ = 1;
+  int num_contexts_ = 0;
+  std::uint64_t epoch_ = 0;  // never the evaluator's: the first call flushes
+  // OptimalLateralPosition's weighted interval endpoints.
+  std::vector<std::pair<double, double>> xs_, ys_;
 };
 
 }  // namespace p3d::place

@@ -126,7 +126,7 @@ RowOptStats RowRefiner::Run(int passes) {
               chip_.width(), i + 1 < sim.size() ? sim[i + 1].lo : chip_.width());
           if (span_hi - span_lo < cw - kGeomEps) continue;
           double ox = 0.0, oy = 0.0;
-          OptimalLateralPosition(eval_, e.cell, &ox, &oy);
+          OptimalLateralPosition(view, e.cell, &ox, &oy);
           const double target =
               ClampToSpan(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
           const double cur = (e.lo + e.hi) / 2.0;
@@ -156,7 +156,7 @@ RowOptStats RowRefiner::Run(int passes) {
           chip_.width(), i + 1 < row.size() ? row[i + 1].lo : chip_.width());
       if (span_hi - span_lo < cw - kGeomEps) continue;
       double ox = 0.0, oy = 0.0;
-      OptimalLateralPosition(eval_, e.cell, &ox, &oy);
+      OptimalLateralPosition(commit_view, e.cell, &ox, &oy);
       const double target =
           ClampToSpan(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
       const Placement& p = eval_.placement();

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "geom/geometry.h"
 #include "io/synthetic.h"
 #include "place/netweight.h"
 #include "util/rng.h"
@@ -138,58 +143,99 @@ TEST(PekoFloors, TwoDimensionalDegenerateCase) {
   }
 }
 
-TEST(CellPower, FloorsRaiseZeroLengthNets) {
-  Fixture f(1e-6);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  // All cells at one point: measured WL and ILV are all zero.
-  eval.SetPlacement(CenterPlacement(f.nl, f.chip));
-  EXPECT_NEAR(eval.TotalHpwl(), 0.0, 1e-18);
-
-  const PekoFloors floors = ComputePekoFloors(f.nl, f.params.alpha_ilv);
-  const auto power = ComputeCellPowerWithFloors(eval, floors);
-  double total = 0.0;
-  for (const double p : power) total += p;
-  // Despite zero measured metrics, floored power is strictly positive.
-  EXPECT_GT(total, 0.0);
-
-  // And it exceeds the floor-free pin-only power.
-  double pin_only = 0.0;
-  for (std::int32_t n = 0; n < f.nl.NumNets(); ++n) pin_only += eval.SPinTerm(n);
-  EXPECT_GT(total, pin_only);
+// The optimal lateral position computed by scanning, for every pin of the
+// cell, the pins of its net on other cells: the definition the cached
+// per-view contexts must reproduce bit for bit.
+void ScannedOptimalPosition(const ObjectiveEvaluator& eval, std::int32_t cell,
+                            double* x, double* y) {
+  const netlist::Netlist& nl = eval.netlist();
+  const Placement& p = eval.placement();
+  std::vector<std::pair<double, double>> xs, ys;
+  for (const std::int32_t pid : nl.CellPinIds(cell)) {
+    const std::int32_t n = nl.pin(pid).net;
+    geom::BBox3 box;
+    for (const netlist::Pin& pin : nl.NetPins(n)) {
+      if (pin.cell == cell) continue;
+      const std::size_t c = static_cast<std::size_t>(pin.cell);
+      box.Add(geom::Point3{p.x[c] + pin.dx, p.y[c] + pin.dy, p.layer[c]});
+    }
+    if (box.Empty()) continue;
+    double w = 1.0;
+    const std::int32_t driver = nl.DriverCell(n);
+    if (eval.params().alpha_temp > 0.0 && driver >= 0) {
+      w = 1.0 + eval.params().alpha_temp * eval.CellResistance(driver) *
+                    eval.SWl(n);
+    }
+    xs.emplace_back(box.LateralRect().x_lo, w);
+    xs.emplace_back(box.LateralRect().x_hi, w);
+    ys.emplace_back(box.LateralRect().y_lo, w);
+    ys.emplace_back(box.LateralRect().y_hi, w);
+  }
+  const auto median = [](std::vector<std::pair<double, double>>& pts) {
+    double total = 0.0;
+    for (const auto& [v, w] : pts) total += w;
+    std::sort(pts.begin(), pts.end());
+    double acc = 0.0;
+    for (const auto& [v, w] : pts) {
+      acc += w;
+      if (acc >= total / 2.0) return v;
+    }
+    return pts.back().first;
+  };
+  const std::size_t i = static_cast<std::size_t>(cell);
+  *x = xs.empty() ? p.x[i] : median(xs);
+  *y = ys.empty() ? p.y[i] : median(ys);
 }
 
-TEST(CellPower, UsesMeasuredWhenAboveFloor) {
-  Fixture f(1e-6);
-  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
-  // Spread cells far: measured metrics dominate the floors.
+TEST(OptimalLateralPosition, MatchesScanOfOtherPinsThroughOneView) {
+  // Random nets with pin offsets; cells may repeat within a net (two pins
+  // of one cell on one net weigh twice), and some nets hold one cell only.
+  util::Rng rng(3);
+  netlist::Netlist nl;
+  constexpr int kCells = 300;
+  for (int c = 0; c < kCells; ++c) {
+    nl.AddCell("c" + std::to_string(c), 2e-6, 1e-6);
+  }
+  for (int k = 0; k < 500; ++k) {
+    nl.AddNet("n" + std::to_string(k), 0.2);
+    const int pins = k % 25 == 0 ? 2 : rng.NextInt(2, 5);
+    const int single = rng.NextInt(0, kCells - 1);
+    for (int p = 0; p < pins; ++p) {
+      const int c = k % 25 == 0 ? single : rng.NextInt(0, kCells - 1);
+      nl.AddPin(c, p == 0 ? netlist::PinDir::kOutput : netlist::PinDir::kInput,
+                rng.NextDouble(-1e-6, 1e-6), rng.NextDouble(-1e-6, 1e-6));
+    }
+  }
+  ASSERT_TRUE(nl.Finalize());
+  const Chip chip = *Chip::Build(nl, 4, 0.05, 0.25);
+  PlacerParams params;
+  params.num_layers = 4;
+  params.alpha_ilv = 1e-5;
+  params.alpha_temp = 4e-6;
+  params.SyncStack();
+  ObjectiveEvaluator eval(nl, chip, params);
   Placement p;
-  p.Resize(static_cast<std::size_t>(f.nl.NumCells()));
-  util::Rng rng(4);
+  p.Resize(kCells);
   for (std::size_t i = 0; i < p.size(); ++i) {
-    p.x[i] = rng.NextDouble(0.0, f.chip.width());
-    p.y[i] = rng.NextDouble(0.0, f.chip.height());
+    p.x[i] = rng.NextDouble(0.0, chip.width());
+    p.y[i] = rng.NextDouble(0.0, chip.height());
     p.layer[i] = rng.NextInt(0, 3);
   }
   eval.SetPlacement(p);
-  const PekoFloors floors = ComputePekoFloors(f.nl, f.params.alpha_ilv);
-  const auto power = ComputeCellPowerWithFloors(eval, floors);
 
-  // Cross-check one driver by hand.
-  const std::int32_t n0 = 0;
-  const std::int32_t d = f.nl.DriverCell(n0);
-  ASSERT_GE(d, 0);
-  double expected = 0.0;
-  for (const std::int32_t pid : f.nl.CellPinIds(d)) {
-    const auto& pin = f.nl.pin(pid);
-    if (pin.dir != netlist::PinDir::kOutput) continue;
-    const std::int32_t n = pin.net;
-    const std::size_t i = static_cast<std::size_t>(n);
-    const double wl = std::max(eval.NetHpwl(n), floors.wl_x[i] + floors.wl_y[i]);
-    const double ilv =
-        std::max(static_cast<double>(eval.NetSpan(n)), floors.ilv[i]);
-    expected += eval.SWl(n) * wl + eval.SIlv(n) * ilv + eval.SPinTerm(n);
+  // One long-lived view, as the engines use it: each position is followed
+  // by pricing the cell, and commits move cells in between.
+  DeltaView view(&eval);
+  for (int step = 0; step < 3000; ++step) {
+    const auto cell = static_cast<std::int32_t>(rng.NextInt(0, kCells - 1));
+    double x = 0.0, y = 0.0, rx = 0.0, ry = 0.0;
+    OptimalLateralPosition(view, cell, &x, &y);
+    ScannedOptimalPosition(eval, cell, &rx, &ry);
+    ASSERT_EQ(x, rx) << "step " << step;
+    ASSERT_EQ(y, ry) << "step " << step;
+    const double delta = view.MoveDelta(cell, x, y, rng.NextInt(0, 3));
+    if (step % 3 == 0 && delta < 0.0) eval.CommitMove(cell, x, y, 0);
   }
-  EXPECT_NEAR(power[static_cast<std::size_t>(d)], expected, expected * 1e-9);
 }
 
 }  // namespace

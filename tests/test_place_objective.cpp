@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "io/synthetic.h"
 #include "place/objective.h"
@@ -322,6 +324,197 @@ TEST(Objective, DriverlessNetHasNoThermalCost) {
   eval.SetPlacement(p);
   EXPECT_DOUBLE_EQ(eval.ThermalCost(), 0.0);
   EXPECT_GT(eval.TotalHpwl(), 0.0);
+}
+
+// A random netlist with every shape a view's cell context must handle:
+// cells holding two pins of one net, nets on a single cell (one pin, or two
+// pins of the same cell), driverless nets, and nets of random size whose
+// pins sit at random offsets. The first kRingCells cells form a ring where
+// each cell has exactly four pins, on four distinct two-pin nets, one shared
+// with each ring cell at most two steps away.
+constexpr int kRingCells = 1200;
+
+netlist::Netlist ContextNetlist(std::uint64_t seed) {
+  util::Rng rng(seed);
+  constexpr int kCells = 2600;
+  netlist::Netlist nl;
+  for (int c = 0; c < kCells; ++c) {
+    nl.AddCell("c" + std::to_string(c), 2e-6, 1e-6);
+  }
+  const auto offset = [&] { return rng.NextDouble(-1e-6, 1e-6); };
+  int net = 0;
+  const auto add_net = [&] { nl.AddNet("n" + std::to_string(net++), 0.3); };
+  for (int i = 0; i < kRingCells; ++i) {
+    for (const int step : {1, 2}) {
+      add_net();
+      nl.AddPin(i, netlist::PinDir::kOutput, offset(), offset());
+      nl.AddPin((i + step) % kRingCells, netlist::PinDir::kInput, offset(),
+                offset());
+    }
+  }
+  for (int k = 0; k < 3000; ++k) {
+    add_net();
+    const int pins = rng.NextInt(2, 6);
+    for (int p = 0; p < pins; ++p) {
+      // Cells may repeat within a net: a cell with two pins on it.
+      const int c = rng.NextInt(kRingCells, kCells - 1);
+      const bool driver = p == 0 && k % 10 != 0;  // every tenth driverless
+      nl.AddPin(c, driver ? netlist::PinDir::kOutput : netlist::PinDir::kInput,
+                offset(), offset());
+    }
+  }
+  for (int k = 0; k < 60; ++k) {
+    add_net();
+    const int c = rng.NextInt(kRingCells, kCells - 1);
+    nl.AddPin(c, netlist::PinDir::kOutput, offset(), offset());
+    if (k % 2 == 0) nl.AddPin(c, netlist::PinDir::kInput, offset(), offset());
+  }
+  EXPECT_TRUE(nl.Finalize());
+  return nl;
+}
+
+// Long-lived views must price exactly like a cold view, whatever commits,
+// placement installs and cache flushes came between, and a delta's per-net
+// terms must equal what a commit's pin scan writes into the net caches.
+TEST(Objective, CachedContextsPriceLikeAColdView) {
+  const netlist::Netlist nl = ContextNetlist(5);
+  const Chip chip = *Chip::Build(nl, 4, 0.05, 0.25);
+  PlacerParams params;
+  params.num_layers = 4;
+  params.alpha_ilv = 1e-5;
+  params.alpha_temp = 5e-6;  // moved drivers pay the thermal term
+  params.SyncStack();
+  ObjectiveEvaluator eval(nl, chip, params);
+  util::Rng rng(17);
+  const auto random_placement = [&] {
+    Placement p;
+    p.Resize(static_cast<std::size_t>(nl.NumCells()));
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      p.x[i] = rng.NextDouble(0.0, chip.width());
+      p.y[i] = rng.NextDouble(0.0, chip.height());
+      p.layer[i] = rng.NextInt(0, 3);
+    }
+    return p;
+  };
+  eval.SetPlacement(random_placement());
+
+  DeltaView views[2] = {DeltaView(&eval), DeltaView(&eval)};
+  long long checks = 0;
+  const auto price_move = [&](DeltaView& view, std::int32_t c, double x,
+                              double y, int layer) {
+    const double d = view.MoveDelta(c, x, y, layer);
+    DeltaView cold(&eval);
+    EXPECT_EQ(d, cold.MoveDelta(c, x, y, layer)) << "move of " << c;
+    ++checks;
+    return d;
+  };
+  const auto price_swap = [&](DeltaView& view, std::int32_t a,
+                              std::int32_t b) {
+    const double d = view.SwapDelta(a, b);
+    DeltaView cold(&eval);
+    EXPECT_EQ(d, cold.SwapDelta(a, b)) << "swap of " << a << ", " << b;
+    ++checks;
+    return d;
+  };
+  // Distinct nets of a, then of b, in pin order: the order a delta sums.
+  const auto nets_of = [&](std::int32_t a, std::int32_t b) {
+    std::vector<std::int32_t> nets;
+    for (const std::int32_t c : {a, b}) {
+      if (c < 0) continue;
+      for (const std::int32_t p : nl.CellPinIds(c)) {
+        const std::int32_t n = nl.PinNet(p);
+        bool seen = false;
+        for (const std::int32_t m : nets) seen = seen || m == n;
+        if (!seen) nets.push_back(n);
+      }
+    }
+    return nets;
+  };
+  // Commits a priced action and checks its delta against the commit's scan
+  // (without leakage the delta is exactly the sum of per-net changes).
+  const auto commit = [&](double delta, std::int32_t a, std::int32_t b,
+                          double x, double y, int layer) {
+    const std::vector<std::int32_t> nets = nets_of(a, b);
+    std::vector<double> before;
+    for (const std::int32_t n : nets) before.push_back(eval.NetCost(n));
+    if (b < 0) {
+      eval.CommitMove(a, x, y, layer);
+    } else {
+      eval.CommitSwap(a, b);
+    }
+    double scanned = 0.0;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      scanned += eval.NetCost(nets[k]) - before[k];
+    }
+    EXPECT_EQ(delta, scanned) << "commit of " << a << ", " << b;
+  };
+  // A cell on one of `c`'s nets (c itself when it has none).
+  const auto neighbour = [&](std::int32_t c) {
+    const auto pins = nl.CellPinIds(c);
+    if (pins.empty()) return c;
+    const std::int32_t n = nl.PinNet(pins[rng.NextBounded(pins.size())]);
+    return nl.PinCell(nl.NetFirstPin(n) +
+                      static_cast<std::int32_t>(rng.NextBounded(
+                          static_cast<std::uint64_t>(nl.NetNumPins(n)))));
+  };
+  const auto any_cell = [&] {
+    return static_cast<std::int32_t>(
+        rng.NextBounded(static_cast<std::uint64_t>(nl.NumCells())));
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    // A cluster of connected cells, priced on both views, then changed
+    // under them by commits of cluster members.
+    std::vector<std::int32_t> cluster = {any_cell()};
+    while (cluster.size() < 8) cluster.push_back(neighbour(cluster.back()));
+    for (int step = 0; step < 40; ++step) {
+      DeltaView& view = views[rng.NextBounded(2)];
+      const std::int32_t a = cluster[rng.NextBounded(cluster.size())];
+      const std::int32_t b = neighbour(a);
+      const double x = rng.NextDouble(0.0, chip.width());
+      const double y = rng.NextDouble(0.0, chip.height());
+      const int layer = rng.NextInt(0, 3);
+      switch (rng.NextBounded(5)) {
+        case 0:
+          commit(price_move(view, a, x, y, layer), a, -1, x, y, layer);
+          break;
+        case 1:
+          if (a != b) commit(price_swap(view, a, b), a, b, 0.0, 0.0, 0);
+          break;
+        case 2:
+          if (a != b) price_swap(view, a, b);
+          break;
+        default:
+          price_move(view, a, x, y, layer);
+          break;
+      }
+    }
+    if (round % 8 == 3) {
+      // A placement install changes every box without a commit.
+      for (DeltaView& view : views) {
+        for (const std::int32_t c : cluster) price_move(view, c, 1e-6, 1e-6, 0);
+      }
+      eval.SetPlacement(random_placement());
+      for (DeltaView& view : views) {
+        for (const std::int32_t c : cluster) price_move(view, c, 1e-6, 1e-6, 0);
+      }
+    }
+    if (round % 8 == 5) {
+      // Overflow: every ring pair swapped after a commit emptied the cache.
+      // Each swap needs eight entries, so a run of them lands exactly on
+      // any entry bound that is a multiple of eight.
+      const std::int32_t c = any_cell();
+      commit(price_move(views[0], c, 2e-6, 2e-6, 1), c, -1, 2e-6, 2e-6, 1);
+      for (std::int32_t i = 0; i + 1 < kRingCells; i += 2) {
+        price_swap(views[0], i, i + 1);
+      }
+      // And every cell moved once, past any bound on the context count.
+      for (std::int32_t i = 0; i < nl.NumCells(); ++i) {
+        price_move(views[1], i, 3e-6, 1e-6, 2);
+      }
+    }
+  }
+  EXPECT_GT(checks, 10000);
 }
 
 }  // namespace
