@@ -224,6 +224,140 @@ TEST(RowRefiner, ParallelRefineNeverEntersFixedWalls) {
   EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, eval.placement()), 0);
 }
 
+// ----- detailed-placement golden bytes ---------------------------------------
+// FNV-1a hash of the placement after DetailedLegalizer::Run and then
+// RowRefiner::Run(2), recorded on x86-64. The fixtures put fixed walls in the
+// rows: walls crossing the left and right die edges, a wall nested inside a
+// wider one, and two abutting walls, on both layers, so both engines build,
+// search and refine rows bounded by every wall shape. Any change to how the
+// row model is built or searched moves a hash; a refactor that keeps both
+// engines' placements bit-identical keeps them all, at any thread count.
+// The hashes pin the bytes as they are, so they assert no wall contract:
+// next to the nested wall, rowopt bounds a cell's free span by the nested
+// wall's right edge, not the encloser's, and slides cells into the encloser.
+
+std::uint64_t PlacementHash(const Placement& p) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(p.x.data(), p.x.size() * sizeof(double));
+  mix(p.y.data(), p.y.size() * sizeof(double));
+  mix(p.layer.data(), p.layer.size() * sizeof(int));
+  return h;
+}
+
+struct GoldenWall {
+  double width;
+  double x_frac;     // center as a fraction of the die width
+  double x_offset;   // plus this many metres
+  double height;
+  double y_frac;     // center as a fraction of the die height
+  int layer;
+};
+
+/// Legalizes and refines `movable` heterogeneous cells (half piled up at
+/// mid-die so the squeeze path runs, half spread at random) around `walls`
+/// on a two-layer die; returns the final placement's hash.
+std::uint64_t GoldenWallRun(int threads, const std::vector<GoldenWall>& walls,
+                            int movable, std::uint64_t seed) {
+  netlist::Netlist nl;
+  for (int c = 0; c < movable; ++c) {
+    nl.AddCell("c" + std::to_string(c), (1.2 + 0.8 * (c % 4)) * 1e-6, 1.4e-6);
+  }
+  std::vector<std::int32_t> wall_ids;
+  for (std::size_t w = 0; w < walls.size(); ++w) {
+    wall_ids.push_back(nl.AddCell("wall" + std::to_string(w), walls[w].width,
+                                  walls[w].height, /*fixed=*/true));
+  }
+  util::Rng net_rng(seed + 1);
+  for (int n = 0; n < movable; ++n) {
+    nl.AddNet("n" + std::to_string(n));
+    nl.AddPin(n, netlist::PinDir::kOutput);
+    for (int k = 0; k < 2; ++k) {
+      nl.AddPin(static_cast<std::int32_t>(
+                    net_rng.NextBounded(static_cast<std::uint64_t>(movable))),
+                netlist::PinDir::kInput);
+    }
+  }
+  EXPECT_TRUE(nl.Finalize());
+  PlacerParams params;
+  params.num_layers = 2;
+  params.alpha_ilv = 1e-5;
+  params.threads = threads;
+  params.legalize_window_rows = 2;
+  params.SyncStack();
+  const Chip chip = *Chip::Build(nl, 2, 0.30, 0.25);
+  ObjectiveEvaluator eval(nl, chip, params);
+  Placement p;
+  p.Resize(static_cast<std::size_t>(nl.NumCells()));
+  util::Rng rng(seed);
+  for (int c = 0; c < movable; ++c) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    if (c % 2 == 0) {
+      p.x[i] = chip.width() / 2;
+      p.y[i] = chip.height() / 2;
+    } else {
+      p.x[i] = rng.NextDouble(0.0, chip.width());
+      p.y[i] = rng.NextDouble(0.0, chip.height());
+    }
+    p.layer[i] = rng.NextInt(0, 1);
+  }
+  for (std::size_t w = 0; w < walls.size(); ++w) {
+    const std::size_t i = static_cast<std::size_t>(wall_ids[w]);
+    p.x[i] = walls[w].x_frac * chip.width() + walls[w].x_offset;
+    p.y[i] = walls[w].y_frac * chip.height();
+    p.layer[i] = walls[w].layer;
+  }
+  eval.SetPlacement(p);
+  DetailedLegalizer legalizer(eval);
+  const LegalizeStats leg = legalizer.Run();
+  EXPECT_TRUE(leg.success);
+  EXPECT_GT(leg.squeezes, 0);
+  RowRefiner refiner(eval, 7);
+  const RowOptStats opt = refiner.Run(2);
+  EXPECT_GT(opt.slides, 0);
+  EXPECT_GT(opt.layer_swaps, 0);
+  EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, eval.placement()), 0);
+  return PlacementHash(eval.placement());
+}
+
+TEST(DetailedGolden, WallBoundedRowsPlacementHash) {
+  const std::vector<GoldenWall> walls = {
+      // Crossing the left and right die edges in the upper rows of layer 0.
+      {3e-6, 0.0, 0.5e-6, 12e-6, 0.75, 0},
+      {3e-6, 1.0, -0.5e-6, 12e-6, 0.75, 0},
+      // A 1 um wall nested inside a 3 um one, every row of layer 0.
+      {3e-6, 1.0 / 3, 0.0, 400e-6, 0.5, 0},
+      {1e-6, 1.0 / 3, -0.75e-6, 400e-6, 0.5, 0},
+      // Two walls sharing an edge.
+      {1.5e-6, 2.0 / 3, 0.0, 400e-6, 0.5, 0},
+      {1.5e-6, 2.0 / 3, 1.5e-6, 400e-6, 0.5, 0},
+      // Mostly outside both die edges in the lower rows of layer 1: clipped
+      // to the die, their centers would move inside it, where rowopt's
+      // layer-swap partner lookup from layer 0 reads them.
+      {8e-6, 0.0, -2e-6, 12e-6, 0.25, 1},
+      {8e-6, 1.0, 2e-6, 12e-6, 0.25, 1},
+  };
+  for (const int threads : {1, 3}) {
+    EXPECT_EQ(GoldenWallRun(threads, walls, 320, 91), 11044138885465616887ull)
+        << "threads=" << threads;
+  }
+}
+
+TEST(DetailedGolden, CenteredWallPlacementHash) {
+  // The fixture of RowRefiner.ParallelRefineNeverEntersFixedWalls.
+  for (const int threads : {1, 3}) {
+    EXPECT_EQ(GoldenWallRun(threads, {{3e-6, 0.5, 0.0, 400e-6, 0.5, 0}}, 120, 25),
+              13202859961314920529ull)
+        << "threads=" << threads;
+  }
+}
+
 class RowRefinerSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RowRefinerSweep, LegalAndMonotoneAcrossSizes) {
