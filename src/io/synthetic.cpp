@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "util/log.h"
@@ -29,11 +31,19 @@ constexpr Table1Row kTable1[] = {
 
 SyntheticSpec SpecFromRow(const Table1Row& row, double scale,
                           std::uint64_t seed) {
+  // A count that is not finite, rounds below one cell or overflows int32
+  // would wrap or poison the cell area; reject it instead.
+  const double cells = std::round(row.cells * scale);
+  if (!(cells >= 1.0 && cells <= std::numeric_limits<std::int32_t>::max())) {
+    char message[128];
+    std::snprintf(message, sizeof message,
+                  "scale %g gives %s %g cells, outside [1, INT32_MAX]", scale,
+                  row.name, cells);
+    throw std::invalid_argument(message);
+  }
   SyntheticSpec spec;
   spec.name = row.name;
-  spec.num_cells =
-      std::max<std::int32_t>(16, static_cast<std::int32_t>(
-                                     std::lround(row.cells * scale)));
+  spec.num_cells = std::max<std::int32_t>(16, static_cast<std::int32_t>(cells));
   spec.total_area_m2 = row.area_mm2 * 1e-6 * scale;  // mm^2 -> m^2, scaled
   spec.seed = seed;
   return spec;

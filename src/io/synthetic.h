@@ -41,10 +41,13 @@ struct SyntheticSpec {
 };
 
 /// Table 1 of the paper: name, cell count, and cell area (mm^2) of
-/// ibm01..ibm18. `scale` multiplies both cell count and area.
+/// ibm01..ibm18. `scale` multiplies both cell count and area; counts that
+/// round below 16 become 16. Throws std::invalid_argument when a scaled
+/// count is not finite, rounds below 1 or exceeds INT32_MAX.
 std::vector<SyntheticSpec> Table1Specs(double scale = 1.0);
 
-/// Returns the spec of a single Table 1 circuit ("ibm01".."ibm18").
+/// Returns the spec of a single Table 1 circuit ("ibm01".."ibm18"); throws
+/// std::invalid_argument on an unknown name or a scale as above.
 SyntheticSpec Table1Spec(const std::string& name, double scale = 1.0);
 
 /// The scale tier: fixed-size presets for full-flow scaling work, sized

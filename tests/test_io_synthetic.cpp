@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "io/synthetic.h"
@@ -26,8 +27,30 @@ TEST(Table1, ScaleShrinksProportionally) {
 }
 
 TEST(Table1, ScaleHasFloor) {
-  const auto specs = Table1Specs(1e-9);
+  // ibm01 scales to one cell, the smallest count a scale may give.
+  const auto specs = Table1Specs(1e-4);
   for (const auto& s : specs) EXPECT_GE(s.num_cells, 16);
+}
+
+TEST(Table1, RejectsScalesItCannotRepresent) {
+  // 210323 * 2e4 cells overflow int32; inf and NaN counts are not finite;
+  // 1e-300 and negative scales round below one cell.
+  for (const double scale :
+       {2e4, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e-300, -0.5}) {
+    EXPECT_THROW(Table1Spec("ibm18", scale), std::invalid_argument) << scale;
+    EXPECT_THROW(Table1Specs(scale), std::invalid_argument) << scale;
+  }
+  // The largest representable ibm18 scale still loads.
+  EXPECT_EQ(Table1Spec("ibm18", 1e4).num_cells, 2103230000);
+  // Every scale the flows and benchmarks use loads every circuit.
+  for (const double scale : {0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0}) {
+    const auto specs = Table1Specs(scale);
+    for (const auto& s : specs) {
+      EXPECT_GE(s.num_cells, 16) << s.name << "@" << scale;
+      EXPECT_GT(s.total_area_m2, 0.0) << s.name << "@" << scale;
+    }
+  }
 }
 
 TEST(Table1, LookupByName) {

@@ -556,6 +556,21 @@ TEST(JobsManifest, RejectsIntegerFieldsOutsideTheirType) {
   EXPECT_EQ(ok->jobs[0].params.num_layers, 3);
 }
 
+TEST(JobsManifest, RejectsScalesThatGiveNoRepresentableCircuit) {
+  util::ScopedLogLevel quiet(util::LogLevel::kWarn);
+  // 2e4 overflows ibm18's int32 cell count, 1e999 reads as infinity, and
+  // 1e-300 rounds to zero cells: each used to place a 16-cell circuit.
+  for (const char* scale : {"2e4", "1e999", "1e-300"}) {
+    const auto m = ParseJobsManifest(
+        std::string(R"({"schema": "placer3d.jobs", "version": 1,
+        "jobs": [{"circuit": "ibm18", "scale": )") +
+        scale + "}]}");
+    ASSERT_FALSE(m.ok()) << scale;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kParseError) << scale;
+    EXPECT_NE(m.status().message().find("job 0"), std::string::npos) << scale;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sweep + batch report
 // ---------------------------------------------------------------------------
