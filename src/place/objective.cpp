@@ -44,22 +44,6 @@ ObjectiveEvaluator::ObjectiveEvaluator(const netlist::Netlist& nl,
   cost_.assign(nn, 0.0);
 }
 
-void ObjectiveEvaluator::NetBox::Add(double px, double py, int pl) {
-  if (empty) {
-    x_lo = x_hi = px;
-    y_lo = y_hi = py;
-    l_lo = l_hi = pl;
-    empty = false;
-    return;
-  }
-  x_lo = std::min(x_lo, px);
-  x_hi = std::max(x_hi, px);
-  y_lo = std::min(y_lo, py);
-  y_hi = std::max(y_hi, py);
-  l_lo = std::min(l_lo, pl);
-  l_hi = std::max(l_hi, pl);
-}
-
 double ObjectiveEvaluator::Resistance(std::int32_t cell, double x, double y,
                                       int layer) const {
   const double area = nl_.CellArea(cell);
@@ -162,7 +146,7 @@ double ObjectiveEvaluator::RecomputeFull() {
 
 ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalNet(
     std::int32_t n, const Override& o1, const Override& o2) const {
-  NetBox box;
+  geom::BBox3 box;
   // SoA walk over the net's contiguous pin slice: only the cell id and the
   // offsets are needed, so the flat arrays keep the scan dense.
   const std::int32_t first = nl_.NetFirstPin(n);
@@ -185,7 +169,7 @@ ObjectiveEvaluator::NetEval ObjectiveEvaluator::EvalNet(
       py = placement_.y[c];
       pl = placement_.layer[c];
     }
-    box.Add(px + nl_.PinDx(p), py + nl_.PinDy(p), pl);
+    box.Add({px + nl_.PinDx(p), py + nl_.PinDy(p), pl});
   }
   NetEval e;
   e.hpwl = box.Hpwl();
@@ -367,7 +351,7 @@ DeltaView::Slot DeltaView::ContextOf(std::int32_t cell) {
     const std::int32_t n = nl.PinNet(pin);
     if (!scratch_.Mark(n)) continue;
     // `pin` is one of the cell's own pins on n, so it seeds their bounds.
-    ObjectiveEvaluator::NetBox others;
+    geom::BBox3 others;
     double dx_lo = nl.PinDx(pin), dx_hi = dx_lo;
     double dy_lo = nl.PinDy(pin), dy_hi = dy_lo;
     const std::int32_t first = nl.NetFirstPin(n);
@@ -378,7 +362,7 @@ DeltaView::Slot DeltaView::ContextOf(std::int32_t cell) {
       const double dy = nl.PinDy(p);
       if (c != cell) {
         const std::size_t ci = static_cast<std::size_t>(c);
-        others.Add(pl.x[ci] + dx, pl.y[ci] + dy, pl.layer[ci]);
+        others.Add({pl.x[ci] + dx, pl.y[ci] + dy, pl.layer[ci]});
       } else {
         dx_lo = std::min(dx_lo, dx);
         dx_hi = std::max(dx_hi, dx);
@@ -386,10 +370,10 @@ DeltaView::Slot DeltaView::ContextOf(std::int32_t cell) {
         dy_hi = std::max(dy_hi, dy);
       }
     }
-    entries_.push_back({others.x_lo, others.x_hi, others.y_lo, others.y_hi,
-                        dx_lo, dx_hi, dy_lo, dy_hi, n,
-                        others.empty ? 1 : others.l_lo,
-                        others.empty ? 0 : others.l_hi});
+    const geom::Rect& o = others.LateralRect();
+    entries_.push_back({o.x_lo, o.x_hi, o.y_lo, o.y_hi, dx_lo, dx_hi, dy_lo,
+                        dy_hi, n, others.Empty() ? 1 : others.LayerLo(),
+                        others.Empty() ? 0 : others.LayerHi()});
   }
   slot.count = static_cast<std::int32_t>(entries_.size()) - slot.first;
   return slot;

@@ -186,17 +186,6 @@ class ObjectiveEvaluator {
     }
   };
 
-  /// Bounding box of one net's pins.
-  struct NetBox {
-    double x_lo = 0.0, x_hi = 0.0, y_lo = 0.0, y_hi = 0.0;
-    int l_lo = 0, l_hi = 0;
-    bool empty = true;
-
-    void Add(double px, double py, int pl);
-    double Hpwl() const { return empty ? 0.0 : (x_hi - x_lo) + (y_hi - y_lo); }
-    int LayerSpan() const { return empty ? 0 : l_hi - l_lo; }
-  };
-
   /// Cost of net n with up to two cells' positions overridden: a scan of the
   /// net's pins plus the thermal driver term.
   struct NetEval {
