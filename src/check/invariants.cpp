@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
+
+#include "place/legalize.h"
 
 namespace p3d::check {
 namespace {
@@ -113,58 +116,16 @@ int CheckRowAlignment(const netlist::Netlist& nl, const place::Chip& chip,
 
 long long CountOverlapsSweep(const netlist::Netlist& nl,
                              const place::Placement& p, Violation* first) {
-  struct Box {
-    double xlo, xhi, ylo, yhi;
-    std::int32_t cell;
-  };
-  // Bucket by layer, sort by xlo, sweep with an active set pruned on xhi.
-  std::vector<Box> boxes;
-  boxes.reserve(static_cast<std::size_t>(nl.NumCells()));
-  int max_layer = 0;
-  for (std::int32_t c = 0; c < nl.NumCells(); ++c) {
-    if (nl.cell(c).fixed) continue;
-    const std::size_t i = static_cast<std::size_t>(c);
-    boxes.push_back({p.x[i] - nl.cell(c).width / 2.0,
-                     p.x[i] + nl.cell(c).width / 2.0,
-                     p.y[i] - nl.cell(c).height / 2.0,
-                     p.y[i] + nl.cell(c).height / 2.0, c});
-    max_layer = std::max(max_layer, p.layer[i]);
-  }
-  std::sort(boxes.begin(), boxes.end(), [&](const Box& a, const Box& b) {
-    const int la = p.layer[static_cast<std::size_t>(a.cell)];
-    const int lb = p.layer[static_cast<std::size_t>(b.cell)];
-    if (la != lb) return la < lb;
-    if (a.xlo != b.xlo) return a.xlo < b.xlo;
-    return a.cell < b.cell;
-  });
-
-  long long overlaps = 0;
-  std::vector<const Box*> active;
-  int active_layer = -1;
-  for (const Box& b : boxes) {
-    const int layer = p.layer[static_cast<std::size_t>(b.cell)];
-    if (layer != active_layer) {
-      active.clear();
-      active_layer = layer;
-    }
-    // Retire boxes that end before this one starts (touching is legal).
-    std::erase_if(active,
-                  [&](const Box* a) { return a->xhi <= b.xlo + kGeomEps; });
-    for (const Box* a : active) {
-      if (a->ylo < b.yhi - kGeomEps && b.ylo < a->yhi - kGeomEps) {
-        if (overlaps == 0 && first != nullptr) {
-          first->check = "overlap";
-          first->cell = a->cell;
-          first->net = -1;
-          first->message =
-              Format("overlap on layer %d: %s and %s", layer,
-                     DescribeCell(nl, p, a->cell).c_str(),
-                     DescribeCell(nl, p, b.cell).c_str());
-        }
-        ++overlaps;
-      }
-    }
-    active.push_back(&b);
+  std::pair<std::int32_t, std::int32_t> pair;
+  const long long overlaps =
+      place::DetailedLegalizer::CountOverlaps(nl, p, &pair);
+  if (overlaps != 0 && first != nullptr) {
+    *first = {"overlap", "",
+              Format("overlap on layer %d: %s and %s",
+                     p.layer[static_cast<std::size_t>(pair.second)],
+                     DescribeCell(nl, p, pair.first).c_str(),
+                     DescribeCell(nl, p, pair.second).c_str()),
+              pair.first, -1};
   }
   return overlaps;
 }

@@ -54,11 +54,10 @@ int CheckBounds(const netlist::Netlist& nl, const place::Chip& chip,
 int CheckRowAlignment(const netlist::Netlist& nl, const place::Chip& chip,
                       const place::Placement& p, std::vector<Violation>* out);
 
-/// Exact pairwise overlap count among movable cells on each layer, by a
-/// plane-sweep over x with an active y-interval set — an independent (and
-/// strictly stronger) cross-check of DetailedLegalizer::CountOverlaps, which
-/// only inspects neighbours in a quantized y band. Touching edges do not
-/// overlap. If `first` is non-null, it receives the first offending pair.
+/// Exact pairwise overlap count among movable cells on each layer: the
+/// placer's own counter, DetailedLegalizer::CountOverlaps (a plane sweep
+/// over x with an active set). Touching edges do not overlap. If `first` is
+/// non-null, it receives the first offending pair.
 long long CountOverlapsSweep(const netlist::Netlist& nl,
                              const place::Placement& p, Violation* first);
 

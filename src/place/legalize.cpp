@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/ring.h"
@@ -24,6 +25,9 @@ constexpr const char* kColorTrace[WindowTiling::kNumColors] = {
 
 // Cap of the expanding row search radius, in rows.
 constexpr int kMaxRadiusRows = 64;
+
+// Overlap below this (metres) counts as touching.
+constexpr double kOverlapEps = 1e-12;
 
 }  // namespace
 
@@ -55,7 +59,7 @@ void DetailedLegalizer::CandidatesInRow(DeltaView& view, const Row& row,
     }
   };
   double cursor = 0.0;
-  for (const Item& it : row.items) {
+  for (const RowItem& it : row) {
     consider(cursor, it.lo);
     cursor = std::max(cursor, it.hi);
   }
@@ -94,10 +98,10 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
   std::vector<Segment> segments;
   double seg_lo = 0.0;
   std::size_t seg_first = 0;
-  for (std::size_t i = 0; i <= row.items.size(); ++i) {
-    const bool wall = i == row.items.size() || row.items[i].cell < 0;
+  for (std::size_t i = 0; i <= row.size(); ++i) {
+    const bool wall = i == row.size() || row[i].wall();
     if (!wall) continue;
-    const double seg_hi = i == row.items.size() ? chip_.width() : row.items[i].lo;
+    const double seg_hi = i == row.size() ? chip_.width() : row[i].lo;
     // Degenerate segments (seg_hi <= seg_lo) arise from walls that overlap
     // the row start, abut each other, or nest inside a wider wall (sorted by
     // lo, a nested wall's hi can REGRESS below the enclosing wall's hi);
@@ -105,8 +109,8 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
     // fixed obstruction. Skip them, and keep seg_lo monotone so a nested
     // wall can never pull the next segment's start back inside its encloser.
     if (seg_hi > seg_lo) segments.push_back({seg_lo, seg_hi, seg_first, i});
-    if (i < row.items.size()) {
-      seg_lo = std::max(seg_lo, row.items[i].hi);
+    if (i < row.size()) {
+      seg_lo = std::max(seg_lo, row[i].hi);
       seg_first = i + 1;
     }
   }
@@ -116,7 +120,7 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
   for (const Segment& s : segments) {
     double used = 0.0;
     for (std::size_t i = s.first; i < s.last; ++i) {
-      used += row.items[i].hi - row.items[i].lo;
+      used += row[i].hi - row[i].lo;
     }
     if (s.hi - s.lo - used < width) continue;  // no slack
     const double c =
@@ -144,7 +148,7 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
       ClampToSpan(desired_x - width / 2.0, s.lo, s.hi - width);
   bool inserted = false;
   for (std::size_t i = s.first; i < s.last; ++i) {
-    const Item& it = row.items[i];
+    const RowItem& it = row[i];
     if (!inserted && it.lo + (it.hi - it.lo) / 2.0 > desired_x) {
       seq.push_back({desired_lo, width, cell});
       inserted = true;
@@ -185,12 +189,18 @@ std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::PlanSqueeze(
   return cand;
 }
 
-int DetailedLegalizer::SearchCell(RowSpace& space, int row_lo, int row_hi,
-                                  DeltaView& view, std::int32_t cell,
-                                  double width, double desired_x, int home_row,
-                                  int home_layer, int radius_cap,
-                                  std::vector<Candidate>* cands) const {
-  int found_max = -1;
+std::optional<DetailedLegalizer::Candidate> DetailedLegalizer::BestCandidate(
+    RowBlock& rows, DeltaView& view, std::int32_t cell, int* radius,
+    std::vector<Candidate>* cands) const {
+  const Placement& p = eval_.placement();
+  const std::size_t i = static_cast<std::size_t>(cell);
+  const double width = nl_.CellWidth(cell);
+  const double desired_x = p.x[i];
+  const int home_row = chip_.NearestRow(p.y[i]);
+  const int home_layer = std::clamp(p.layer[i], 0, chip_.num_layers() - 1);
+  const int radius_cap = std::min(kMaxRadiusRows, chip_.num_rows());
+  cands->clear();
+  *radius = -1;
   std::vector<int> layer_order;
   layer_order.push_back(home_layer);
   for (int d = 1; d < chip_.num_layers(); ++d) {
@@ -207,15 +217,15 @@ int DetailedLegalizer::SearchCell(RowSpace& space, int row_lo, int row_hi,
       const int n_row_candidates = dr == 0 ? 1 : 2;
       for (int rc = 0; rc < n_row_candidates; ++rc) {
         const int r = row_candidates[rc];
-        if (r < row_lo || r >= row_hi) continue;
+        if (r < rows.row_lo() || r >= rows.row_hi()) continue;
         any_row = true;
         const std::size_t before = cands->size();
-        CandidatesInRow(view, space.at(layer, r), cell, width, desired_x,
+        CandidatesInRow(view, rows.at(layer, r), cell, width, desired_x,
                         layer, r, cands);
         if (cands->size() > before && !found_in_layer) {
           found_in_layer = true;
           found_radius = dr;
-          found_max = std::max(found_max, dr);
+          *radius = std::max(*radius, dr);
         }
       }
       if (!any_row) break;  // ran off both ends of the row range
@@ -227,37 +237,34 @@ int DetailedLegalizer::SearchCell(RowSpace& space, int row_lo, int row_hi,
       break;
     }
   }
-  return found_max;
+  if (cands->empty()) return std::nullopt;
+  return std::move(*std::min_element(
+      cands->begin(), cands->end(), [](const Candidate& a, const Candidate& b) {
+        return a.delta < b.delta;
+      }));
 }
 
 void DetailedLegalizer::ApplyCandidateToRow(Row& row, std::int32_t cell,
-                                            double width,
                                             const Candidate& cand) const {
   for (const auto& [other, new_lo] : cand.shifts) {
-    const double w = nl_.CellWidth(other);
-    for (Item& it : row.items) {
-      if (it.cell == other) {
-        it.lo = new_lo;
-        it.hi = new_lo + w;
-        break;
-      }
-    }
+    const std::ptrdiff_t k = FindCell(row, other);
+    assert(k >= 0);
+    RowItem& it = row[static_cast<std::size_t>(k)];
+    it.lo = new_lo;
+    it.hi = new_lo + nl_.CellWidth(other);
   }
-  if (!cand.shifts.empty()) {
-    std::sort(row.items.begin(), row.items.end(),
-              [](const Item& a, const Item& b) { return a.lo < b.lo; });
-  }
-  const Item item{cand.x - width / 2.0, cand.x + width / 2.0, cell};
+  if (!cand.shifts.empty()) SortRow(row);
+  const double width = nl_.CellWidth(cell);
+  const RowItem item{cand.x - width / 2.0, cand.x + width / 2.0, cell};
   const auto it = std::lower_bound(
-      row.items.begin(), row.items.end(), item,
-      [](const Item& a, const Item& b) { return a.lo < b.lo; });
-  row.items.insert(it, item);
+      row.begin(), row.end(), item,
+      [](const RowItem& a, const RowItem& b) { return a.lo < b.lo; });
+  row.insert(it, item);
 }
 
-void DetailedLegalizer::CommitCandidate(std::int32_t cell, double width,
+void DetailedLegalizer::CommitCandidate(RowBlock& rows, std::int32_t cell,
                                         const Candidate& cand,
                                         LegalizeStats* stats) {
-  Row& row = RowAt(cand.layer, cand.row);
   const double row_y = chip_.RowCenterY(cand.row);
 
   // Apply neighbour shifts first (x-only moves within the same row). The
@@ -277,7 +284,7 @@ void DetailedLegalizer::CommitCandidate(std::int32_t cell, double width,
       std::abs(cand.x - p.x[ci]) + std::abs(row_y - p.y[ci]);
   eval_.CommitMove(cell, cand.x, row_y, cand.layer);
 
-  ApplyCandidateToRow(row, cell, width, cand);
+  ApplyCandidateToRow(rows.at(cand.layer, cand.row), cell, cand);
   stats->placed += 1;
 }
 
@@ -285,32 +292,8 @@ LegalizeStats DetailedLegalizer::Run() {
   obs::TraceScope trace_legalize("legalize.run");
   LegalizeStats stats;
   const int num_rows = chip_.num_rows();
-  const int num_layers = chip_.num_layers();
-  rows_.assign(static_cast<std::size_t>(num_layers * num_rows), Row{});
-
-  // Fixed cells block the row spans they overlap.
-  for (std::int32_t c = 0; c < nl_.NumCells(); ++c) {
-    if (!nl_.CellFixed(c)) continue;
-    const Placement& p = eval_.placement();
-    const std::size_t i = static_cast<std::size_t>(c);
-    const double x_lo = p.x[i] - nl_.CellWidth(c) / 2.0;
-    const double x_hi = p.x[i] + nl_.CellWidth(c) / 2.0;
-    const double y_lo = p.y[i] - nl_.CellHeight(c) / 2.0;
-    const double y_hi = p.y[i] + nl_.CellHeight(c) / 2.0;
-    if (x_hi <= 0.0 || x_lo >= chip_.width()) continue;
-    const int layer = std::clamp(p.layer[i], 0, num_layers - 1);
-    for (int r = 0; r < num_rows; ++r) {
-      if (chip_.RowBottomY(r) + chip_.row_height() <= y_lo) continue;
-      if (chip_.RowBottomY(r) >= y_hi) continue;
-      Row& row = RowAt(layer, r);
-      row.items.push_back(
-          {std::max(0.0, x_lo), std::min(chip_.width(), x_hi), -1});
-    }
-  }
-  for (auto& row : rows_) {
-    std::sort(row.items.begin(), row.items.end(),
-              [](const Item& a, const Item& b) { return a.lo < b.lo; });
-  }
+  RowBlock rows =
+      BuildRows(nl_, chip_, eval_.placement(), /*with_movable=*/false);
 
   // --- processing order: BFS layering of the supply/demand DAG -----------
   // Over-full fine bins are sources; cells farther from congestion are
@@ -387,7 +370,6 @@ LegalizeStats DetailedLegalizer::Run() {
 
   // --- windowed slot assignment --------------------------------------------
   const PlacerParams& params = eval_.params();
-  const int radius_cap = std::min(kMaxRadiusRows, num_rows);
   const int window_rows = std::max(1, params.legalize_window_rows);
   const WindowTiling tiling(num_rows, 1, window_rows);
   const std::size_t num_windows = static_cast<std::size_t>(tiling.NumWindows());
@@ -423,42 +405,23 @@ LegalizeStats DetailedLegalizer::Run() {
     DeltaView& view = views[static_cast<std::size_t>(slot)];
     std::vector<Plan>& plans = window_plans[static_cast<std::size_t>(w)];
     plans.clear();
-    const int span = win.x1 - win.x0;
     // Private simulation of the block's rows: proposals apply here so later
     // cells in the window see earlier ones. Only this window commits to
     // these rows, so the live replay reproduces the same bytes.
-    std::vector<Row> sim(static_cast<std::size_t>(num_layers * span));
-    RowSpace sim_space{&sim, win.x0, span};
-    for (int layer = 0; layer < num_layers; ++layer) {
-      for (int r = win.x0; r < win.x1; ++r) {
-        sim_space.at(layer, r) = RowAt(layer, r);
-      }
-    }
+    RowBlock sim = rows.Copy(win.x0, win.x1);
     std::vector<Candidate> cands;
     int max_radius = 0;
-    const Placement& p = eval_.placement();
     for (const std::int32_t cell : window_cells[static_cast<std::size_t>(w)]) {
-      const std::size_t i = static_cast<std::size_t>(cell);
-      const double width = nl_.CellWidth(cell);
-      const double desired_x = p.x[i];
-      const int home_row = chip_.NearestRow(p.y[i]);
-      const int home_layer = std::clamp(p.layer[i], 0, num_layers - 1);
-      cands.clear();
-      const int found = SearchCell(sim_space, win.x0, win.x1, view, cell,
-                                   width, desired_x, home_row, home_layer,
-                                   radius_cap, &cands);
-      if (cands.empty()) {
-        deferred[i] = 1;  // no slot in this block; serial pass handles it
+      int radius = -1;
+      std::optional<Candidate> best =
+          BestCandidate(sim, view, cell, &radius, &cands);
+      if (!best.has_value()) {
+        // No slot in this block; the serial pass handles it.
+        deferred[static_cast<std::size_t>(cell)] = 1;
         continue;
       }
-      max_radius = std::max(max_radius, found);
-      const auto best = std::min_element(
-          cands.begin(), cands.end(), [](const Candidate& a,
-                                         const Candidate& b) {
-            return a.delta < b.delta;
-          });
-      ApplyCandidateToRow(sim_space.at(best->layer, best->row), cell, width,
-                          *best);
+      max_radius = std::max(max_radius, radius);
+      ApplyCandidateToRow(sim.at(best->layer, best->row), cell, *best);
       plans.push_back({cell, std::move(*best)});
     }
     window_max_radius[static_cast<std::size_t>(w)] = max_radius;
@@ -467,7 +430,7 @@ LegalizeStats DetailedLegalizer::Run() {
     stats.max_radius_rows = std::max(
         stats.max_radius_rows, window_max_radius[static_cast<std::size_t>(w)]);
     for (const Plan& plan : window_plans[static_cast<std::size_t>(w)]) {
-      CommitCandidate(plan.cell, nl_.CellWidth(plan.cell), plan.cand, &stats);
+      CommitCandidate(rows, plan.cell, plan.cand, &stats);
     }
   };
 
@@ -479,32 +442,21 @@ LegalizeStats DetailedLegalizer::Run() {
   // --- serial overflow pass -------------------------------------------------
   // Cells whose home block had no feasible slot search the full row range
   // against the live rows, in the original global priority order.
-  RowSpace live{&rows_, 0, num_rows};
-  DeltaView& serial_view = views[0];
   std::vector<Candidate> cands;
   for (const std::int32_t cell : order) {
     if (!deferred[static_cast<std::size_t>(cell)]) continue;
     stats.deferred += 1;
-    const Placement& p = eval_.placement();
-    const std::size_t i = static_cast<std::size_t>(cell);
-    const double width = nl_.CellWidth(cell);
-    const double desired_x = p.x[i];
-    const int home_row = chip_.NearestRow(p.y[i]);
-    const int home_layer = std::clamp(p.layer[i], 0, num_layers - 1);
-    cands.clear();
-    const int found = SearchCell(live, 0, num_rows, serial_view, cell, width,
-                                 desired_x, home_row, home_layer, radius_cap,
-                                 &cands);
-    if (cands.empty()) {
-      util::LogError("legalize: no slot for cell %d (width %.3g)", cell, width);
+    int radius = -1;
+    const std::optional<Candidate> best =
+        BestCandidate(rows, views[0], cell, &radius, &cands);
+    if (!best.has_value()) {
+      util::LogError("legalize: no slot for cell %d (width %.3g)", cell,
+                     nl_.CellWidth(cell));
       stats.success = false;
       continue;
     }
-    stats.max_radius_rows = std::max(stats.max_radius_rows, found);
-    const auto best = std::min_element(
-        cands.begin(), cands.end(),
-        [](const Candidate& a, const Candidate& b) { return a.delta < b.delta; });
-    CommitCandidate(cell, width, *best, &stats);
+    stats.max_radius_rows = std::max(stats.max_radius_rows, radius);
+    CommitCandidate(rows, cell, *best, &stats);
   }
 
   // Fold the views' kernel counters back in slot order; the totals are sums
@@ -531,28 +483,49 @@ LegalizeStats DetailedLegalizer::Run() {
 
 long long DetailedLegalizer::CountOverlaps(const netlist::Netlist& nl,
                                            const Placement& p) {
-  struct SweepItem {
-    double lo, hi;
+  return CountOverlaps(nl, p, nullptr);
+}
+
+long long DetailedLegalizer::CountOverlaps(
+    const netlist::Netlist& nl, const Placement& p,
+    std::pair<std::int32_t, std::int32_t>* first) {
+  struct Box {
+    int layer;
+    double x_lo, x_hi, y_lo, y_hi;
     std::int32_t cell;
   };
-  std::vector<std::pair<long long, SweepItem>> keyed;
+  // Bucket by layer, sort by x_lo, sweep with an active set pruned on x_hi.
+  std::vector<Box> boxes;
+  boxes.reserve(static_cast<std::size_t>(nl.NumMovableCells()));
   for (std::int32_t c = 0; c < nl.NumCells(); ++c) {
     if (nl.CellFixed(c)) continue;
     const std::size_t i = static_cast<std::size_t>(c);
-    const long long key =
-        static_cast<long long>(p.layer[i]) * 1000000 +
-        static_cast<long long>(std::floor(p.y[i] * 1e7));  // 0.1um band
-    keyed.push_back({key, {p.x[i] - nl.CellWidth(c) / 2.0,
-                           p.x[i] + nl.CellWidth(c) / 2.0, c}});
+    const double half_w = nl.CellWidth(c) / 2.0;
+    const double half_h = nl.CellHeight(c) / 2.0;
+    boxes.push_back({p.layer[i], p.x[i] - half_w, p.x[i] + half_w,
+                     p.y[i] - half_h, p.y[i] + half_h, c});
   }
-  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second.lo < b.second.lo;
+  std::sort(boxes.begin(), boxes.end(), [](const Box& a, const Box& b) {
+    return std::tie(a.layer, a.x_lo, a.cell) <
+           std::tie(b.layer, b.x_lo, b.cell);
   });
+
   long long overlaps = 0;
-  for (std::size_t i = 1; i < keyed.size(); ++i) {
-    if (keyed[i].first != keyed[i - 1].first) continue;
-    if (keyed[i].second.lo < keyed[i - 1].second.hi - 1e-12) ++overlaps;
+  std::vector<const Box*> active;
+  for (std::size_t k = 0; k < boxes.size(); ++k) {
+    const Box& b = boxes[k];
+    if (k > 0 && boxes[k - 1].layer != b.layer) active.clear();
+    // Retire boxes that end before this one starts (touching is legal).
+    std::erase_if(active, [&](const Box* a) {
+      return a->x_hi <= b.x_lo + kOverlapEps;
+    });
+    for (const Box* a : active) {
+      if (a->y_lo < b.y_hi - kOverlapEps && b.y_lo < a->y_hi - kOverlapEps) {
+        if (overlaps == 0 && first != nullptr) *first = {a->cell, b.cell};
+        ++overlaps;
+      }
+    }
+    active.push_back(&b);
   }
   return overlaps;
 }

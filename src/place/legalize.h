@@ -34,9 +34,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "place/objective.h"
+#include "place/rows.h"
 
 namespace p3d::place {
 
@@ -56,21 +58,16 @@ class DetailedLegalizer {
   /// Legalizes the evaluator's current placement in place.
   LegalizeStats Run();
 
-  /// Counts pairwise overlaps of movable cells in a placement (slow; used
-  /// by tests and post-run verification). Zero after a successful Run().
+  /// Exact count of overlapping pairs of movable cells on each layer (an x
+  /// sweep; touching edges do not overlap). Zero after a successful Run().
   static long long CountOverlaps(const netlist::Netlist& nl,
                                  const Placement& p);
+  /// As above; `first` receives the first offending pair found.
+  static long long CountOverlaps(const netlist::Netlist& nl,
+                                 const Placement& p,
+                                 std::pair<std::int32_t, std::int32_t>* first);
 
  private:
-  struct Item {
-    double lo = 0.0;
-    double hi = 0.0;
-    std::int32_t cell = -1;  // -1 = fixed blockage (immovable wall)
-  };
-  struct Row {
-    std::vector<Item> items;  // sorted by lo, non-overlapping
-  };
-
   /// A candidate placement: target position plus any neighbour shifts needed
   /// to make room, with the combined objective delta.
   struct Candidate {
@@ -79,17 +76,6 @@ class DetailedLegalizer {
     int row = 0;
     double delta = 0.0;
     std::vector<std::pair<std::int32_t, double>> shifts;  // cell -> new lo
-  };
-
-  /// Rows for indices [row_lo, row_lo + span) of every layer — either the
-  /// live rows (full range) or one window's private simulation copy.
-  struct RowSpace {
-    std::vector<Row>* rows;
-    int row_lo;
-    int span;
-    Row& at(int layer, int r) {
-      return (*rows)[static_cast<std::size_t>(layer * span + (r - row_lo))];
-    }
   };
 
   /// Evaluates up to two gap candidates and (if no gap fits) one squeeze
@@ -108,31 +94,28 @@ class DetailedLegalizer {
                                        double desired_x, int layer,
                                        int r) const;
 
-  /// Expanding-radius candidate search restricted to rows [row_lo, row_hi)
-  /// of `space`. Returns the largest radius at which a layer first yielded
-  /// candidates, or -1 when none were found.
-  int SearchCell(RowSpace& space, int row_lo, int row_hi, DeltaView& view,
-                 std::int32_t cell, double width, double desired_x,
-                 int home_row, int home_layer, int radius_cap,
-                 std::vector<Candidate>* cands) const;
+  /// The cheapest slot for `cell` within the row range of `rows`, by an
+  /// expanding-radius search around its current position (home layer
+  /// first, then adjacent layers); nullopt when no row in range has room.
+  /// `*radius` receives the largest radius at which a layer first yielded
+  /// candidates. Shared by the windowed pass (a window's simulated rows)
+  /// and the serial overflow pass (the live rows).
+  std::optional<Candidate> BestCandidate(RowBlock& rows, DeltaView& view,
+                                         std::int32_t cell, int* radius,
+                                         std::vector<Candidate>* cands) const;
 
   /// Applies the candidate's neighbour shifts and the cell's insertion to
   /// `row` — geometry only. Shared by the window simulations and the live
   /// commit so both evolve the row bytes identically.
-  void ApplyCandidateToRow(Row& row, std::int32_t cell, double width,
+  void ApplyCandidateToRow(Row& row, std::int32_t cell,
                            const Candidate& cand) const;
 
-  void CommitCandidate(std::int32_t cell, double width, const Candidate& cand,
-                       LegalizeStats* stats);
-
-  Row& RowAt(int layer, int r) {
-    return rows_[static_cast<std::size_t>(layer * chip_.num_rows() + r)];
-  }
+  void CommitCandidate(RowBlock& rows, std::int32_t cell,
+                       const Candidate& cand, LegalizeStats* stats);
 
   ObjectiveEvaluator& eval_;
   const netlist::Netlist& nl_;
   Chip chip_;
-  std::vector<Row> rows_;
 };
 
 }  // namespace p3d::place

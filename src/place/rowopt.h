@@ -27,10 +27,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "place/objective.h"
-#include "util/rng.h"
 
 namespace p3d::place {
 
@@ -43,6 +41,8 @@ struct RowOptStats {
 
 class RowRefiner {
  public:
+  /// `seed` is unused: every decision is deterministic. The parameter stays
+  /// because the end-to-end benchmark constructs the refiner with it.
   RowRefiner(ObjectiveEvaluator& eval, std::uint64_t seed);
 
   /// Runs `passes` refinement passes over all rows. The placement must be
@@ -50,46 +50,8 @@ class RowRefiner {
   RowOptStats Run(int passes);
 
  private:
-  struct Entry {
-    std::int32_t cell;
-    double lo;  // left edge
-    double hi;  // right edge
-  };
-
-  // Screened proposals. Each names its cells by id; the commit relocates
-  // them in the live rows and deterministically skips any proposal whose
-  // preconditions no longer hold (an earlier rejected proposal can shift
-  // what the window's simulation assumed).
-  struct SlideProp {
-    int layer;
-    int r;
-    std::int32_t index;  // entry index (stable: slides never reorder a row)
-    std::int32_t cell;
-  };
-  struct PairProp {
-    int layer;
-    int r;
-    std::int32_t cell_a;  // left cell of the adjacent pair
-    std::int32_t cell_b;
-  };
-  struct SwapProp {
-    int layer;  // cell_a's layer; cell_b sits on layer + 1, same row index
-    int r;
-    std::int32_t cell_a;
-    std::int32_t cell_b;
-  };
-
-  /// Rebuilds the per-row sorted occupancy from the current placement.
-  void BuildRows();
-
-  std::vector<Entry>& RowAt(int layer, int r) {
-    return rows_[static_cast<std::size_t>(layer * chip_.num_rows() + r)];
-  }
-
   ObjectiveEvaluator& eval_;
   Chip chip_;
-  util::Rng rng_;
-  std::vector<std::vector<Entry>> rows_;
 };
 
 }  // namespace p3d::place

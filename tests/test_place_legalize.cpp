@@ -140,6 +140,73 @@ TEST(Legalize, CountOverlapsDetectsCollisions) {
   EXPECT_EQ(DetailedLegalizer::CountOverlaps(f.nl, p), 0);
 }
 
+TEST(Legalize, CountOverlapsCountsEveryPairOnALayer) {
+  // The run result's `legal` flag reads this count, so it must see pairs
+  // that are not neighbours in x order and cells that sit off a row line.
+  netlist::Netlist nl;
+  const double widths[] = {10e-6, 1e-6, 1e-6, 1e-6, 10e-6};
+  for (int c = 0; c < 5; ++c) {
+    nl.AddCell("c" + std::to_string(c), widths[c], 1.4e-6);
+  }
+  nl.AddNet("n");
+  nl.AddPin(0, netlist::PinDir::kOutput);
+  nl.AddPin(1, netlist::PinDir::kInput);
+  ASSERT_TRUE(nl.Finalize());
+  Placement p;
+  p.Resize(5);
+  p.x = {5e-6, 1.5e-6, 3.5e-6, 20e-6, 5e-6};
+  p.y = {1e-6, 1e-6, 1e-6, 1e-6, 1e-6};
+  p.layer = {0, 0, 0, 0, 1};
+  // c0 spans [0, 10] um and covers both c1 and c2; c4 sits on layer 1.
+  EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, p), 2);
+  // c3 moved onto c0's x, 0.3 um above the row line.
+  p.x[3] = 8e-6;
+  p.y[3] = 1.3e-6;
+  EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, p), 3);
+  // Touching edges do not overlap.
+  p.x[3] = 10.5e-6;
+  EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, p), 2);
+}
+
+TEST(Legalize, CountOverlapsMatchesAllPairsOnRandomBoxes) {
+  // Cells of mixed widths and heights at random positions, some far off the
+  // die: the sweep must count exactly the pairs an all-pairs scan finds.
+  netlist::Netlist nl;
+  util::Rng rng(17);
+  for (int c = 0; c < 300; ++c) {
+    nl.AddCell("c" + std::to_string(c), rng.NextDouble(0.5e-6, 4e-6),
+               rng.NextDouble(0.5e-6, 3e-6));
+  }
+  nl.AddNet("n");
+  nl.AddPin(0, netlist::PinDir::kOutput);
+  nl.AddPin(1, netlist::PinDir::kInput);
+  ASSERT_TRUE(nl.Finalize());
+  Placement p;
+  p.Resize(300);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p.x[i] = rng.NextDouble(0.0, 40e-6);
+    p.y[i] = i % 50 == 0 ? rng.NextDouble(-1e3, 1e3)
+                         : rng.NextDouble(0.0, 40e-6);
+    p.layer[i] = rng.NextInt(0, 1);
+  }
+  long long expected = 0;
+  for (std::int32_t a = 0; a < nl.NumCells(); ++a) {
+    for (std::int32_t b = a + 1; b < nl.NumCells(); ++b) {
+      const std::size_t i = static_cast<std::size_t>(a);
+      const std::size_t j = static_cast<std::size_t>(b);
+      if (p.layer[i] != p.layer[j]) continue;
+      const double dx = std::abs(p.x[i] - p.x[j]);
+      const double dy = std::abs(p.y[i] - p.y[j]);
+      if (dx < (nl.cell(a).width + nl.cell(b).width) / 2.0 - 1e-12 &&
+          dy < (nl.cell(a).height + nl.cell(b).height) / 2.0 - 1e-12) {
+        ++expected;
+      }
+    }
+  }
+  EXPECT_GT(expected, 100);
+  EXPECT_EQ(DetailedLegalizer::CountOverlaps(nl, p), expected);
+}
+
 TEST(Legalize, RespectsFixedBlockages) {
   // A fixed block covering the middle of every row on layer 0 must not be
   // overlapped by any movable cell.
